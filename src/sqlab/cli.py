@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--j", type=_dyadic_list, default=[64, 256, 1024], help="J values")
     p.add_argument("--x-max", type=int, default=20_000)
-    p.add_argument("--adversarial", action="store_true", default=True)
+    p.add_argument("--adversarial", action=argparse.BooleanOptionalAction, default=True)
 
     p = sub.add_parser("fjk-constant", help="normalized multiplier-remainder grid maxima")
     common(p)
@@ -126,18 +126,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _tol(args: argparse.Namespace, default: float) -> float:
+    return default if args.tol is None else args.tol
+
+
 def _dispatch(args: argparse.Namespace):
     cmd = args.command
     if cmd == "gauss-check":
-        return experiments.run_gauss_check(args.q_max, tol=args.tol or 1e-10)
+        return experiments.run_gauss_check(args.q_max, tol=_tol(args, 1e-10))
     if cmd == "hsum-identities":
-        return experiments.run_hsum_identities(args.q_max, tol=args.tol or 1e-9)
+        return experiments.run_hsum_identities(args.q_max, tol=_tol(args, 1e-9))
     if cmd == "lowpass-scan":
         return experiments.run_lowpass_scan(args.j, args.x_max, args.adversarial)
     if cmd == "fjk-constant":
         return experiments.run_fjk_constant(args.n, args.grid, threads=args.threads)
     if cmd == "gamma-decay":
-        return experiments.run_gamma_decay(args.n, args.grid, tol=args.tol or 1e-9)
+        return experiments.run_gamma_decay(args.n, args.grid, tol=_tol(args, 1e-9))
     if cmd == "improving-ratio":
         return experiments.run_improving_ratio(args.n, args.p, args.trials, args.seed)
     if cmd == "orlicz-ratio":
@@ -152,7 +156,7 @@ def _dispatch(args: argparse.Namespace):
         return experiments.run_sparse_demo(args.e_size, args.density, args.c_stop, args.seed)
     if cmd == "high-low":
         return experiments.run_high_low(
-            args.n, args.j, args.trials, args.seed, tol=args.tol or 1e-7
+            args.n, args.j, args.trials, args.seed, tol=_tol(args, 1e-7)
         )
     raise ValueError(f"unknown command {cmd!r}")
 
@@ -168,6 +172,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InvariantViolation, SparsityError) as exc:
         print(f"sqlab: invariant violation: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # DomainError, ContractError: bad input
+        print(f"sqlab: error: {exc}", file=sys.stderr)
+        return 1
     text = report.render(args.format)
     if args.out:
         with open(args.out, "w") as fh:

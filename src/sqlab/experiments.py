@@ -26,6 +26,7 @@ from .operators import (
     bilinear_form,
     high_low_split,
     norm_p,
+    split_grid_len,
 )
 from .reports import ExperimentReport
 from .sparse import (
@@ -303,6 +304,12 @@ def extremal_pair(N: int) -> tuple[Signal, Signal]:
     return Signal(0, samples), Signal.delta(0)
 
 
+def _check_exponent(p: float) -> None:
+    """The ratios use the dual exponent p' = p / (p - 1), finite for p > 1."""
+    if not p > 1.0:
+        raise ValueError(f"p={p} must exceed 1")
+
+
 def run_improving_ratio(
     n_list: list[int],
     p: float = 1.6,
@@ -316,6 +323,7 @@ def run_improving_ratio(
     the extremal lower-bound column grows like N^{3/p-2}, exhibiting
     failure of the inequality below the critical index.
     """
+    _check_exponent(p)
     pprime = p / (p - 1.0)
     report = ExperimentReport(
         "improving-ratio",
@@ -330,13 +338,13 @@ def run_improving_ratio(
         worst = 0.0
         for _ in range(trials):
             f = Signal(twoI.a, _random_indicator(rng, len(twoI), 0.1))
-            af = average_squares(f, N, method="dft" if N > 64 else "direct")
+            af = average_squares(f, N, method="auto")
             num = norm_p(af, pprime, I)
             den = norm_p(f, p, twoI)
             worst = max(worst, num / den)
         # constants contract: f = chi_{2I} has ratio <= 1
         full = Signal(twoI.a, np.ones(len(twoI)))
-        aff = average_squares(full, N, method="dft" if N > 64 else "direct")
+        aff = average_squares(full, N, method="auto")
         const_ratio = norm_p(aff, pprime, I) / norm_p(full, p, twoI)
         _require(const_ratio <= 1.0 + 1e-12, f"constant indicator ratio > 1 at N={N}")
         # extremal pair: pairing is exactly 1; the lower bound is the
@@ -376,13 +384,13 @@ def run_orlicz_ratio(
         for _ in range(trials):
             f = Signal(twoI.a, _random_indicator(rng, len(twoI), 0.05))
             g = Signal(I.a, _random_indicator(rng, len(I), 0.05))
-            pairing = bilinear_form(average_squares(f, N, method="dft" if N > 64 else "direct"), g)
+            pairing = bilinear_form(average_squares(f, N, method="auto"), g)
             denom = psi(norm_p(f, 1.0, twoI)) * psi(norm_p(g, 1.0, I)) * len(I)
             if denom > 0:
                 worst = max(worst, pairing / denom)
         full_f = Signal(twoI.a, np.ones(len(twoI)))
         full_g = Signal(I.a, np.ones(len(I)))
-        pairing = bilinear_form(average_squares(full_f, N, method="dft" if N > 64 else "direct"), full_g)
+        pairing = bilinear_form(average_squares(full_f, N, method="auto"), full_g)
         full_ratio = pairing / (psi(1.0) * psi(1.0) * len(I))
         _require(full_ratio <= 1.0 + 1e-12, f"full-indicator Orlicz ratio > 1 at N={N}")
         f0, g0 = extremal_pair(N)
@@ -420,7 +428,7 @@ def run_halfdim(
             raise ValueError(f"unknown strategy {strategy!r}")
         samples = np.zeros(N * N + 1)
         samples[G] = 1.0
-        a = average_squares(Signal(0, samples), N, method="dft" if N > 64 else "direct")
+        a = average_squares(Signal(0, samples), N, method="auto")
         for eps in eps_list:
             count = int(np.count_nonzero(np.asarray(a.samples) > eps))
             if eps > 1.0:
@@ -503,6 +511,7 @@ def run_poly_average(
 ) -> ExperimentReport:
     """Improving-ratio table for the average along an arbitrary integer
     polynomial (default n^2 + n); exploratory, no bound asserted."""
+    _check_exponent(p)
     pprime = p / (p - 1.0)
     report = ExperimentReport(
         "poly-average",
@@ -566,7 +575,7 @@ def run_sparse_demo(
     tau = build_admissible_tau(f, E, C)
     _require(check_admissible(tau, f, C), "built stopping time not admissible")
     N = max(2, int(math.isqrt(e_size)) // 2)
-    af = average_squares(f, N, method="dft" if N > 64 else "direct")
+    af = average_squares(f, N, method="auto")
     xs = np.arange(E.a, E.b + 1)
     pairing = float(np.dot(af.values_at(xs), g.values_at(xs)))
     lam = sparse_form(coll, f, g, r, s)
@@ -598,12 +607,17 @@ def run_high_low(
     )
     I = IntervalZ(0, N * N - 1)
     twoI = I.double()
+    L = split_grid_len(N, len(twoI))
+    # the Weyl grid does not depend on J: sample it once if any J splits
+    weyl = None
+    if min(j_list) < max(1, N // 4):
+        weyl = circle.sample_multiplier("weyl", N, None, None, L)
     for J in j_list:
         rng = make_rng(seed)
         for t in range(trials):
             f = Signal(twoI.a, _random_indicator(rng, len(twoI), 0.1))
-            high, low = high_low_split(f, N, J)
-            af = average_squares(f, N, method="dft" if N > 64 else "direct")
+            high, low = high_low_split(f, N, J, L, weyl)
+            af = average_squares(f, N, method="auto")
             xs = np.arange(af.offset, af.offset + len(af.samples))
             err = float(np.max(np.abs(high.values_at(xs) + low.values_at(xs) - af.samples)))
             _require(err <= tol, f"high+low != A_N f at J={J} (err={err:.3g})")

@@ -114,15 +114,57 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
 
 
+def _smooth_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n: a length whose FFT needs only
+    radix-2, 3 and 5 passes."""
+    best = _next_pow2(n)
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            q = -(-n // p35)  # p35 * 2^k >= n  iff  2^k >= ceil(n / p35)
+            best = min(best, p35 << (q - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _hermitian_half(m: np.ndarray) -> np.ndarray:
+    """Bins 0..L//2 of the Hermitian part (m[j] + conj(m[-j])) / 2 of a
+    length-L symbol.
+
+    For real f, Re ifft(fft(f) m) = irfft(rfft(f) h): the anti-Hermitian
+    part of m only feeds the imaginary part of the output, so dropping it
+    here is exactly what keeping .real of the complex route did.
+    """
+    half = len(m) // 2 + 1
+    h = np.conj(np.concatenate((m[:1], m[:-half:-1])))  # conj(m[-j])
+    h += m[:half]
+    h *= 0.5
+    return h
+
+
+def _real_convolutions(x: np.ndarray, L: int, spectra: list[np.ndarray]) -> list[np.ndarray]:
+    """Length-L circular convolutions of the real block x (zero-padded)
+    with each kernel given by its half spectrum (rfft layout): one rfft of
+    x is shared by every kernel."""
+    xhat = np.fft.rfft(x, L)
+    return [np.fft.irfft(xhat * h, L) for h in spectra]
+
+
 def average_squares(f: Signal, N: int, method: str = "direct") -> Signal:
     """A_N f(x) = (1/N) sum_{k=1}^{N} f(x + k^2).
 
-    direct accumulates N shifted copies; dft convolves with the histogram
-    of {-k^2 : k <= N} on a circle large enough that no wraparound touches
-    the true support.
+    direct accumulates N shifted copies; dft convolves f with the histogram
+    of {N^2 - k^2 : k <= N} by real FFTs of length L, the smallest 5-smooth
+    integer >= n + N^2 (n the length of f's block): the linear convolution
+    has n + N^2 - 1 samples, so nothing wraps around.  auto takes dft for
+    N > 64 and direct otherwise.
     """
     if N < 1:
         raise DomainError(f"average_squares: N={N} must be positive")
+    if method == "auto":
+        method = "dft" if N > 64 else "direct"
     n = len(f.samples)
     NN = N * N
     out_len = n + NN  # support shifts by -k^2, k^2 in [1, N^2]
@@ -132,10 +174,11 @@ def average_squares(f: Signal, N: int, method: str = "direct") -> Signal:
             acc[NN - k * k : NN - k * k + n] += f.samples
         return Signal(f.offset - NN, acc / N)
     if method == "dft":
-        L = _next_pow2(4 * (n + NN))
-        kernel = np.bincount((-(np.arange(1, N + 1, dtype=np.int64) ** 2)) % L, minlength=L)
-        conv = np.fft.irfft(np.fft.rfft(f.samples, L) * np.fft.rfft(kernel, L), L)
-        return Signal(f.offset - NN, np.roll(conv, NN)[:out_len] / N)
+        L = _smooth_len(out_len)
+        ks = np.arange(1, N + 1, dtype=np.int64)
+        kernel_hat = np.fft.rfft(np.bincount(NN - ks * ks), L)
+        (conv,) = _real_convolutions(f.samples, L, [kernel_hat])
+        return Signal(f.offset - NN, conv[:out_len] / N)
     raise DomainError(f"average_squares: unknown method {method!r}")
 
 
@@ -152,7 +195,7 @@ def maximal_average(f: Signal, N_max: int, dyadic: bool = True) -> Signal:
     out_off = f.offset - N_max * N_max
     best = np.zeros(len(g.samples) + N_max * N_max)
     for N in Ns:
-        a = average_squares(g, N, method="dft" if N > 64 else "direct")
+        a = average_squares(g, N, method="auto")
         i = a.offset - out_off
         best[i : i + len(a.samples)] = np.maximum(best[i : i + len(a.samples)], a.samples)
     return Signal(out_off, best)
@@ -197,44 +240,62 @@ def apply_multiplier(f: Signal, grid: MultiplierGrid) -> Signal:
     """Apply a Fourier multiplier, sampled at frequencies j/L, to f by
     periodized convolution.
 
-    The output lives on a window of length L centered so that a convolution
-    kernel concentrated near frequency 0 (equivalently, spatially spread
-    over [-L/2, L/2)) is captured without wraparound ambiguity.  L must
-    exceed 2x the signal length.
+    The transform length is the grid's L (a power of two).  The output is
+    real: it applies the Hermitian part (m[j] + conj(m[-j])) / 2 of the
+    grid m through one rfft/irfft pair, which equals the real part of the
+    complex route ifft(fft(f) m).  The output lives on a window of length L
+    centered so that a convolution kernel concentrated near frequency 0
+    (equivalently, spatially spread over [-L/2, L/2)) is captured without
+    wraparound ambiguity.  L must exceed 2x the signal length.
     """
-    L = grid.L
+    (out,) = _apply_multipliers(f, [grid])
+    return out
+
+
+def _apply_multipliers(f: Signal, grids: list[MultiplierGrid]) -> list[Signal]:
+    """apply_multiplier for several grids of one length, sharing f's
+    spectrum."""
+    L = grids[0].L
     n = len(f.samples)
     if L < 2 * n:
         raise ContractError(f"apply_multiplier: grid L={L} too small for signal length {n}")
-    buf = np.zeros(L, dtype=np.complex128)
-    buf[:n] = f.samples
     # analysis transform e(-x xi) (numpy fft): under it the A_N kernel
     # (1/N) sum_k delta_{-k^2} has symbol (1/N) sum_k e(k^2 xi), the Weyl sum
-    out = np.fft.ifft(np.fft.fft(buf) * grid.values)
-    out = np.roll(out, L // 2)
-    return Signal(f.offset - L // 2, out.real)
+    outs = _real_convolutions(f.samples, L, [_hermitian_half(g.values) for g in grids])
+    return [Signal(f.offset - L // 2, np.roll(out, L // 2)) for out in outs]
 
 
-def high_low_split(f: Signal, N: int, J: int, L: int | None = None) -> tuple[Signal, Signal]:
+def split_grid_len(N: int, n: int) -> int:
+    """Default grid length of high_low_split for a signal of n samples."""
+    return _next_pow2(max(4 * N * N, 2 * (n + N * N)))
+
+
+def high_low_split(
+    f: Signal, N: int, J: int, L: int | None = None, weyl: MultiplierGrid | None = None
+) -> tuple[Signal, Signal]:
     """Split A_N f into a high-frequency part and a low-frequency part.
 
     The low part applies the narrow major-arc multiplier built from bumps of
-    width J/(q N^2) at each rational a/(2q) with q < J; the high part is the
-    complement within the full Weyl multiplier, so High + Low = A_N f exactly
-    up to FFT roundoff.  For J >= N/4 no splitting is meaningful at this
-    cutoff and the pair (0, A_N f) is returned.
+    width J/(q N^2) at each rational a/(2q) with q < J; the high part
+    applies its complement within the full Weyl multiplier, so High + Low =
+    A_N f exactly up to FFT roundoff.  Both share one spectrum of f.  A
+    caller splitting at several J may pass the Weyl grid, sampled once at
+    the same L.  For J >= N/4 no splitting is meaningful at this cutoff and
+    the pair (0, A_N f) is returned.
     """
     if N < 1 or J < 1 or J & (J - 1):
         raise DomainError(f"high_low_split: need N>=1 and J a power of two, got N={N} J={J}")
-    af = average_squares(f, N, method="dft" if N > 64 else "direct")
     if J >= max(1, N // 4):
-        zero = Signal(af.offset, np.zeros(len(af.samples)))
-        return zero, af
+        af = average_squares(f, N, method="auto")
+        return Signal(af.offset, np.zeros(len(af.samples))), af
     if L is None:
-        L = _next_pow2(max(4 * N * N, 2 * (len(f.samples) + N * N)))
+        L = split_grid_len(N, len(f.samples))
+    if weyl is None:
+        weyl = sample_multiplier("weyl", N, None, None, L)
+    elif weyl.L != L:
+        raise ContractError(f"high_low_split: Weyl grid has L={weyl.L}, need {L}")
     low_grid = sample_multiplier("b_N1", N, J, J, L)
-    weyl_grid = sample_multiplier("weyl", N, None, None, L)
-    high_grid = MultiplierGrid(L, weyl_grid.values - low_grid.values)
-    high = apply_multiplier(f, high_grid)
-    low = apply_multiplier(f, low_grid)
+    high_grid = MultiplierGrid(L, weyl.values - low_grid.values)
+    high, low = _apply_multipliers(f, [high_grid, low_grid])
     return high, low
+

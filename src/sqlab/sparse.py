@@ -217,7 +217,7 @@ def truncated_maximal(f: Signal, tau: StoppingTime) -> np.ndarray:
     out = np.zeros(len(xs))
     N = 1
     while N <= n_max:
-        a = average_squares(g, N, method="dft" if N > 64 else "direct")
+        a = average_squares(g, N, method="auto")
         vals = a.values_at(xs)
         mask = tv >= N
         out[mask] = np.maximum(out[mask], vals[mask])

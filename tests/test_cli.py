@@ -36,6 +36,34 @@ class TestExitCodes:
         assert code == 2
 
 
+    def test_zero_tolerance_is_honoured(self, capsys):
+        # split_err is about 5.6e-17 here: 0 must not fall back to 1e-7
+        argv = ["high-low", "--n", "64", "--j", "4", "--trials", "1", "--tol", "0"]
+        assert main(argv) == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["improving-ratio", "--n", "4", "--p", "1"],
+            ["poly-average", "--n", "4", "--p", "0.5"],
+            ["multifreq", "--s", "0", "--grid", "256"],
+        ],
+    )
+    def test_bad_input_is_one_line_and_one(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sqlab: error: ") and err.count("\n") == 1
+
+
+class TestFlags:
+    @pytest.mark.parametrize("flag, expected", [("--adversarial", True), ("--no-adversarial", False)])
+    def test_adversarial_switch_reaches_runner(self, flag, expected, tmp_path):
+        code, text = run(["lowpass-scan", "--j", "4", "--x-max", "50", flag], tmp_path)
+        assert code == 0
+        assert json.loads(text)["parameters"]["adversarial"] is expected
+
+
 class TestReportSchema:
     def test_json_keys(self, tmp_path):
         _, text = run(["gauss-check", "--q-max", "15"], tmp_path)

@@ -1,0 +1,135 @@
+"""The real-FFT spectral path of sqlab.operators against the complex and
+power-of-two routes it replaced, kept here as oracles."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sqlab.circle import ContractError, MultiplierGrid, sample_multiplier
+from sqlab.operators import (
+    Signal,
+    _smooth_len,
+    apply_multiplier,
+    average_squares,
+    high_low_split,
+    split_grid_len,
+)
+
+
+def apply_multiplier_complex(f: Signal, grid: MultiplierGrid) -> Signal:
+    """Oracle: complex FFT of the zero-padded block, times the grid, complex
+    inverse FFT, real part, centered on a window of length L."""
+    L = grid.L
+    buf = np.zeros(L, dtype=np.complex128)
+    buf[: len(f.samples)] = f.samples
+    out = np.roll(np.fft.ifft(np.fft.fft(buf) * grid.values), L // 2)
+    return Signal(f.offset - L // 2, out.real)
+
+
+def average_squares_pow2_dft(f: Signal, N: int) -> Signal:
+    """Oracle: A_N f by a real FFT of power-of-two length >= 4 (n + N^2),
+    with the kernel at -k^2 mod L and a roll back to the output window."""
+    n, NN = len(f.samples), N * N
+    out_len = n + NN
+    L = 1 << (4 * out_len - 1).bit_length()
+    kernel = np.bincount((-(np.arange(1, N + 1, dtype=np.int64) ** 2)) % L, minlength=L)
+    conv = np.fft.irfft(np.fft.rfft(f.samples, L) * np.fft.rfft(kernel, L), L)
+    return Signal(f.offset - NN, np.roll(conv, NN)[:out_len] / N)
+
+
+def _close(a: Signal, b: Signal, f: Signal) -> bool:
+    """Same window, and the samples agree to 1e-12 ||f||_1."""
+    return (
+        a.offset == b.offset
+        and len(a) == len(b)
+        and float(np.max(np.abs(a.samples - b.samples))) <= 1e-12 * float(np.sum(np.abs(f.samples)))
+    )
+
+
+samples = st.lists(
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=1, max_size=150
+).map(np.array)
+offsets = st.integers(min_value=-10**6, max_value=10**6)
+
+
+def _is_smooth(m: int) -> bool:
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_smooth_len_is_least_5_smooth_bound():
+    for n in range(1, 3000):
+        L = _smooth_len(n)
+        assert L >= n and _is_smooth(L), n
+        assert not any(_is_smooth(m) for m in range(n, L)), n
+    assert _smooth_len(3 << 20) == 3 << 20  # n + N^2 at N = 2^10, n = 2N^2
+
+
+class TestAverageSquares:
+    @given(samples, offsets, st.integers(min_value=1, max_value=80))
+    @settings(max_examples=60, deadline=None)
+    def test_dft_matches_direct_and_pow2_oracle(self, x, offset, N):
+        f = Signal(offset, x)
+        dft = average_squares(f, N, method="dft")
+        assert _close(dft, average_squares(f, N, method="direct"), f)
+        assert _close(dft, average_squares_pow2_dft(f, N), f)
+
+    def test_auto_switches_to_dft_above_64(self):
+        f = Signal(-3, np.random.default_rng(0).random(50))
+        for N, route in ((64, "direct"), (65, "dft")):
+            auto = average_squares(f, N, method="auto")
+            assert np.array_equal(auto.samples, average_squares(f, N, method=route).samples)
+
+
+class TestApplyMultiplier:
+    @given(
+        samples,
+        offsets,
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_complex_grid_matches_oracle(self, x, offset, extra, seed):
+        # a grid with no symmetry at all: its anti-Hermitian part must drop
+        f = Signal(offset, x)
+        L = max(2, 1 << (2 * len(x) - 1).bit_length()) << extra
+        rng = np.random.default_rng(seed)
+        grid = MultiplierGrid(L, rng.standard_normal(L) + 1j * rng.standard_normal(L))
+        assert _close(apply_multiplier(f, grid), apply_multiplier_complex(f, grid), f)
+
+    @given(samples, offsets, st.sampled_from([8, 16, 32]))
+    @settings(max_examples=20, deadline=None)
+    def test_sampled_pieces_match_oracle(self, x, offset, N):
+        f = Signal(offset, x)
+        L = split_grid_len(N, len(x))
+        for piece in ("weyl", "b_N1"):
+            grid = sample_multiplier(piece, N, 2, 2, L)
+            assert _close(apply_multiplier(f, grid), apply_multiplier_complex(f, grid), f)
+
+
+class TestHighLowSplit:
+    def test_parts_match_oracle_on_their_own_grids(self):
+        rng = np.random.default_rng(8)
+        f = Signal(-20, (rng.random(300) < 0.2).astype(float))
+        N, J = 64, 4
+        L = split_grid_len(N, len(f))
+        weyl = sample_multiplier("weyl", N, None, None, L)
+        low_grid = sample_multiplier("b_N1", N, J, J, L)
+        high_grid = MultiplierGrid(L, weyl.values - low_grid.values)
+        high, low = high_low_split(f, N, J)
+        assert _close(high, apply_multiplier_complex(f, high_grid), f)
+        assert _close(low, apply_multiplier_complex(f, low_grid), f)
+        # a Weyl grid passed in gives the same bytes as one sampled inside
+        high2, low2 = high_low_split(f, N, J, L, weyl)
+        assert np.array_equal(high.samples, high2.samples)
+        assert np.array_equal(low.samples, low2.samples)
+
+    def test_weyl_grid_of_other_length_rejected(self):
+        f = Signal(0, np.ones(100))
+        L = split_grid_len(64, len(f))
+        weyl = sample_multiplier("weyl", 64, None, None, 2 * L)
+        with pytest.raises(ContractError):
+            high_low_split(f, 64, 4, L, weyl)
