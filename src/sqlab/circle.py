@@ -388,46 +388,36 @@ def sample_multiplier(
     """
     if L & (L - 1) or L < 4 * N * N:
         raise ContractError(f"sample_multiplier: L={L} must be a power of two >= 4N^2")
+    if which not in ("weyl", "a_N", "c_N", "b_N1", "b_N2", "a_tilde"):
+        raise DomainError(f"sample_multiplier: unknown piece {which!r}")
     if which == "weyl":
         return MultiplierGrid(L, weyl_multiplier_grid(N, L))
     if M is None or M & (M - 1) or M > N // 4:
         raise ContractError(f"sample_multiplier: M={M} must be a power of two <= N/4")
     m = M.bit_length() - 1
-    need_narrow = which in ("b_N1", "b_N2", "a_tilde")
-    if need_narrow and (J is None or J & (J - 1) or J > M):
+
+    def band(lo: int, hi: int, width_scale: float | None) -> np.ndarray:
+        """Sum of the arc levels s = lo..hi."""
+        out = np.zeros(L, dtype=np.complex128)
+        for s in range(lo, hi + 1):
+            _accumulate_arcs_grid(out, N, s, L, width_scale)
+        return out
+
+    if which == "a_N":
+        return MultiplierGrid(L, band(1, m, None))
+    if which == "c_N":
+        return MultiplierGrid(L, weyl_multiplier_grid(N, L) - band(1, m, None))
+    if J is None or J & (J - 1) or J > M:
         raise ContractError(f"sample_multiplier: J={J} must be a power of two <= M")
-
-    if which in ("a_N", "c_N"):
-        vals = np.zeros(L, dtype=np.complex128)
-        for s in range(1, m + 1):
-            _accumulate_arcs_grid(vals, N, s, L, None)
-        if which == "c_N":
-            vals = weyl_multiplier_grid(N, L) - vals
-        return MultiplierGrid(L, vals)
-
     s0 = J.bit_length() - 1
-    narrow = np.zeros(L, dtype=np.complex128)
-    for s in range(1, s0 + 1):
-        _accumulate_arcs_grid(narrow, N, s, L, N * N / J)
-    if which in ("b_N1", "a_tilde") and M == J:
+    if which == "b_N2" and M != J:  # the levels above J
+        return MultiplierGrid(L, band(s0 + 1, m, None))
+    narrow = band(1, s0, N * N / J)
+    if which == "a_tilde" or (which == "b_N1" and M == J):
         return MultiplierGrid(L, narrow)
-    if which == "a_tilde":
-        return MultiplierGrid(L, narrow)
-    wide = np.zeros(L, dtype=np.complex128)
-    if which == "b_N1":  # maximal-variant split: sum of bump differences, s <= s0
-        for s in range(1, s0 + 1):
-            _accumulate_arcs_grid(wide, N, s, L, None)
-        return MultiplierGrid(L, wide - narrow)
-    if which == "b_N2":
-        for s in range(1, m + 1):
-            _accumulate_arcs_grid(wide, N, s, L, None)
-        if M == J:
-            return MultiplierGrid(L, wide - narrow)
-        tail = np.zeros(L, dtype=np.complex128)
-        for s in range(s0 + 1, m + 1):
-            _accumulate_arcs_grid(tail, N, s, L, None)
-        return MultiplierGrid(L, tail)
-    raise DomainError(f"sample_multiplier: unknown piece {which!r}")
+    # b_N1 with M != J (maximal-variant split: bump differences for s <= s0)
+    # and b_N2 with M == J, where s0 = m
+    return MultiplierGrid(L, band(1, s0, None) - narrow)
 
 
 def arc_level_grid(N: int, s: int, L: int) -> np.ndarray:

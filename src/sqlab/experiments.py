@@ -11,13 +11,14 @@ verification failures distinctly from usage errors.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 
 from . import circle, hsums
-from .arith import count_sqrts, factorize
+from .arith import DomainError, count_sqrts, factorize
 from .gauss import gauss_G0, gauss_G0_vector, gauss_G_closed, gauss_G_vector
 from .operators import (
     IntervalZ,
@@ -83,7 +84,7 @@ def run_gauss_check(q_max: int = 150, tol: float = 1e-10) -> ExperimentReport:
     return report
 
 
-def run_hsum_identities(q_max: int = 80, tol: float = 1e-9) -> ExperimentReport:
+def run_hsum_identities(q_max: int = 60, tol: float = 1e-9) -> ExperimentReport:
     """The identity web tying H, H0, H1, the Jacobi-weighted variants and
     the square-root counts r_q together."""
     report = ExperimentReport(
@@ -202,8 +203,8 @@ def run_hsum_identities(q_max: int = 80, tol: float = 1e-9) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 def run_lowpass_scan(
-    j_list: list[int],
-    x_max: int = 100_000,
+    j_list: Sequence[int] = (64, 256, 1024),
+    x_max: int = 20_000,
     adversarial: bool = True,
 ) -> ExperimentReport:
     """max_x S_J(x) with S_J(x) = sum_{q <= J} |H(q,x)|/q, windowed over
@@ -235,8 +236,8 @@ def run_lowpass_scan(
 
 
 def run_fjk_constant(
-    n_list: list[int],
-    grid: int = 1 << 14,
+    n_list: Sequence[int] = (256, 1024),
+    grid: int = 1 << 13,
     threads: int = 1,
 ) -> ExperimentReport:
     """Grid maximum of |m_N(xi) - G0(a,q) gamma_N(2xi - a/q)| * N / sqrt(q)
@@ -311,7 +312,7 @@ def _check_exponent(p: float) -> None:
 
 
 def run_improving_ratio(
-    n_list: list[int],
+    n_list: Sequence[int] = (16, 32, 64, 128),
     p: float = 1.6,
     trials: int = 20,
     seed: int = 0,
@@ -358,7 +359,7 @@ def run_improving_ratio(
 
 
 def run_orlicz_ratio(
-    n_list: list[int],
+    n_list: Sequence[int] = (16, 32, 64),
     trials: int = 20,
     seed: int = 0,
 ) -> ExperimentReport:
@@ -400,8 +401,8 @@ def run_orlicz_ratio(
 
 
 def run_halfdim(
-    n_list: list[int],
-    eps_list: list[float],
+    n_list: Sequence[int] = (32, 64, 128),
+    eps_list: Sequence[float] = (0.25, 0.5, 1.5),
     strategy: str = "random",
     seed: int = 0,
 ) -> ExperimentReport:
@@ -442,7 +443,7 @@ def run_halfdim(
 # ---------------------------------------------------------------------------
 
 def run_multifreq(
-    s_list: list[int],
+    s_list: Sequence[int] = (1, 2, 3),
     n_octaves: int = 3,
     trials: int = 8,
     seed: int = 0,
@@ -484,15 +485,28 @@ def run_multifreq(
 # polynomial averages (exploratory)
 # ---------------------------------------------------------------------------
 
-def average_polynomial(f: Signal, N: int, coeffs: list[int]) -> Signal:
+def polynomial_shifts(coeffs: Sequence[int], N: int) -> np.ndarray:
+    """P(1), ..., P(N) for the integer polynomial P with coefficients coeffs
+    in increasing-degree order, evaluated exactly; DomainError when one of
+    them does not fit in int64."""
+    bound = np.iinfo(np.int64).max
+    shifts = []
+    for k in range(1, N + 1):
+        v = 0
+        for c in reversed(coeffs):
+            v = v * k + int(c)
+        if abs(v) > bound:
+            raise DomainError(f"polynomial shift P({k}) = {v} does not fit in int64")
+        shifts.append(v)
+    return np.array(shifts, dtype=np.int64)
+
+
+def average_polynomial(f: Signal, N: int, coeffs: Sequence[int]) -> Signal:
     """(1/N) sum_{k=1}^N f(x + P(k)) for an integer polynomial P given by
     coeffs in increasing-degree order."""
     if N < 1:
         raise ValueError(f"average_polynomial: N={N} must be positive")
-    ks = np.arange(1, N + 1, dtype=np.int64)
-    shifts = np.zeros(N, dtype=np.int64)
-    for d, c in enumerate(coeffs):
-        shifts += c * ks**d
+    shifts = polynomial_shifts(coeffs, N)
     lo, hi = int(shifts.min()), int(shifts.max())
     n = len(f.samples)
     acc = np.zeros(n + hi - lo)
@@ -503,8 +517,8 @@ def average_polynomial(f: Signal, N: int, coeffs: list[int]) -> Signal:
 
 
 def run_poly_average(
-    coeffs: list[int],
-    n_list: list[int],
+    coeffs: Sequence[int] = (0, 1, 1),
+    n_list: Sequence[int] = (16, 32, 64),
     p: float = 1.6,
     trials: int = 10,
     seed: int = 0,
@@ -526,11 +540,7 @@ def run_poly_average(
         columns=["N", "scale", "max_ratio"],
     )
     for N in n_list:
-        ks = np.arange(1, N + 1, dtype=np.int64)
-        shifts = np.zeros(N, dtype=np.int64)
-        for d, c in enumerate(coeffs):
-            shifts += c * ks**d
-        scale = max(1, int(np.abs(shifts).max()))
+        scale = max(1, int(np.abs(polynomial_shifts(coeffs, N)).max()))
         I = IntervalZ(0, scale - 1)
         twoI = I.double()
         rng = make_rng(seed)
@@ -590,15 +600,13 @@ def run_sparse_demo(
 
 def run_high_low(
     N: int = 1 << 8,
-    j_list: list[int] | None = None,
+    j_list: Sequence[int] = (4, 16),
     trials: int = 5,
     seed: int = 0,
     tol: float = 1e-7,
 ) -> ExperimentReport:
     """High/Low split audit: exact additivity and the two normalized-norm
     ratios against their J^{-1/2} log J and J (log J)^2 references."""
-    if j_list is None:
-        j_list = [4, 16]
     report = ExperimentReport(
         "high-low",
         parameters={"N": N, "j_list": list(j_list), "trials": trials, "seed": seed, "tol": tol},

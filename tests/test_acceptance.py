@@ -31,7 +31,7 @@ from sqlab.experiments import (
 from sqlab.operators import (
     IntervalZ,
     Signal,
-    apply_multiplier,
+    _apply_multipliers,
     average_on,
     average_squares,
     bilinear_form,
@@ -233,8 +233,7 @@ def test_criterion_08_high_low_decomposition():
         f2 = math.sqrt(float(np.mean(f.values_at(xs2) ** 2)))
         f1 = average_on(f, II)
         for J, (lowg, highg) in grids.items():
-            lo = apply_multiplier(f, lowg)
-            hi = apply_multiplier(f, highg)
+            lo, hi = _apply_multipliers(f, [lowg, highg])  # one spectrum of f
             err = float(np.max(np.abs(lo.values_at(xs) + hi.values_at(xs) - af.values_at(xs))))
             worst_err = max(worst_err, err)
             h2 = math.sqrt(float(np.mean(np.abs(hi.values_at(xs)) ** 2)))

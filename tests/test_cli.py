@@ -1,12 +1,18 @@
 """Command-line interface: exit codes, report schema, reproducibility."""
 
 import csv
+import inspect
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from sqlab.cli import main
+from sqlab.cli import COMMANDS, build_parser, main, runner
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(argv, tmp_path, name="out.json"):
@@ -48,6 +54,7 @@ class TestExitCodes:
             ["improving-ratio", "--n", "4", "--p", "1"],
             ["poly-average", "--n", "4", "--p", "0.5"],
             ["multifreq", "--s", "0", "--grid", "256"],
+            ["poly-average", "--coeffs", "0,0,0,0,0,0,0,1", "--n", "1024"],
         ],
     )
     def test_bad_input_is_one_line_and_one(self, argv, capsys):
@@ -57,6 +64,36 @@ class TestExitCodes:
 
 
 class TestFlags:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_flag_names_a_runner_parameter(self, command):
+        params = inspect.signature(runner(command)).parameters
+        for flag, dest, _ in COMMANDS[command][1]:
+            assert dest in params, (command, flag)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gauss-check", "--seed", "3"],
+            ["lowpass-scan", "--tol", "0"],
+            ["high-low", "--threads", "2"],
+        ],
+    )
+    def test_flag_the_runner_does_not_take_is_one(self, argv, capsys):
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"gamma-decay"}))
+    def test_defaults_are_the_runner_defaults(self, command, capsys):
+        # gamma-decay is left out for time (about 10 s)
+        assert main([command]) == 0
+        assert capsys.readouterr().out == runner(command)().to_json()
+
+    def test_readme_examples_parse(self):
+        lines = re.findall(r"^sqlab (.*)$", README.read_text(), flags=re.MULTILINE)
+        assert len(lines) >= len(COMMANDS)
+        for line in lines:
+            build_parser().parse_args(shlex.split(line, comments=True))
+
     @pytest.mark.parametrize("flag, expected", [("--adversarial", True), ("--no-adversarial", False)])
     def test_adversarial_switch_reaches_runner(self, flag, expected, tmp_path):
         code, text = run(["lowpass-scan", "--j", "4", "--x-max", "50", flag], tmp_path)

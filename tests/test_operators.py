@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqlab.arith import DomainError
 from sqlab.circle import ContractError, sample_multiplier
+from sqlab.experiments import average_polynomial, polynomial_shifts
 from sqlab.operators import (
     IntervalZ,
     Signal,
@@ -103,6 +105,39 @@ class TestAverage:
         f = Signal(0, np.ones(2 * N * N + 10))
         a = average_squares(f, N)
         assert abs(a.value_at(5) - 1.0) < 1e-12
+
+
+def int64_shifts(coeffs, N):
+    """The former int64 evaluation of P(1..N); exact while nothing wraps."""
+    ks = np.arange(1, N + 1, dtype=np.int64)
+    shifts = np.zeros(N, dtype=np.int64)
+    for d, c in enumerate(coeffs):
+        shifts += c * ks**d
+    return shifts
+
+
+class TestPolynomialAverage:
+    @given(st.lists(st.integers(-9, 9), max_size=5), st.integers(1, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_shifts_match_int64_route(self, coeffs, N):
+        assert np.array_equal(polynomial_shifts(coeffs, N), int64_shifts(coeffs, N))
+
+    def test_squares_polynomial_is_average_squares(self):
+        rng = np.random.default_rng(3)
+        f = Signal(-4, rng.random(40))
+        for N in (1, 3, 6):
+            a = average_polynomial(f, N, [0, 0, 1])
+            b = average_squares(f, N)
+            xs = np.arange(a.offset - 2, a.offset + len(a.samples) + 2)
+            assert np.max(np.abs(a.values_at(xs) - b.values_at(xs))) < 1e-13
+
+    def test_shift_past_int64_is_refused(self):
+        top = np.iinfo(np.int64).max
+        assert polynomial_shifts([top], 1)[0] == top
+        assert polynomial_shifts([-top], 1)[0] == -top
+        for coeffs, N in (([top + 1], 1), ([-top - 1], 1), ([0] * 9 + [1], 128)):
+            with pytest.raises(DomainError):
+                polynomial_shifts(coeffs, N)
 
 
 class TestMaximal:
