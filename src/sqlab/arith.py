@@ -210,7 +210,7 @@ def _count_sqrts_odd_prime_power(x: int, p: int, k: int) -> int:
 
 
 def _count_sqrts_two_power(x: int, b: int) -> int:
-    """r_{2^b}(x), 2-adic case analysis (used above the enumeration cutoff)."""
+    """r_{2^b}(x), 2-adic case analysis."""
     x %= 1 << b
     if x == 0:
         return 1 << (b // 2)
@@ -231,11 +231,9 @@ def _count_sqrts_two_power(x: int, b: int) -> int:
 
 
 def count_sqrts_prime_power(x: int, p: int, k: int) -> int:
-    """r_{p^k}(x): odd p via the three-case formula, p = 2 via enumeration
-    up to 2**20 and 2-adic case analysis above."""
+    """r_{p^k}(x): odd p via the three-case formula, p = 2 via the 2-adic
+    case analysis."""
     if p == 2:
-        if k <= 20:
-            return count_sqrts_bruteforce(x, 1 << k)
         return _count_sqrts_two_power(x, k)
     return _count_sqrts_odd_prime_power(x, p, k)
 
@@ -255,27 +253,20 @@ def count_sqrts(x: int, q: int) -> int:
 
 
 def sqrt_count_vector(q: int) -> np.ndarray:
-    """Vector of r_q(x) for x in [0,q), via the per-prime-power formula and
-    CRT indexing (fast path for bulk scans)."""
+    """Vector of r_q(x) for x in [0,q): one enumerated table per prime
+    power p^k || q, combined by CRT indexing (fast path for bulk scans)."""
     if q < 1:
         raise DomainError(f"sqrt_count_vector: q={q} must be positive")
     x = np.arange(q, dtype=np.int64)
     out = np.ones(q, dtype=np.int64)
     for p, k in factorize(q).factors:
         pk = p**k
-        if p == 2 and k <= 20:
-            local = sqrt_count_vector_bruteforce(pk)
-        else:
-            local = np.array(
-                [count_sqrts_prime_power(r, p, k) for r in range(pk)],
-                dtype=np.int64,
-            )
-        out *= local[x % pk]
+        out *= sqrt_count_vector_bruteforce(pk)[x % pk]
     return out
 
 
-def is_qr(x: int, p: int, k: int = 1) -> bool:
-    """Whether a unit x is a quadratic residue mod p^k (p an odd prime)."""
+def is_qr(x: int, p: int) -> bool:
+    """Whether a unit x is a quadratic residue mod the odd prime p."""
     if x % p == 0:
         raise DomainError("is_qr expects a unit")
     return pow(x % p, (p - 1) // 2, p) == 1

@@ -2,8 +2,10 @@
 the oscillatory profile gamma_N, Dirichlet rational approximation, smooth
 bumps, and the arc decomposition a_N + c_N with its further splits.
 
-Grid frequencies are exact dyadic rationals j/L; all phase reductions on
-grids are done in integer arithmetic before any exponential is taken.
+Every arc piece is sampled on a dyadic grid j/L by one arc enumerator,
+``_accumulate_arcs_grid``.  Its phase offsets theta = (2jq - aL)/(qL) are
+reduced exactly in integers before the one division, so each sampled piece
+is exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from scipy.special import fresnel
 
 from .arith import DomainError
 from .gauss import gauss_G0
-
-TWO_PI = 2.0 * math.pi
 
 
 class QuadratureError(ArithmeticError):
@@ -52,11 +52,6 @@ def eta(t):
     return out
 
 
-def eta_scaled(k: float, t):
-    """eta_k(t) = eta(k t)."""
-    return eta(np.asarray(t) * k)
-
-
 # ---------------------------------------------------------------------------
 # Weyl multiplier
 # ---------------------------------------------------------------------------
@@ -88,16 +83,14 @@ def weyl_multiplier_grid(N: int, L: int) -> np.ndarray:
 # gamma_N
 # ---------------------------------------------------------------------------
 
-def gamma_N(xi, N: int, tol: float = 1e-12):
+def gamma_N(xi, N: int):
     """gamma_N(xi) = (1/N) int_0^N e(xi t^2/2) dt.
 
     Evaluated in closed form through the Fresnel integrals (absolute error
-    well below any tol >= 1e-12); accepts scalars or arrays.
+    below 1e-12); accepts scalars or arrays.
     """
     if N < 1:
         raise DomainError(f"gamma_N: N={N} must be positive")
-    if tol < 1e-12:
-        raise DomainError(f"gamma_N: tol={tol} below supported precision")
     c = np.asarray(xi, dtype=np.float64) * (N * N)
     z = np.sqrt(2.0 * np.abs(c))
     s_z, c_z = fresnel(z)
@@ -108,7 +101,7 @@ def gamma_N(xi, N: int, tol: float = 1e-12):
     return val
 
 
-def gamma_N_quad(xi: float, N: int, tol: float = 1e-12, max_panels: int = 1 << 21) -> complex:
+def gamma_N_quad(xi: float, N: int, max_panels: int = 1 << 21) -> complex:
     """The same integral by adaptive panels: int_0^1 e(xi N^2 u^2 / 2) du,
     one Gauss-Legendre 15-point rule per half oscillation.
 
@@ -136,27 +129,6 @@ def gamma_N_quad(xi: float, N: int, tol: float = 1e-12, max_panels: int = 1 << 2
     return complex(math.fsum(vals.real.ravel()), math.fsum(vals.imag.ravel()))
 
 
-def gamma_N_series(xi: float, N: int, tol: float = 1e-14, max_terms: int = 600) -> complex:
-    """Power-series oracle: int_0^1 e(c u^2 / 2) du = sum (i pi c)^k / (k! (2k+1)),
-    with c = xi N^2.  The alternating terms peak near exp(pi |c|), so the
-    series is refused once cancellation would swamp tol."""
-    c = float(xi) * N * N
-    z = 1j * math.pi * c
-    if math.exp(min(abs(z), 700.0)) * 1e-16 > tol:
-        raise QuadratureError(
-            f"gamma_N_series: |xi| N^2 = {abs(c):.3g} too large for float64 cancellation"
-        )
-    term = 1.0 + 0.0j
-    total = 1.0 + 0.0j
-    for k in range(1, max_terms):
-        term *= z / k
-        contrib = term / (2 * k + 1)
-        total += contrib
-        if abs(contrib) < tol and abs(term) < tol:
-            return complex(total)
-    raise QuadratureError("gamma_N_series: did not converge (|c| too large)")
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet approximation
 # ---------------------------------------------------------------------------
@@ -179,20 +151,15 @@ class ReducedRational:
 def dirichlet_approx(xi, N: int) -> ReducedRational:
     """Reduced a/q with q <= 4N and |2 xi - a/q| <= 1/(4 N q).
 
-    The smallest such q is returned: by exhaustive search over q for
-    N <= 64, through continued-fraction convergents of 2 xi otherwise.
+    The smallest such q is returned, found among the continued-fraction
+    convergents of t = 2 xi: the condition reads |q t - a| <= 1/(4N), and
+    the q minimizing |q t - a| among all smaller denominators are exactly
+    the convergent denominators (best approximations of the second kind).
     """
     if N < 1:
         raise DomainError(f"dirichlet_approx: N={N} must be positive")
     t = 2 * Fraction(xi)
     Q = 4 * N
-    if N <= 64:
-        for q in range(1, Q + 1):
-            a = round(t * q)
-            if abs(t - Fraction(a, q)) <= Fraction(1, Q * q) and math.gcd(a, q) == 1:
-                return ReducedRational(a, q)
-        raise ArithmeticError("dirichlet_approx: exhaustive search failed")
-    # continued-fraction convergents of t
     num, den = t.numerator, t.denominator
     h0, h1 = 1, 0  # h: numerators, k: denominators
     k0, k1 = 0, 1
@@ -209,126 +176,6 @@ def dirichlet_approx(xi, N: int) -> ReducedRational:
         if abs(t - Fraction(h0, k0)) <= Fraction(1, Q * k0):
             return ReducedRational(h0, k0)
     raise ArithmeticError("dirichlet_approx: no convergent satisfied the bound")
-
-
-# ---------------------------------------------------------------------------
-# arcs and the multiplier decomposition
-# ---------------------------------------------------------------------------
-
-def arcs_at_level(s: int) -> list[ReducedRational]:
-    """All reduced a/q in [0,2) with 2^{s-1} <= q < 2^s."""
-    out = []
-    for q in range(1 << (s - 1), 1 << s):
-        for a in range(0, 2 * q):
-            if math.gcd(a, q) == 1:
-                out.append(ReducedRational(a, q))
-    return out
-
-
-def _theta(two_xi: float, a: int, q: int) -> float:
-    """Signed distance 2 xi - a/q on 2T, representative in (-1, 1]."""
-    d = (two_xi - a / q + 1.0) % 2.0 - 1.0
-    return d
-
-
-@dataclass(frozen=True)
-class ArcDecomposition:
-    """Pointwise values of the circle-method pieces at one frequency.
-
-    low_pass is the narrow-bump (eta_{qN^2/J}) part of the major arcs:
-    b_{N,1} in the fixed-scale split (M = J), and the a-tilde term in the
-    maximal-variant split (M > J).  high_near collects the bump differences
-    on levels s <= log2 J; high_far the levels above.  Always
-    low_pass + high_near + high_far = a_full and a_full + c = weyl.
-    """
-
-    weyl: complex
-    a_full: complex
-    c: complex
-    per_scale: tuple[complex, ...]
-    low_pass: complex
-    high_near: complex
-    high_far: complex
-
-    @property
-    def a_tilde(self) -> complex:
-        return self.low_pass
-
-    def b_split(self) -> tuple[complex, complex]:
-        """(b_{N,1}, b_{N,2}) for the fixed-scale decomposition M = J."""
-        return self.low_pass, self.high_near + self.high_far
-
-
-def _arc_terms_at(two_xi: float, N: int, s: int, width_scale: float | None):
-    """Sum of G0(a,q) eta(...) gamma_N(...) over arcs of level s at 2 xi.
-
-    width_scale None means the dyadic bump eta_{2^{2s}}; otherwise the bump
-    scale is width_scale * q (i.e. eta_{q N^2/J} with width_scale = N^2/J).
-    """
-    total = 0.0 + 0.0j
-    for q in range(1 << (s - 1), 1 << s):
-        scale = float(1 << (2 * s)) if width_scale is None else width_scale * q
-        half_width = 0.5 / scale
-        # candidate numerators near 2 xi (and its wrap)
-        seen = set()
-        for base in (two_xi, two_xi - 2.0, two_xi + 2.0):
-            a = round(base * q)
-            for cand in (a - 1, a, a + 1):
-                aa = cand % (2 * q)
-                if aa in seen or math.gcd(aa, q) != 1:
-                    continue
-                seen.add(aa)
-                th = _theta(two_xi, aa, q)
-                # account for the non-canonical representative if needed
-                if abs(th) >= half_width:
-                    continue
-                total += gauss_G0(aa, q) * eta(scale * th) * gamma_N(th, N)
-    return total
-
-
-def arc_multipliers(xi: float, N: int, M: int, J: int | None = None) -> ArcDecomposition:
-    """Evaluate the decomposition pieces of the Weyl multiplier at xi.
-
-    M = 2^m <= N/4 is the major-arc cutoff; when J (a power of two <= M)
-    is given, the narrow-bump refinement with eta_{q N^2 / J} is computed
-    as well.
-    """
-    if M < 1 or M & (M - 1):
-        raise DomainError(f"arc_multipliers: M={M} must be a power of two")
-    if M > N // 4:
-        raise ContractError(f"arc_multipliers: M={M} exceeds N/4={N // 4}")
-    if J is not None and (J & (J - 1) or J > M):
-        raise ContractError(f"arc_multipliers: J={J} must be a power of two <= M")
-    m = M.bit_length() - 1
-    two_xi = 2.0 * float(Fraction(xi) % 1)
-    per_scale = []
-    for s in range(1, m + 1):
-        per_scale.append(_arc_terms_at(two_xi, N, s, None))
-    a_full = sum(per_scale, 0.0 + 0.0j)
-    w = weyl_multiplier(Fraction(xi) % 1, N)
-    c = w - a_full
-    low = 0.0 + 0.0j
-    high_near = 0.0 + 0.0j
-    high_far = 0.0 + 0.0j
-    if J is not None:
-        s0 = J.bit_length() - 1
-        for s in range(1, s0 + 1):
-            narrow = _arc_terms_at(two_xi, N, s, N * N / J)
-            low += narrow
-            high_near += per_scale[s - 1] - narrow
-        for s in range(s0 + 1, m + 1):
-            high_far += per_scale[s - 1]
-    else:
-        high_near = a_full
-    return ArcDecomposition(
-        weyl=w,
-        a_full=a_full,
-        c=c,
-        per_scale=tuple(per_scale),
-        low_pass=low,
-        high_near=high_near,
-        high_far=high_far,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -352,20 +199,26 @@ class MultiplierGrid:
 def _accumulate_arcs_grid(
     out: np.ndarray, N: int, s: int, L: int, width_scale: float | None
 ) -> None:
-    """Add the level-s arc contributions to a length-L grid (xi = j/L)."""
-    j = None
+    """Add the level-s arc contributions to a length-L grid (xi = j/L).
+
+    The offset theta = 2j/L - a/q = (2jq - aL)/(qL) is reduced to (-1, 1]
+    in integers before its one division, so theta at -j is exactly minus
+    theta at j, and the grid is exactly Hermitian: out[-j] = conj(out[j]).
+    """
     for q in range(1 << (s - 1), 1 << s):
         scale = float(1 << (2 * s)) if width_scale is None else width_scale * q
         half_width = 0.5 / scale
         # points per arc: |2j/L - a/q| < half_width
         radius = int(math.floor(half_width * L / 2.0)) + 1
-        offs = np.arange(-radius, radius + 1)
+        offs = np.arange(-radius, radius + 1, dtype=np.int64)
+        qL = q * L
         for a in range(0, 2 * q):
             if math.gcd(a, q) != 1:
                 continue
-            center = a * L / (2.0 * q)
-            j = (int(round(center)) + offs) % L
-            th = (2.0 * j / L - a / q + 1.0) % 2.0 - 1.0
+            j = (a * L // (2 * q) + offs) % L
+            num = (2 * q * j - a * L) % (2 * qL)
+            num[num > qL] -= 2 * qL
+            th = num / qL
             mask = np.abs(th) < half_width
             if not np.any(mask):
                 continue

@@ -11,6 +11,7 @@ verification failures distinctly from usage errors.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -539,8 +540,21 @@ def run_poly_average(
         metadata={"fit": "max over random indicator trials"},
         columns=["N", "scale", "max_ratio"],
     )
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    scales = []
     for N in n_list:
-        scale = max(1, int(np.abs(polynomial_shifts(coeffs, N)).max()))
+        shifts = polynomial_shifts(coeffs, N)
+        scale = max(1, int(np.abs(shifts).max()))
+        # float64 samples: the indicator on 2I (2 scale) and the
+        # average_polynomial buffer (2 scale + the spread of the shifts)
+        need = 8 * (4 * scale + int(shifts.max()) - int(shifts.min()))
+        if need > memory:
+            raise DomainError(
+                f"poly-average at N={N} needs {need} bytes of arrays, "
+                f"more than the {memory} bytes of physical memory"
+            )
+        scales.append(scale)
+    for N, scale in zip(n_list, scales):
         I = IntervalZ(0, scale - 1)
         twoI = I.double()
         rng = make_rng(seed)

@@ -1,33 +1,18 @@
 """Normalized quadratic Gauss sums G(a,q) and G0(a,q).
 
-Each sum comes in two routes: direct summation (the oracle) and the
-three-case closed form built from Jacobi symbols.  ``gauss_G_vector`` /
-``gauss_G0_vector`` evaluate the direct sums for every numerator at once via
-one FFT, which is what the bulk identity scans use.
+The scalar sums use the three-case closed form built from Jacobi symbols.
+``gauss_G_vector`` / ``gauss_G0_vector`` evaluate the defining sums for every
+numerator at once via one FFT: they are the independent route the closed
+form is checked against, and what the bulk identity scans use.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
 from .arith import DomainError, epsilon, jacobi, sqrt_count_vector_bruteforce
-
-
-def _e_frac(num: int, den: int) -> complex:
-    """e(num/den) with the argument reduced exactly before the exponential."""
-    return cmath.exp(2j * math.pi * (num % den) / den)
-
-
-def gauss_G_direct(a: int, q: int) -> complex:
-    """(1/q) sum_{n<q} e(a n^2 / q), compensated accumulation."""
-    if q < 1:
-        raise DomainError(f"gauss_G_direct: q={q} must be positive")
-    re = math.fsum(math.cos(2 * math.pi * (a * n * n % q) / q) for n in range(q))
-    im = math.fsum(math.sin(2 * math.pi * (a * n * n % q) / q) for n in range(q))
-    return complex(re / q, im / q)
 
 
 def gauss_G_closed(a: int, q: int) -> complex:
@@ -44,20 +29,11 @@ def gauss_G_closed(a: int, q: int) -> complex:
     return (1 + 1j) / epsilon(a) * jacobi(q, a) / math.sqrt(q)
 
 
-def gauss_G(a: int, q: int, method: str = "closed") -> complex:
-    """Normalized Gauss sum G(a,q) by the requested route."""
-    if method == "closed":
-        return gauss_G_closed(a, q)
-    if method == "direct":
-        return gauss_G_direct(a, q)
-    raise DomainError(f"gauss_G: unknown method {method!r}")
-
-
-def gauss_G0(a: int, q: int, method: str = "closed") -> complex:
+def gauss_G0(a: int, q: int) -> complex:
     """Normalized Gauss sum G0(a,q) = G(a,2q) with modulus 2q."""
     if q < 1:
         raise DomainError(f"gauss_G0: q={q} must be positive")
-    return gauss_G(a, 2 * q, method)
+    return gauss_G_closed(a, 2 * q)
 
 
 def gauss_G_vector(q: int) -> np.ndarray:

@@ -88,13 +88,6 @@ def h_sum(kind: str, q: int, x: int) -> complex:
     return complex(vals[x % len(vals)])
 
 
-def h0_fast(q: int, x: int) -> int:
-    """H0(q,x) = r_q(-x): square-root count via the prime-power formula."""
-    from .arith import count_sqrts
-
-    return count_sqrts(-x % q, q)
-
-
 @dataclass(frozen=True)
 class HSupportVerdict:
     in_support: bool
@@ -225,19 +218,6 @@ def abs_h_on_points(q: int, xs: np.ndarray) -> np.ndarray:
     return np.abs(vals[np.mod(xs, 2 * q)])
 
 
-def log_average_S(x: int, J: int, method: str = "direct") -> float:
-    """S_J(x) = sum_{q=1}^{J} |H(q,x)| / q."""
-    if J < 1:
-        raise DomainError(f"log_average_S: J={J} must be positive")
-    if method == "direct":
-        qs = range(1, J + 1)
-    elif method == "support_filtered":
-        qs = divisor_set(x, J).members
-    else:
-        raise DomainError(f"log_average_S: unknown method {method!r}")
-    return math.fsum(abs(h_sum("H", q, x)) / q for q in qs)
-
-
 def _adversarial_candidates(J: int, cap_count: int = 4000) -> list[int]:
     """Highly divisible x values (products of small prime powers <= J^2),
     which maximize the size of the divisor set."""
@@ -256,27 +236,6 @@ def _adversarial_candidates(J: int, cap_count: int = 4000) -> list[int]:
         frontier = sorted(set(frontier))[: cap_count * 4]
     out.update(frontier[:cap_count])
     return sorted(out)
-
-
-def scan_max_S(
-    J: int,
-    x_range: tuple[int, int],
-    adversarial: bool = False,
-) -> tuple[int, float]:
-    """Maximize S_J over a window of x (plus adversarial candidates).
-
-    Returns (argmax x, max value); ties break to the smallest x.
-    """
-    lo, hi = x_range
-    if hi < lo:
-        raise DomainError("scan_max_S: empty x range")
-    xs = list(range(lo, hi + 1))
-    if adversarial:
-        xs = sorted(set(xs) | set(_adversarial_candidates(J)))
-    xs_arr = np.array(xs, dtype=np.int64)
-    S = accumulate_S(J, xs_arr)
-    best = int(np.argmax(S))  # argmax returns the first (smallest-x) max
-    return xs[best], float(S[best])
 
 
 def accumulate_S(J: int, xs: np.ndarray, snapshots: dict | None = None) -> np.ndarray:

@@ -57,27 +57,6 @@ class Signal:
         out[ok] = self.samples[i[ok]]
         return out
 
-    def trimmed(self) -> "Signal":
-        """Drop zero padding at both ends (keeps one sample if all zero)."""
-        nz = np.nonzero(self.samples)[0]
-        if len(nz) == 0:
-            return Signal(self.offset, np.zeros(1))
-        return Signal(self.offset + int(nz[0]), self.samples[nz[0] : nz[-1] + 1])
-
-    def to_dict(self) -> dict:
-        return {"offset": int(self.offset), "samples": [float(v) for v in self.samples]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Signal":
-        return cls(int(d["offset"]), np.asarray(d["samples"], dtype=np.float64))
-
-    @classmethod
-    def indicator(cls, a: int, b: int) -> "Signal":
-        """Indicator of the integer interval [a, b]."""
-        if b < a:
-            raise DomainError(f"indicator: empty interval [{a},{b}]")
-        return cls(a, np.ones(b - a + 1))
-
     @classmethod
     def delta(cls, n: int = 0) -> "Signal":
         return cls(n, np.ones(1))
@@ -96,9 +75,6 @@ class IntervalZ:
 
     def __len__(self) -> int:
         return self.b - self.a + 1
-
-    def __contains__(self, n: int) -> bool:
-        return self.a <= n <= self.b
 
     def double(self) -> "IntervalZ":
         """2I: same left endpoint, doubled length."""

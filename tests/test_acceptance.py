@@ -58,7 +58,7 @@ def test_criterion_01_gauss_closed_forms():
             worst = max(
                 worst,
                 abs(gauss.gauss_G_closed(a % q, q) - direct_G[a % q]),
-                abs(gauss.gauss_G0(a, q, method="closed") - direct_G0[a]),
+                abs(gauss.gauss_G0(a, q) - direct_G0[a]),
             )
             # |G0| dichotomy: zero iff a*q odd (reduced a), else q^{-1/2}
             if a and math.gcd(a, q) == 1:

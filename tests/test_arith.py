@@ -126,6 +126,10 @@ class TestSqrtCounts:
         brute = [count_sqrts_bruteforce(x, 27) for x in range(27)]
         form = [count_sqrts_prime_power(x, 3, 3) for x in range(27)]
         assert brute == form
+        # p = 2: the 2-adic case analysis at every residue, every k <= 14
+        for k in range(1, 15):
+            brute = sqrt_count_vector_bruteforce(1 << k).tolist()
+            assert [count_sqrts_prime_power(x, 2, k) for x in range(1 << k)] == brute, k
 
     @given(st.integers(min_value=1, max_value=2000))
     @settings(max_examples=100)

@@ -3,6 +3,7 @@ profile, Dirichlet approximation, and the arc decomposition."""
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -10,25 +11,100 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlab.circle import (
-    ArcDecomposition,
     ContractError,
     MultiplierGrid,
     QuadratureError,
     ReducedRational,
     arc_level_grid,
-    arc_multipliers,
-    arcs_at_level,
     dirichlet_approx,
     eta,
-    eta_scaled,
     fjk_remainder,
     gamma_N,
     gamma_N_quad,
-    gamma_N_series,
     sample_multiplier,
     weyl_multiplier,
     weyl_multiplier_grid,
 )
+from sqlab.gauss import gauss_G0
+
+
+def gamma_N_series(xi: float, N: int, tol: float = 1e-14, max_terms: int = 600) -> complex:
+    """Power-series oracle: int_0^1 e(c u^2 / 2) du = sum (i pi c)^k / (k! (2k+1)),
+    with c = xi N^2.  The alternating terms peak near exp(pi |c|), so the
+    series is refused once cancellation would swamp tol."""
+    c = float(xi) * N * N
+    z = 1j * math.pi * c
+    if math.exp(min(abs(z), 700.0)) * 1e-16 > tol:
+        raise QuadratureError(
+            f"gamma_N_series: |xi| N^2 = {abs(c):.3g} too large for float64 cancellation"
+        )
+    term = 1.0 + 0.0j
+    total = 1.0 + 0.0j
+    for k in range(1, max_terms):
+        term *= z / k
+        contrib = term / (2 * k + 1)
+        total += contrib
+        if abs(contrib) < tol and abs(term) < tol:
+            return complex(total)
+    raise QuadratureError("gamma_N_series: did not converge (|c| too large)")
+
+
+def dirichlet_exhaustive(xi, N: int) -> ReducedRational:
+    """Oracle for dirichlet_approx: the first q <= 4N, in increasing order,
+    with |2 xi - a/q| <= 1/(4 N q) for the nearest reduced a."""
+    t = 2 * Fraction(xi)
+    Q = 4 * N
+    for q in range(1, Q + 1):
+        a = round(t * q)
+        if abs(t - Fraction(a, q)) <= Fraction(1, Q * q) and math.gcd(a, q) == 1:
+            return ReducedRational(a, q)
+    raise ArithmeticError("dirichlet_exhaustive: no q satisfied the bound")
+
+
+def level_arcs(s: int) -> list[Fraction]:
+    """All reduced a/q in [0, 2) with 2^{s-1} <= q < 2^s."""
+    return [
+        Fraction(a, q)
+        for q in range(1 << (s - 1), 1 << s)
+        for a in range(2 * q)
+        if math.gcd(a, q) == 1
+    ]
+
+
+@lru_cache(maxsize=None)
+def level_sum(xi: Fraction, N: int, s: int, width_scale: float | None = None) -> complex:
+    """Oracle for one arc level at the frequency xi: the sum of
+    G0(a,q) eta(scale theta) gamma_N(theta) over every arc of the level,
+    theta = 2 xi - a/q reduced to [-1, 1) in exact rationals.  The bump
+    scale is 2^{2s}, or width_scale * q for the narrow bumps."""
+    total = 0j
+    for r in level_arcs(s):
+        scale = float(1 << (2 * s)) if width_scale is None else width_scale * r.denominator
+        th = (2 * xi - r + 1) % 2 - 1
+        if abs(th) < 0.5 / scale:
+            total += gauss_G0(r.numerator, r.denominator) * eta(scale * float(th)) * gamma_N(float(th), N)
+    return total
+
+
+def piece_oracle(which: str, N: int, M: int, J: int | None, xi: Fraction) -> complex:
+    """The multiplier pieces at xi from their definitions: a_N sums the
+    dyadic levels s <= log2 M; the narrow bumps eta_{q N^2/J} on the levels
+    s <= log2 J give b_N1 (M = J) or a_tilde (M > J), and the rest of a_N
+    splits into the bump differences on those levels and the levels above."""
+    m = M.bit_length() - 1
+    s0 = J.bit_length() - 1 if J else m
+
+    def wide(lo: int, hi: int) -> complex:
+        return sum((level_sum(xi, N, s) for s in range(lo, hi + 1)), 0j)
+
+    if which == "a_N":
+        return wide(1, m)
+    narrow = sum((level_sum(xi, N, s, N * N / J) for s in range(1, s0 + 1)), 0j)
+    if which == "a_tilde" or (which == "b_N1" and M == J):
+        return narrow
+    if which == "b_N2" and M != J:
+        return wide(s0 + 1, m)
+    return wide(1, s0) - narrow
 
 
 class TestBump:
@@ -41,7 +117,6 @@ class TestBump:
 
     def test_even_and_scaled(self):
         assert eta(0.3) == eta(-0.3)
-        assert eta_scaled(4.0, 0.1) == eta(0.4)
 
     def test_smooth_transition_monotone(self):
         t = np.linspace(0.25, 0.5, 500)
@@ -117,47 +192,80 @@ class TestDirichlet:
         assert abs(2 * Fraction(xi) - r.value()) <= Fraction(1, 4 * N * r.q)
 
     def test_continued_fraction_matches_exhaustive(self):
-        # the convergent route must return a denominator no larger than the
-        # smallest exhaustively found one
+        # the convergents find the smallest admissible q: the same (a, q) as
+        # the exhaustive search, on dyadic grids and at random floats
+        for L, Ns in ((64, range(1, 65)), (512, (1, 2, 3, 7, 16, 33, 64, 100))):
+            for N in Ns:
+                for j in range(L):
+                    xi = Fraction(j, L)
+                    assert dirichlet_approx(xi, N) == dirichlet_exhaustive(xi, N), (j, L, N)
         rng = np.random.default_rng(5)
-        for xi in rng.random(25):
-            small = dirichlet_approx(float(xi), 64)  # exhaustive branch
-            big = dirichlet_approx(float(xi), 64 * 2)
-            assert small.q <= 4 * 64
-            assert big.q <= 4 * 128
+        for xi, N in zip(rng.random(300), rng.integers(1, 200, 300)):
+            assert dirichlet_approx(float(xi), int(N)) == dirichlet_exhaustive(float(xi), int(N))
 
     def test_reduced_invariant(self):
         with pytest.raises(Exception):
             ReducedRational(2, 4)
 
 
+PIECES = [
+    ("a_N", 64, None),
+    ("b_N1", 64, 64),
+    ("b_N2", 64, 64),
+    ("b_N1", 64, 16),
+    ("b_N2", 64, 16),
+    ("a_tilde", 64, 16),
+]
+
+
+def hermitian_defect(m: np.ndarray) -> float:
+    """max_j |m[j] - conj(m[-j])|."""
+    return float(np.max(np.abs(m - np.conj(np.roll(m[::-1], 1)))))
+
+
+def arc_points(L: int) -> list[int]:
+    """Grid points in and next to several arcs, with their mirror images."""
+    js = set()
+    for a, q in ((0, 1), (1, 1), (1, 3), (5, 7), (3, 16), (17, 32), (29, 63)):
+        for d in (0, 1, -5, 12):
+            j = (a * L // (2 * q) + d) % L
+            js.update((j, -j % L))
+    return sorted(js)
+
+
 class TestArcs:
     def test_level_enumeration_disjointness(self):
         # distinct same-level arc centers are separated by more than the bump width
         for s in (1, 2, 3):
-            arcs = sorted(arcs_at_level(s), key=lambda r: r.value())
+            arcs = sorted(level_arcs(s))
             for r1, r2 in zip(arcs, arcs[1:]):
-                assert r2.value() - r1.value() >= Fraction(1, 2 ** (2 * s))
-
-    def test_pointwise_decomposition_identities(self):
-        N, M, J = 64, 16, 4
-        for xi in (0.124, 1 / 3, 0.5, 0.77, 0.001):
-            d = arc_multipliers(xi, N, M, J)
-            assert abs(d.a_full + d.c - d.weyl) < 1e-13
-            assert abs(sum(d.per_scale) - d.a_full) < 1e-12
-            assert abs(d.low_pass + d.high_near + d.high_far - d.a_full) < 1e-12
-            b1, b2 = d.b_split()
-            assert abs(b1 + b2 - d.a_full) < 1e-12
+                assert r2 - r1 >= Fraction(1, 2 ** (2 * s))
 
     def test_grid_matches_pointwise(self):
-        N, M, J, L = 32, 8, 4, 1 << 12
+        N, M, L = 32, 8, 1 << 12
         aN = sample_multiplier("a_N", N, M, None, L)
         cN = sample_multiplier("c_N", N, M, None, L)
         wg = sample_multiplier("weyl", N, None, None, L)
         assert np.max(np.abs(aN.values + cN.values - wg.values)) < 1e-12
         for j in (3, 57, 1000, 4095):
-            d = arc_multipliers(Fraction(j, L), N, M, J)
-            assert abs(aN.values[j] - d.a_full) < 1e-12
+            assert abs(aN.values[j] - piece_oracle("a_N", N, M, None, Fraction(j, L))) < 1e-12
+
+    @pytest.mark.parametrize("which,M,J", PIECES)
+    def test_pieces_are_hermitian_and_match_oracle(self, which, M, J):
+        # exact integer phases: theta(-j) = -theta(j), so m[-j] = conj(m[j])
+        N, L = 256, 1 << 18
+        m = sample_multiplier(which, N, M, J, L).values
+        assert hermitian_defect(m) == 0.0
+        for j in arc_points(L):
+            assert abs(m[j] - piece_oracle(which, N, M, J, Fraction(j, L))) < 1e-12, j
+
+    def test_level_grids_are_hermitian_and_match_oracle(self):
+        N, L = 256, 1 << 18
+        for s in range(1, 7):
+            m = arc_level_grid(N, s, L)
+            assert hermitian_defect(m) == 0.0
+            for j in arc_points(L):
+                assert abs(m[j] - level_sum(Fraction(j, L), N, s)) < 1e-12, (s, j)
 
     def test_split_grids_sum(self):
         N, M, J, L = 32, 8, 4, 1 << 12
@@ -183,7 +291,7 @@ class TestArcs:
         with pytest.raises(ContractError):
             sample_multiplier("weyl", 64, None, None, 1 << 10)  # L < 4N^2
         with pytest.raises(ContractError):
-            arc_multipliers(0.1, 64, 32)  # M > N/4
+            sample_multiplier("a_N", 64, 32, None, 1 << 14)  # M > N/4
         with pytest.raises(Exception):
             MultiplierGrid(12, np.zeros(12))  # not a power of two
 

@@ -55,6 +55,8 @@ class TestExitCodes:
             ["poly-average", "--n", "4", "--p", "0.5"],
             ["multifreq", "--s", "0", "--grid", "256"],
             ["poly-average", "--coeffs", "0,0,0,0,0,0,0,1", "--n", "1024"],
+            # shifts fit in int64 but the arrays need 40 TiB: refused unallocated
+            ["poly-average", "--coeffs", "0,0,0,0,1", "--n", "1024"],
         ],
     )
     def test_bad_input_is_one_line_and_one(self, argv, capsys):

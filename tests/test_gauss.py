@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlab.arith import DomainError
-from sqlab.gauss import (
-    gauss_G,
-    gauss_G0,
-    gauss_G0_vector,
-    gauss_G_closed,
-    gauss_G_direct,
-    gauss_G_vector,
-)
+from sqlab.gauss import gauss_G0, gauss_G0_vector, gauss_G_closed, gauss_G_vector
+
+
+def gauss_G_direct(a: int, q: int) -> complex:
+    """Oracle: (1/q) sum_{n<q} e(a n^2 / q), compensated accumulation."""
+    re = math.fsum(math.cos(2 * math.pi * (a * n * n % q) / q) for n in range(q))
+    im = math.fsum(math.sin(2 * math.pi * (a * n * n % q) / q) for n in range(q))
+    return complex(re / q, im / q)
 
 
 class TestDirectVsClosed:
@@ -39,15 +39,15 @@ class TestDirectVsClosed:
 
 class TestKnownValues:
     def test_trivial_modulus(self):
-        assert gauss_G(0, 1) == 1.0
-        assert gauss_G(5, 1) == 1.0
+        assert gauss_G_closed(0, 1) == 1.0
+        assert gauss_G_closed(5, 1) == 1.0
 
     def test_frozen_values(self):
         # [DERIVED] from the defining sum with exact rational phases
-        assert abs(gauss_G(1, 3) - 1j / math.sqrt(3)) < 1e-14
-        assert abs(gauss_G(1, 4) - (0.5 + 0.5j)) < 1e-14
-        assert abs(gauss_G(1, 5) - 1 / math.sqrt(5)) < 1e-14
-        assert abs(gauss_G(2, 5) + 1 / math.sqrt(5)) < 1e-14
+        assert abs(gauss_G_closed(1, 3) - 1j / math.sqrt(3)) < 1e-14
+        assert abs(gauss_G_closed(1, 4) - (0.5 + 0.5j)) < 1e-14
+        assert abs(gauss_G_closed(1, 5) - 1 / math.sqrt(5)) < 1e-14
+        assert abs(gauss_G_closed(2, 5) + 1 / math.sqrt(5)) < 1e-14
 
     def test_vanishing_exactly_when_q_is_twice_odd(self):
         # G(a,q) = 0 for reduced a iff q = 2 mod 4
@@ -55,7 +55,7 @@ class TestKnownValues:
             for a in (1, 3):
                 if math.gcd(a, q) != 1:
                     continue
-                vanishes = abs(gauss_G(a, q)) < 1e-12
+                vanishes = abs(gauss_G_closed(a, q)) < 1e-12
                 assert vanishes == (q % 4 == 2), (a, q)
 
     def test_magnitude_classification(self):
@@ -76,10 +76,11 @@ class TestVectorBulk:
     def test_methods_agree(self):
         for q in (5, 9, 16):
             for a in range(2 * q):
-                assert abs(gauss_G(a, q, "closed") - gauss_G(a, q, "direct")) < 1e-12
+                # G0(a,q) is the closed form of G at modulus 2q
+                assert abs(gauss_G0(a, q) - gauss_G_direct(a, 2 * q)) < 1e-12
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            gauss_G(1, 0)
+            gauss_G_closed(1, 0)
         with pytest.raises(DomainError):
-            gauss_G_direct(1, -3)
+            gauss_G0(1, -3)
