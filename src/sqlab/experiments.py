@@ -595,7 +595,6 @@ def run_sparse_demo(
     f = Signal(twoE.a, _random_indicator(rng, len(twoE), density))
     g = Signal(E.a, _random_indicator(rng, len(E), density))
     coll = sparse_decompose(f, E, C)
-    coll.verify()
     tau = build_admissible_tau(f, E, C)
     _require(check_admissible(tau, f, C), "built stopping time not admissible")
     N = max(2, int(math.isqrt(e_size)) // 2)
@@ -634,12 +633,13 @@ def run_high_low(
     weyl = None
     if min(j_list) < max(1, N // 4):
         weyl = circle.sample_multiplier("weyl", N, None, None, L)
+    # trial t draws the same f for every J: draw each f and A_N f once
+    rng = make_rng(seed)
+    fs = [Signal(twoI.a, _random_indicator(rng, len(twoI), 0.1)) for _ in range(trials)]
+    afs = [average_squares(f, N, method="auto") for f in fs]
     for J in j_list:
-        rng = make_rng(seed)
-        for t in range(trials):
-            f = Signal(twoI.a, _random_indicator(rng, len(twoI), 0.1))
+        for t, (f, af) in enumerate(zip(fs, afs)):
             high, low = high_low_split(f, N, J, L, weyl)
-            af = average_squares(f, N, method="auto")
             xs = np.arange(af.offset, af.offset + len(af.samples))
             err = float(np.max(np.abs(high.values_at(xs) + low.values_at(xs) - af.samples)))
             _require(err <= tol, f"high+low != A_N f at J={J} (err={err:.3g})")

@@ -4,6 +4,12 @@ sparse bilinear form used to certify domination numerically.
 
 Dyadic intervals are taken from the grid anchored at the left endpoint of
 the root interval E: children of [a, a + 2^k - 1] split at the midpoint.
+
+The stopping predicate <|f|>_{3I} > C <|f|>_{2E} is evaluated in one
+place, the violation table of E (one prefix sum of |f| over 3E, one boolean
+array per dyadic level).  The stopping children, the admissible tau and the
+admissibility check all read it.  The admissible tau has a closed form: the
+constant largest power of two not exceeding sqrt(|E|), or SparsityError.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import DomainError
-from .operators import IntervalZ, Signal, average_on, average_squares, norm_p
+from .operators import IntervalZ, Signal, average_on, average_squares
 
 STOPPING_CONSTANT = 8.0
 
@@ -57,13 +63,6 @@ class SparseNode:
     interval: IntervalZ
     witness: np.ndarray  # integer points of the witness set, sorted
 
-    def to_dict(self) -> dict:
-        return {
-            "a": self.interval.a,
-            "b": self.interval.b,
-            "witness": [int(x) for x in self.witness],
-        }
-
 
 @dataclass
 class SparseCollection:
@@ -73,9 +72,6 @@ class SparseCollection:
     root: IntervalZ
     nodes: list[SparseNode] = field(default_factory=list)
     carleson_fraction: float = 0.75
-
-    def to_list(self) -> list[dict]:
-        return [n.to_dict() for n in self.nodes]
 
     def verify(self) -> None:
         """Check witness disjointness, containment, and density; raise
@@ -96,113 +92,85 @@ class SparseCollection:
             seen |= pts
 
 
+def _violations(f: Signal, E: IntervalZ, C: float) -> list[np.ndarray]:
+    """The violation table of E: entry k flags, for each aligned block I of
+    length 2^k in E's dyadic grid (left to right), whether
+    <|f|>_{3I} > C <|f|>_{2E}.  Levels run from single points (k = 0) up to
+    E itself.
+
+    Every tripled average comes from one prefix sum of |f| over 3E, scaled
+    as `average_on` scales it.
+    """
+    size = len(E)
+    if size < 2 or size & (size - 1):
+        raise DomainError(f"sparse: |E|={size} must be a power of two >= 2")
+    threshold = C * average_on(f, E.double())
+    lo = E.a - size  # 3E = [E.a - |E|, E.a + 2|E| - 1]
+    prefix = np.concatenate([[0.0], np.cumsum(np.abs(f.values_at(np.arange(lo, lo + 3 * size))))])
+    table = []
+    length = 1
+    while length <= size:
+        s = size + np.arange(0, size, length)  # I's left end, counted from lo
+        # 3I = [s - length, s + 2 length - 1]
+        table.append((1.0 / (3 * length)) * (prefix[s + 2 * length] - prefix[s - length]) > threshold)
+        length *= 2
+    return table
+
+
 def find_stopping_children(
     f: Signal, E: IntervalZ, C: float = STOPPING_CONSTANT
 ) -> list[IntervalZ]:
     """Maximal dyadic subintervals I of E (grid anchored at E.a) with
-    <|f|>_{3I} > C <|f|>_{2E}.
+    <|f|>_{3I} > C <|f|>_{2E}, sorted by left endpoint.
 
     E itself is never returned: |E| <= |2E| and 3E covers 2E only partly,
-    so for C > 2/3 the root cannot trigger its own threshold; the descent
-    starts at E's two halves.
+    so for C > 2/3 the root cannot trigger its own threshold; the search
+    starts at E's two halves and keeps a violating block only when no
+    larger violating block contains it.
     """
-    size = len(E)
-    if size < 2 or size & (size - 1):
-        raise DomainError(f"find_stopping_children: |E|={size} must be a power of two >= 2")
-    threshold = C * average_on(f, E.double())
-    out: list[IntervalZ] = []
-
-    def descend(a: int, length: int) -> None:
-        I = IntervalZ(a, a + length - 1)
-        if average_on(f, I.triple()) > threshold:
-            out.append(I)
-            return
-        if length >= 2:
-            descend(a, length // 2)
-            descend(a + length // 2, length // 2)
-
-    descend(E.a, size // 2)
-    descend(E.a + size // 2, size // 2)
-    return out
-
-
-def _max_violating_lengths(f: Signal, E: IntervalZ, C: float) -> np.ndarray:
-    """For each x in E, the largest |I| over dyadic I containing x (grid of
-    E) with <|f|>_{3I} > C <|f|>_{2E}, or 0 when none violates.
-
-    Vectorized per level with prefix sums of |f| over 3E's span.
-    """
-    size = len(E)
-    threshold = C * average_on(f, E.double())
-    lo = 2 * E.a - E.b - 1  # left end of 3E
-    hi = 2 * E.b - E.a + 1
-    absf = np.abs(f.values_at(np.arange(lo, hi + 1)))
-    prefix = np.concatenate([[0.0], np.cumsum(absf)])
-
-    def triple_avg(starts: np.ndarray, length: int) -> np.ndarray:
-        # 3I for I = [s, s+length-1] is [2s - (s+length-1) - 1, 2(s+length-1) - s + 1]
-        a3 = starts - length
-        b3 = starts + 2 * length
-        ia = np.clip(a3 - lo, 0, len(absf))
-        ib = np.clip(b3 - lo + 1, 0, len(absf))
-        return (prefix[ib] - prefix[ia]) / (3 * length)
-
-    out = np.zeros(size, dtype=np.int64)
-    length = 1
-    while length <= size:
-        starts = E.a + np.arange(0, size, length)
-        bad = triple_avg(starts, length) > threshold
-        rep = np.repeat(bad, length)
-        out[rep] = length
-        length *= 2
-    return out
+    table = _violations(f, E, C)
+    free = np.ones(1, dtype=bool)  # blocks no violating ancestor covers
+    hits = []
+    for k in range(len(table) - 2, -1, -1):
+        free = np.repeat(free, 2)
+        hit = free & table[k]
+        hits += [(E.a + (int(i) << k), 1 << k) for i in np.flatnonzero(hit)]
+        free &= ~hit
+    return [IntervalZ(a, a + length - 1) for a, length in sorted(hits)]
 
 
 def build_admissible_tau(f: Signal, E: IntervalZ, C: float = STOPPING_CONSTANT) -> StoppingTime:
-    """The largest dyadic-valued truncation tau on E with tau(x)^2 strictly
-    exceeding every violating interval length through x.
+    """The constant truncation tau = cap on E, where cap is the largest
+    power of two not exceeding sqrt(|E|); it is admissible when cap^2
+    strictly exceeds the length of every violating dyadic I (grid of E,
+    <|f|>_{3I} > C <|f|>_{2E}).
 
-    Violating means a dyadic I (grid of E) containing x with
-    <|f|>_{3I} > C <|f|>_{2E}; such I satisfy |I| < 2|E|/(3C), so for
-    C >= 8 a suitable tau <= sqrt(|E|) always exists.  Values are capped at
-    the largest power of two not exceeding sqrt(|E|).
+    When f lives on 2E, such I satisfy |I| < 2|E|/(3C) <= |E|/2 <= cap^2
+    for C >= 4/3, so the constant works at the default C.  Otherwise
+    SparsityError is raised: no dyadic tau <= cap clears the longest
+    violating interval.
     """
     size = len(E)
-    if size < 2 or size & (size - 1):
-        raise DomainError(f"build_admissible_tau: |E|={size} must be a power of two >= 2")
-    M = _max_violating_lengths(f, E, C)
+    table = _violations(f, E, C)
     cap = 1 << (math.isqrt(size).bit_length() - 1)
-    tau = np.full(size, cap, dtype=np.int64)
-    need = M >= cap * cap  # tau^2 > M fails at the cap
-    while np.any(need):
-        tau[need] >>= 1
-        if np.any(tau < 1):
-            raise SparsityError("build_admissible_tau: no admissible value at some point")
-        need = M >= tau * tau
-    return StoppingTime(E, tau)
+    longest = max((1 << k for k, bad in enumerate(table) if bad.any()), default=0)
+    if longest >= cap * cap:
+        raise SparsityError(
+            f"build_admissible_tau: violating interval of length {longest} "
+            f"needs tau^2 > {longest}, but tau <= {cap}"
+        )
+    return StoppingTime(E, np.full(size, cap, dtype=np.int64))
 
 
 def check_admissible(tau: StoppingTime, f: Signal, C: float = STOPPING_CONSTANT) -> bool:
     """True when tau(x)^2 > |I| for every dyadic I (grid of tau's base
     interval) containing x with a violating tripled average (checked per
     level with aligned block minima)."""
-    E = tau.E
-    size = len(E)
-    vals = tau.values
-    threshold = C * average_on(f, E.double())
-    length = 1
-    while length <= size:
-        starts = E.a + np.arange(0, size, length)
-        avgs = np.array(
-            [average_on(f, IntervalZ(s, s + length - 1).triple()) for s in starts]
-        )
-        bad = avgs > threshold
-        if np.any(bad):
-            # min of tau over each bad aligned block must satisfy tau^2 > length
-            block_min = np.minimum.reduceat(vals, np.arange(0, size, length))
-            if np.any(block_min[bad] * block_min[bad] <= length):
-                return False
-        length *= 2
+    size = len(tau.E)
+    for k, bad in enumerate(_violations(f, tau.E, C)):
+        block_min = np.minimum.reduceat(tau.values, np.arange(0, size, 1 << k))
+        if np.any(block_min[bad] ** 2 <= 1 << k):
+            return False
     return True
 
 
@@ -239,15 +207,12 @@ def sparse_decompose(
     is at most |E|/4 per level (checked), so witnesses fill >= 3/4 of each
     interval and the collection is sparse.
     """
-    size = len(E)
-    if size < 2 or size & (size - 1):
-        raise DomainError(f"sparse_decompose: |E|={size} must be a power of two >= 2")
     coll = SparseCollection(root=E, carleson_fraction=0.75)
 
     def recurse(node: IntervalZ, depth: int) -> None:
         if depth > max_depth:
             raise SparsityError("sparse_decompose: recursion depth exceeded")
-        children = find_stopping_children(f, node, C) if len(node) >= 2 else []
+        children = find_stopping_children(f, node, C)
         child_mass = sum(len(c) for c in children)
         if child_mass * 4 > len(node):
             raise SparsityError(

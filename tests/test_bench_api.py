@@ -79,3 +79,77 @@ def test_scan_reports_what_is_missing():
         "sqlab.gauss.no_such_sum",
         "sqlab.no_such_module",
     ]
+
+
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+def tracer_names(source: str) -> tuple[set, set]:
+    """(span names, cache attributes) a tracer source names by string:
+    each "layer.name" string among the values of _SELF_S, in _CALLS and
+    among the keys of _PROBES, and (module, attribute) of each
+    _cache_probe(key, module, attribute) call."""
+    spans, caches = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            target, value = node.targets[0].id, node.value
+            if target == "_SELF_S":
+                parts = value.values
+            elif target == "_CALLS":
+                parts = [value]
+            elif target == "_PROBES":
+                parts = value.keys
+            else:
+                continue
+            for part in parts:
+                spans.update(
+                    c.value for c in ast.walk(part) if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                )
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_cache_probe":
+            caches.add((node.args[1].value, node.args[2].value))
+    return spans, caches
+
+
+def missing_tracer_names(source: str) -> list[str]:
+    """The span names and cache attributes a tracer source names that no
+    sqlab layer defines; a span name must be defined in its own layer,
+    since only there does the tracer wrap it under that name."""
+    spans, caches = tracer_names(source)
+    missing = []
+    for name in spans:
+        layer, *path = name.split(".")
+        obj = resolve(f"sqlab.{layer}", None)
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        if obj is None or getattr(obj, "__module__", None) != f"sqlab.{layer}":
+            missing.append(name)
+    for module, attr in caches:
+        if not hasattr(resolve(f"sqlab.{module}", None), attr):
+            missing.append(f"{module}.{attr}")
+    return missing
+
+
+def test_tracer_names_exist():
+    spans, caches = tracer_names(TRACER.read_text())
+    assert "sparse.check_admissible" in spans and ("arith", "factorize") in caches
+    assert not missing_tracer_names(TRACER.read_text())
+
+
+def test_tracer_scan_reports_what_is_missing():
+    # metric keys such as "gauss.vector" are not names, so they are not read
+    source = (
+        '_SELF_S = {"gauss.vector": ("gauss.gauss_G0_vector", "gauss.no_such_table")}\n'
+        '_CALLS = ("circle.gamma_N", "no_such_layer.f", "sparse.SparseCollection.verify")\n'
+        "_PROBES = {\n"
+        '    "arith.no_such_count": _cache_probe("arith.k", "arith", "no_such_cache"),\n'
+        '    "hsums.h_vector": _cache_probe("hsums.k", "hsums", "_h_vector_cached"),\n'
+        '    "operators.DomainError": None,\n'
+        "}\n"
+    )
+    assert sorted(missing_tracer_names(source)) == [
+        "arith.no_such_cache",
+        "arith.no_such_count",
+        "gauss.no_such_table",
+        "no_such_layer.f",
+        "operators.DomainError",
+    ]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqlab.operators import IntervalZ, Signal, average_on, average_squares, maximal_average
 from sqlab.sparse import (
@@ -33,6 +35,49 @@ def indicator_pair(size: int, seed: int, density: float = 0.12):
     if gm.sum() == 0:
         gm[0] = 1.0
     return E, Signal(twoE.a, fm), Signal(E.a, gm)
+
+
+def children_oracle(f: Signal, E: IntervalZ, C: float) -> list[IntervalZ]:
+    """Stopping children by recursive descent from E's halves, one
+    average_on per visited interval."""
+    threshold = C * average_on(f, E.double())
+    out = []
+
+    def descend(a: int, length: int) -> None:
+        I = IntervalZ(a, a + length - 1)
+        if average_on(f, I.triple()) > threshold:
+            out.append(I)
+            return
+        if length >= 2:
+            descend(a, length // 2)
+            descend(a + length // 2, length // 2)
+
+    descend(E.a, len(E) // 2)
+    descend(E.a + len(E) // 2, len(E) // 2)
+    return out
+
+
+def violating_blocks(f: Signal, E: IntervalZ, C: float) -> list[tuple[int, int]]:
+    """(left end, length) of every dyadic block of E's grid, E included,
+    with <|f|>_{3I} > C <|f|>_{2E}, one average_on per block."""
+    threshold = C * average_on(f, E.double())
+    out = []
+    length = 1
+    while length <= len(E):
+        for a in range(E.a, E.b + 1, length):
+            if average_on(f, IntervalZ(a, a + length - 1).triple()) > threshold:
+                out.append((a, length))
+        length *= 2
+    return out
+
+
+def admissible_oracle(tau: StoppingTime, f: Signal, C: float) -> bool:
+    """tau(x)^2 > |I| on every violating block I, checked block by block."""
+    lo = tau.E.a
+    return all(
+        int(tau.values[a - lo : a - lo + length].min()) ** 2 > length
+        for a, length in violating_blocks(f, tau.E, C)
+    )
 
 
 class TestStoppingChildren:
@@ -71,6 +116,40 @@ class TestStoppingChildren:
             find_stopping_children(Signal(0, np.ones(10)), IntervalZ(0, 9))
 
 
+class TestViolationTable:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(1, 10),
+        a=st.integers(-5000, 5000),
+        C=st.sampled_from([1.0, 2.0, 4.0, 8.0, 16.0]),
+        density=st.sampled_from([0.002, 0.02, 0.1, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_table_matches_oracles(self, k, a, C, density, seed):
+        # integer samples keep every tripled average exact on both routes;
+        # the support may reach past 2E on either side
+        size = 1 << k
+        E = IntervalZ(a, a + size - 1)
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 4 * size + 1))
+        samples = rng.integers(0, 4, n) * (rng.random(n) < density)
+        f = Signal(a + int(rng.integers(-2 * size, 2 * size + 1)), samples.astype(float))
+
+        assert find_stopping_children(f, E, C) == children_oracle(f, E, C)
+
+        cap = 1 << (math.isqrt(size).bit_length() - 1)
+        for _ in range(3):
+            tau = StoppingTime(E, 1 << rng.integers(0, cap.bit_length(), size))
+            assert check_admissible(tau, f, C) == admissible_oracle(tau, f, C)
+
+        longest = max((length for _, length in violating_blocks(f, E, C)), default=0)
+        if longest >= cap * cap:
+            with pytest.raises(SparsityError):
+                build_admissible_tau(f, E, C)
+        else:
+            assert build_admissible_tau(f, E, C).values.tolist() == [cap] * size
+
+
 class TestStoppingTime:
     def test_invariants_enforced(self):
         E = IntervalZ(0, 15)
@@ -86,6 +165,16 @@ class TestStoppingTime:
             E, f, _ = indicator_pair(1 << 10, seed)
             tau = build_admissible_tau(f, E)
             assert check_admissible(tau, f)
+
+    def test_tau_ignores_mass_past_every_triple(self):
+        # 3I for I = [s, s + L - 1] ends at s + 2L - 1, so the mass at 12
+        # lies outside 3I for every proper block I of [0, 7], and 3E is
+        # too long to violate: nothing violates and tau is the cap
+        f = Signal(12, np.ones(1))
+        E = IntervalZ(0, 7)
+        assert find_stopping_children(f, E, 1.0) == []
+        assert check_admissible(StoppingTime(E, np.full(8, 2)), f, 1.0)
+        assert build_admissible_tau(f, E, 1.0).values.tolist() == [2] * 8
 
     def test_zero_signal_admits_any_tau(self):
         E = IntervalZ(0, 63)
@@ -151,12 +240,6 @@ class TestDecomposition:
         bad.nodes.append(SparseNode(E, np.array([0])))  # density 1/8 < 3/4
         with pytest.raises(SparsityError):
             bad.verify()
-
-    def test_serialization(self):
-        E, f, _ = indicator_pair(256, seed=1)
-        coll = sparse_decompose(f, E)
-        doc = coll.to_list()
-        assert all(set(d) == {"a", "b", "witness"} for d in doc)
 
 
 class TestSparseForm:
