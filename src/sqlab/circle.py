@@ -155,25 +155,29 @@ def dirichlet_approx(xi, N: int) -> ReducedRational:
     convergents of t = 2 xi: the condition reads |q t - a| <= 1/(4N), and
     the q minimizing |q t - a| among all smaller denominators are exactly
     the convergent denominators (best approximations of the second kind).
+    With t = num/den in lowest terms the test is the integer inequality
+    |num q - a den| 4N <= den.
     """
     if N < 1:
         raise DomainError(f"dirichlet_approx: N={N} must be positive")
-    t = 2 * Fraction(xi)
+    x = Fraction(xi)
+    num, den = x.numerator, x.denominator
+    if den % 2:
+        num *= 2
+    else:
+        den //= 2
     Q = 4 * N
-    num, den = t.numerator, t.denominator
     h0, h1 = 1, 0  # h: numerators, k: denominators
     k0, k1 = 0, 1
     n, d = num, den
-    while True:
-        if d == 0:
-            break
+    while d:
         a0 = n // d
         n, d = d, n - a0 * d
         h0, h1 = a0 * h0 + h1, h0
         k0, k1 = a0 * k0 + k1, k0
         if k0 > Q:
             break
-        if abs(t - Fraction(h0, k0)) <= Fraction(1, Q * k0):
+        if abs(num * k0 - h0 * den) * Q <= den:
             return ReducedRational(h0, k0)
     raise ArithmeticError("dirichlet_approx: no convergent satisfied the bound")
 
@@ -204,6 +208,11 @@ def _accumulate_arcs_grid(
     The offset theta = 2j/L - a/q = (2jq - aL)/(qL) is reduced to (-1, 1]
     in integers before its one division, so theta at -j is exactly minus
     theta at j, and the grid is exactly Hermitian: out[-j] = conj(out[j]).
+
+    All reduced a of one q are handled at once, one row per arc.  The arcs
+    of a level are disjoint, so each j gets at most one arc's value, and a
+    j repeated inside one arc (a window wider than L) has one theta and is
+    added once, as a fancy-index ``+=`` does.
     """
     for q in range(1 << (s - 1), 1 << s):
         scale = float(1 << (2 * s)) if width_scale is None else width_scale * q
@@ -212,18 +221,19 @@ def _accumulate_arcs_grid(
         radius = int(math.floor(half_width * L / 2.0)) + 1
         offs = np.arange(-radius, radius + 1, dtype=np.int64)
         qL = q * L
-        for a in range(0, 2 * q):
-            if math.gcd(a, q) != 1:
-                continue
-            j = (a * L // (2 * q) + offs) % L
-            num = (2 * q * j - a * L) % (2 * qL)
-            num[num > qL] -= 2 * qL
-            th = num / qL
-            mask = np.abs(th) < half_width
-            if not np.any(mask):
-                continue
-            jm, thm = j[mask], th[mask]
-            out[jm] += gauss_G0(a, q) * eta(scale * thm) * gamma_N(thm, N)
+        a = np.array([x for x in range(2 * q) if math.gcd(x, q) == 1], dtype=np.int64)
+        j = (a * L // (2 * q))[:, None] + offs
+        j %= L
+        num = (2 * q * j - a[:, None] * L) % (2 * qL)
+        num[num > qL] -= 2 * qL
+        th = num / qL
+        mask = np.abs(th) < half_width
+        rows = np.nonzero(mask)[0]
+        if not len(rows):
+            continue
+        thm = th[mask]
+        g0 = np.array([gauss_G0(int(x), q) for x in a])
+        out[j[mask]] += g0[rows] * eta(scale * thm) * gamma_N(thm, N)
 
 
 def sample_multiplier(

@@ -242,26 +242,45 @@ def run_fjk_constant(
     threads: int = 1,
 ) -> ExperimentReport:
     """Grid maximum of |m_N(xi) - G0(a,q) gamma_N(2xi - a/q)| * N / sqrt(q)
-    over xi = j/grid, with a/q the Dirichlet approximant of 2 xi."""
+    over xi = j/grid, with a/q the Dirichlet approximant of 2 xi.
+
+    The grid is cut into ``threads`` contiguous blocks, one pool task each
+    (1 <= threads <= os.cpu_count()), which find a/q and the offset
+    theta = (2jq - a grid)/(q grid) point by point; gamma_N then runs once
+    on all offsets, and G0 once per distinct a/q.
+    """
+    cores = os.cpu_count() or 1
+    if not 1 <= threads <= cores:
+        raise DomainError(f"fjk-constant: threads={threads} must lie in [1, {cores}]")
+    if grid < 1:
+        raise DomainError(f"fjk-constant: grid={grid} must be positive")
     report = ExperimentReport(
         "fjk-constant",
         parameters={"n_list": list(n_list), "grid": grid},
         metadata={"fit": "grid maximum of the normalized remainder"},
         columns=["N", "max_normalized", "argmax_xi_num", "argmax_q"],
     )
+    bounds = [grid * i // threads for i in range(threads + 1)]
     for N in n_list:
-        weyl = circle.weyl_multiplier_grid(N, grid)
 
-        def one(j: int) -> tuple[float, int]:
-            r = circle.dirichlet_approx(Fraction(j, grid), N)
-            th = float(2 * Fraction(j, grid) - r.value())
-            main = gauss_G0(r.a, r.q) * circle.gamma_N(th, N)
-            return abs(weyl[j] - main) * N / math.sqrt(r.q), r.q
+        def block(lo: int, hi: int) -> list[tuple[int, int, float]]:
+            out = []
+            for j in range(lo, hi):
+                r = circle.dirichlet_approx(Fraction(j, grid), N)
+                # a Python-int true division is correctly rounded
+                out.append((r.a, r.q, (2 * j * r.q - r.a * grid) / (r.q * grid)))
+            return out
 
-        with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-            vals = list(pool.map(one, range(grid)))
-        j_best = max(range(grid), key=lambda j: vals[j][0])
-        report.add_row(N, vals[j_best][0], j_best, vals[j_best][1])
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            arcs = [x for part in pool.map(block, bounds[:-1], bounds[1:]) for x in part]
+        a, q, th = zip(*arcs)
+        g0 = {aq: gauss_G0(*aq) for aq in set(zip(a, q))}
+        main = np.array([g0[aq] for aq in zip(a, q)]) * circle.gamma_N(np.array(th), N)
+        d = circle.weyl_multiplier_grid(N, grid) - main
+        # hypot, not np.abs: it rounds as abs() of a complex scalar does
+        vals = np.hypot(d.real, d.imag) * N / np.sqrt(q)
+        j_best = np.argmax(vals)
+        report.add_row(N, vals[j_best], j_best, q[j_best])
     return report
 
 

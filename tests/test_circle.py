@@ -2,12 +2,13 @@
 profile, Dirichlet approximation, and the arc decomposition."""
 
 import math
+import os
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqlab.circle import (
@@ -15,6 +16,7 @@ from sqlab.circle import (
     MultiplierGrid,
     QuadratureError,
     ReducedRational,
+    _accumulate_arcs_grid,
     arc_level_grid,
     dirichlet_approx,
     eta,
@@ -25,6 +27,7 @@ from sqlab.circle import (
     weyl_multiplier,
     weyl_multiplier_grid,
 )
+from sqlab.experiments import run_fjk_constant
 from sqlab.gauss import gauss_G0
 
 
@@ -49,6 +52,27 @@ def gamma_N_series(xi: float, N: int, tol: float = 1e-14, max_terms: int = 600) 
     raise QuadratureError("gamma_N_series: did not converge (|c| too large)")
 
 
+def dirichlet_fraction(xi, N: int) -> ReducedRational:
+    """Oracle for dirichlet_approx: the same convergent walk, with the
+    admissibility test |t - h/k| <= 1/(4 N k) in Fraction arithmetic."""
+    t = 2 * Fraction(xi)
+    Q = 4 * N
+    num, den = t.numerator, t.denominator
+    h0, h1 = 1, 0
+    k0, k1 = 0, 1
+    n, d = num, den
+    while d:
+        a0 = n // d
+        n, d = d, n - a0 * d
+        h0, h1 = a0 * h0 + h1, h0
+        k0, k1 = a0 * k0 + k1, k0
+        if k0 > Q:
+            break
+        if abs(t - Fraction(h0, k0)) <= Fraction(1, Q * k0):
+            return ReducedRational(h0, k0)
+    raise ArithmeticError("dirichlet_fraction: no convergent satisfied the bound")
+
+
 def dirichlet_exhaustive(xi, N: int) -> ReducedRational:
     """Oracle for dirichlet_approx: the first q <= 4N, in increasing order,
     with |2 xi - a/q| <= 1/(4 N q) for the nearest reduced a."""
@@ -59,6 +83,50 @@ def dirichlet_exhaustive(xi, N: int) -> ReducedRational:
         if abs(t - Fraction(a, q)) <= Fraction(1, Q * q) and math.gcd(a, q) == 1:
             return ReducedRational(a, q)
     raise ArithmeticError("dirichlet_exhaustive: no q satisfied the bound")
+
+
+def accumulate_arcs_loop(
+    out: np.ndarray, N: int, s: int, L: int, width_scale: float | None
+) -> None:
+    """Oracle for the arc enumerator: one arc (a, q) at a time, the same
+    exact integer phases and one fancy-index add per arc."""
+    for q in range(1 << (s - 1), 1 << s):
+        scale = float(1 << (2 * s)) if width_scale is None else width_scale * q
+        half_width = 0.5 / scale
+        radius = int(math.floor(half_width * L / 2.0)) + 1
+        offs = np.arange(-radius, radius + 1, dtype=np.int64)
+        qL = q * L
+        for a in range(0, 2 * q):
+            if math.gcd(a, q) != 1:
+                continue
+            j = (a * L // (2 * q) + offs) % L
+            num = (2 * q * j - a * L) % (2 * qL)
+            num[num > qL] -= 2 * qL
+            th = num / qL
+            mask = np.abs(th) < half_width
+            if not np.any(mask):
+                continue
+            jm, thm = j[mask], th[mask]
+            out[jm] += gauss_G0(a, q) * eta(scale * thm) * gamma_N(thm, N)
+
+
+def fjk_rows_oracle(n_list, grid: int) -> list[list]:
+    """Oracle for run_fjk_constant: a/q, theta, G0 and gamma_N point by
+    point, as Fraction and complex scalars, and the first grid maximum."""
+    rows = []
+    for N in n_list:
+        weyl = weyl_multiplier_grid(N, grid)
+
+        def one(j: int) -> tuple[float, int]:
+            r = dirichlet_approx(Fraction(j, grid), N)
+            th = float(2 * Fraction(j, grid) - r.value())
+            main = gauss_G0(r.a, r.q) * gamma_N(th, N)
+            return abs(weyl[j] - main) * N / math.sqrt(r.q), r.q
+
+        vals = [one(j) for j in range(grid)]
+        j_best = max(range(grid), key=lambda j: vals[j][0])
+        rows.append([N, float(vals[j_best][0]), j_best, vals[j_best][1]])
+    return rows
 
 
 def level_arcs(s: int) -> list[Fraction]:
@@ -203,6 +271,28 @@ class TestDirichlet:
         for xi, N in zip(rng.random(300), rng.integers(1, 200, 300)):
             assert dirichlet_approx(float(xi), int(N)) == dirichlet_exhaustive(float(xi), int(N))
 
+    @given(
+        st.integers(min_value=0, max_value=24)
+        .flatmap(lambda e: st.one_of(st.just(1 << e), st.integers(1, 1 << e)))
+        .flatmap(lambda L: st.tuples(st.integers(-2 * L, 2 * L), st.just(L))),
+        st.integers(min_value=0, max_value=13).flatmap(lambda e: st.integers(1, 1 << e)),
+    )
+    # on the boundary |2 xi - a/q| = 1/(4 N q), which is admissible
+    @example((1, 8), 1)
+    @example((-1, 8), 1)
+    @example((1, 16), 2)
+    @example((7, 40), 5)
+    @example((-7, 40), 5)
+    @settings(max_examples=300, deadline=None)
+    def test_integer_route_matches_fraction_and_exhaustive(self, jl, N):
+        xi = Fraction(*jl)
+        r = dirichlet_approx(xi, N)
+        assert r == dirichlet_fraction(xi, N) == dirichlet_exhaustive(xi, N), (xi, N)
+
+    def test_boundary_examples(self):
+        assert dirichlet_approx(Fraction(1, 8), 1) == ReducedRational(0, 1)
+        assert dirichlet_approx(Fraction(7, 40), 5) == ReducedRational(1, 3)
+
     def test_reduced_invariant(self):
         with pytest.raises(Exception):
             ReducedRational(2, 4)
@@ -267,6 +357,19 @@ class TestArcs:
             for j in arc_points(L):
                 assert abs(m[j] - level_sum(Fraction(j, L), N, s)) < 1e-12, (s, j)
 
+    @pytest.mark.parametrize("N, s", [(16, 1), (16, 2), (64, 1), (64, 4), (256, 3), (1024, 6)])
+    def test_batched_enumerator_matches_arc_loop(self, N, s):
+        # dyadic and narrow bumps (J = 2^s, 4 * 2^s), from L = 1 up to 4N^2;
+        # below 4N^2 the windows wrap, and at L <= 4 a j repeats in one arc
+        rng = np.random.default_rng(N + s)
+        for L in (1, 2, 4, 64, N * N // 2, 4 * N * N):
+            start = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+            for width_scale in (None, N * N / (1 << s), N * N / (4 << s)):
+                got, want = start.copy(), start.copy()
+                _accumulate_arcs_grid(got, N, s, L, width_scale)
+                accumulate_arcs_loop(want, N, s, L, width_scale)
+                assert np.array_equal(got, want), (L, width_scale)
+
     def test_split_grids_sum(self):
         N, M, J, L = 32, 8, 4, 1 << 12
         b1 = sample_multiplier("b_N1", N, J, J, L)
@@ -297,6 +400,13 @@ class TestArcs:
 
 
 class TestFJK:
+    @pytest.mark.parametrize("grid", [512, 4096])
+    def test_runner_rows_match_pointwise_oracle(self, grid):
+        n_list = (16, 256, 1024)
+        want = fjk_rows_oracle(n_list, grid)
+        for threads in sorted({1, min(2, os.cpu_count() or 1)}):
+            assert run_fjk_constant(n_list, grid, threads).rows == want, threads
+
     def test_zero_frequency(self):
         rem, norm = fjk_remainder(0.0, 32)
         assert rem < 1e-12

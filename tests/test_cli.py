@@ -4,6 +4,7 @@ import csv
 import inspect
 import io
 import json
+import os
 import re
 import shlex
 from pathlib import Path
@@ -57,6 +58,11 @@ class TestExitCodes:
             ["poly-average", "--coeffs", "0,0,0,0,0,0,0,1", "--n", "1024"],
             # shifts fit in int64 but the arrays need 40 TiB: refused unallocated
             ["poly-average", "--coeffs", "0,0,0,0,1", "--n", "1024"],
+            # worker counts outside [1, cores]: refused before a pool exists
+            ["fjk-constant", "--n", "16", "--grid", "64", "--threads", "0"],
+            ["fjk-constant", "--n", "16", "--grid", "64", "--threads", "-1"],
+            ["fjk-constant", "--n", "16", "--grid", "64", "--threads", str((os.cpu_count() or 1) + 1)],
+            ["fjk-constant", "--n", "16", "--grid", "0"],
         ],
     )
     def test_bad_input_is_one_line_and_one(self, argv, capsys):
