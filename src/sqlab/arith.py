@@ -1,5 +1,5 @@
-"""Exact integer arithmetic: factorization, Jacobi symbols, quadratic-residue
-tests and square-root counting mod q.
+"""Exact integer arithmetic: factorization, Jacobi symbols and square-root
+counting mod q.
 
 Everything here works on plain Python ints (inputs are at most 64-bit) and is
 pure: safe to call concurrently, no caches with visible state.
@@ -113,10 +113,6 @@ class Factorization:
                 return k
         return 0
 
-    @property
-    def odd_factors(self) -> tuple[tuple[int, int], ...]:
-        return tuple((p, k) for p, k in self.factors if p != 2)
-
 
 @lru_cache(maxsize=1 << 16)
 def factorize(n: int) -> Factorization:
@@ -170,14 +166,6 @@ def epsilon(m: int) -> complex:
     if m % 2 == 0:
         raise DomainError(f"epsilon: m={m} must be odd")
     return 1.0 + 0.0j if m % 4 == 1 else 1.0j
-
-
-def count_sqrts_bruteforce(x: int, q: int) -> int:
-    """#{l in [0,q) : l*l = x (mod q)} by exhaustive enumeration (the oracle)."""
-    if q < 1:
-        raise DomainError(f"count_sqrts_bruteforce: q={q} must be positive")
-    x %= q
-    return sum(1 for ell in range(q) if ell * ell % q == x)
 
 
 def sqrt_count_vector_bruteforce(q: int) -> np.ndarray:
@@ -263,10 +251,3 @@ def sqrt_count_vector(q: int) -> np.ndarray:
         pk = p**k
         out *= sqrt_count_vector_bruteforce(pk)[x % pk]
     return out
-
-
-def is_qr(x: int, p: int) -> bool:
-    """Whether a unit x is a quadratic residue mod the odd prime p."""
-    if x % p == 0:
-        raise DomainError("is_qr expects a unit")
-    return pow(x % p, (p - 1) // 2, p) == 1

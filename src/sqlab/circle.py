@@ -101,21 +101,25 @@ def gamma_N(xi, N: int):
     return val
 
 
-def gamma_N_quad(xi: float, N: int, max_panels: int = 1 << 21) -> complex:
+# panel budget of gamma_N_quad: one panel per half oscillation
+MAX_PANELS = 1 << 21
+
+
+def gamma_N_quad(xi: float, N: int) -> complex:
     """The same integral by adaptive panels: int_0^1 e(xi N^2 u^2 / 2) du,
     one Gauss-Legendre 15-point rule per half oscillation.
 
     Kept as the independent route for verifying the closed form; raises
-    QuadratureError when the oscillation count exceeds the panel budget.
+    QuadratureError when the oscillation count exceeds MAX_PANELS.
     """
     if N < 1:
         raise DomainError(f"gamma_N_quad: N={N} must be positive")
     c = float(xi) * N * N  # phase is pi * c * u^2
     ac = abs(c)
     n_half = max(1, math.ceil(ac))  # boundaries at phase multiples of pi
-    if n_half > max_panels:
+    if n_half > MAX_PANELS:
         raise QuadratureError(
-            f"gamma_N_quad: {n_half} panels exceed budget {max_panels}"
+            f"gamma_N_quad: {n_half} panels exceed budget {MAX_PANELS}"
         )
     edges = np.sqrt(np.arange(n_half + 1) / max(ac, 1.0))
     edges[-1] = 1.0

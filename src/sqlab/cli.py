@@ -140,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InvariantViolation, SparsityError) as exc:
         print(f"sqlab: invariant violation: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # DomainError, ContractError: bad input
+    except (ValueError, MemoryError) as exc:  # bad input, or a job larger than memory
         print(f"sqlab: error: {exc}", file=sys.stderr)
         return 1
     text = report.render(fmt)

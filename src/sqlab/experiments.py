@@ -49,9 +49,11 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise InvariantViolation(message)
+def _require(quantity: str, value: float, bound: float) -> None:
+    """Raise InvariantViolation, naming the quantity, its value and the
+    bound, unless value <= bound (so NaN fails)."""
+    if not value <= bound:
+        raise InvariantViolation(f"{quantity} = {float(value)!r} exceeds bound {float(bound)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +83,7 @@ def run_gauss_check(q_max: int = 150, tol: float = 1e-10) -> ExperimentReport:
             expected = 0.0 if (a * q) % 2 == 1 else q**-0.5
             err_norm = max(err_norm, abs(abs(gauss_G0(a, q)) - expected))
         report.add_row(q, err_g, err_g0, err_norm)
-        _require(max(err_g, err_g0, err_norm) <= tol, f"gauss-check failed at q={q}")
+        _require(f"gauss-check error at q={q}", max(err_g, err_g0, err_norm), tol)
     return report
 
 
@@ -97,7 +99,7 @@ def run_hsum_identities(q_max: int = 60, tol: float = 1e-9) -> ExperimentReport:
 
     def record(identity: str, cases: int, err: float) -> None:
         report.add_row(identity, cases, err)
-        _require(err <= tol, f"hsum identity {identity} failed (err={err:.3g})")
+        _require(f"hsum identity {identity} error", err, tol)
 
     # H = H1 for odd q >= 3, and H0(q,x) = r_q(-x)
     err, n = 0.0, 0
@@ -293,6 +295,12 @@ def run_gamma_decay(N: int = 1 << 8, points: int = 200, tol: float = 1e-9) -> Ex
         metadata={"quadrature": "Gauss-Legendre 15 per half oscillation"},
         columns=["xi", "abs_gamma", "envelope", "quad_err"],
     )
+    # the quadrature takes ceil(|xi| N^2) panels, the most at xi = 4
+    if 4 * N * N > circle.MAX_PANELS:
+        raise DomainError(
+            f"gamma-decay: N={N} needs {4 * N * N} quadrature panels at xi=4, "
+            f"more than the budget of {circle.MAX_PANELS}"
+        )
     xis = np.concatenate([[0.0], np.geomspace(2.0**-20, 4.0, points - 1)])
     for xi in xis:
         g = circle.gamma_N(float(xi), N)
@@ -300,8 +308,8 @@ def run_gamma_decay(N: int = 1 << 8, points: int = 200, tol: float = 1e-9) -> Ex
         env = min(1.0, 1.0 / (N * math.sqrt(xi)) if xi > 0 else 1.0)
         qerr = abs(g - gq)
         report.add_row(float(xi), abs(g), env, qerr)
-        _require(qerr <= tol, f"gamma quadrature mismatch at xi={xi}")
-        _require(abs(g) <= env + tol, f"gamma decay envelope violated at xi={xi}")
+        _require(f"gamma quadrature error at xi={xi}", qerr, tol)
+        _require(f"|gamma_N| at xi={xi}", abs(g), env + tol)
     return report
 
 
@@ -367,12 +375,12 @@ def run_improving_ratio(
         full = Signal(twoI.a, np.ones(len(twoI)))
         aff = average_squares(full, N, method="auto")
         const_ratio = norm_p(aff, pprime, I) / norm_p(full, p, twoI)
-        _require(const_ratio <= 1.0 + 1e-12, f"constant indicator ratio > 1 at N={N}")
+        _require(f"constant indicator ratio at N={N}", const_ratio, 1.0 + 1e-12)
         # extremal pair: pairing is exactly 1; the lower bound is the
         # pairing divided by the improving prediction |I|<f><g>
         f0, g0 = extremal_pair(N)
         pairing = bilinear_form(average_squares(f0, N), g0)
-        _require(pairing == 1.0, f"extremal pairing != 1 at N={N}")
+        _require(f"|extremal pairing - 1| at N={N}", abs(pairing - 1.0), 0.0)
         predicted = len(I) * norm_p(f0, p, twoI) * norm_p(g0, p, I)
         report.add_row(N, worst, const_ratio, pairing, pairing / predicted)
     return report
@@ -413,7 +421,7 @@ def run_orlicz_ratio(
         full_g = Signal(I.a, np.ones(len(I)))
         pairing = bilinear_form(average_squares(full_f, N, method="auto"), full_g)
         full_ratio = pairing / (psi(1.0) * psi(1.0) * len(I))
-        _require(full_ratio <= 1.0 + 1e-12, f"full-indicator Orlicz ratio > 1 at N={N}")
+        _require(f"full-indicator Orlicz ratio at N={N}", full_ratio, 1.0 + 1e-12)
         f0, g0 = extremal_pair(N)
         ex = 1.0 / (psi(norm_p(f0, 1.0, twoI)) * psi(norm_p(g0, 1.0, I)) * len(I))
         report.add_row(N, worst, full_ratio, ex)
@@ -453,7 +461,7 @@ def run_halfdim(
         for eps in eps_list:
             count = int(np.count_nonzero(np.asarray(a.samples) > eps))
             if eps > 1.0:
-                _require(count == 0, f"superlevel set nonempty for eps={eps} > 1")
+                _require(f"superlevel set size at eps={eps} > 1", count, 0)
             report.add_row(N, float(eps), count, eps**3 * count, math.log(N) ** 8)
     return report
 
@@ -615,7 +623,7 @@ def run_sparse_demo(
     g = Signal(E.a, _random_indicator(rng, len(E), density))
     coll = sparse_decompose(f, E, C)
     tau = build_admissible_tau(f, E, C)
-    _require(check_admissible(tau, f, C), "built stopping time not admissible")
+    _require("inadmissible built stopping times", int(not check_admissible(tau, f, C)), 0)
     N = max(2, int(math.isqrt(e_size)) // 2)
     af = average_squares(f, N, method="auto")
     xs = np.arange(E.a, E.b + 1)
@@ -658,10 +666,10 @@ def run_high_low(
     afs = [average_squares(f, N, method="auto") for f in fs]
     for J in j_list:
         for t, (f, af) in enumerate(zip(fs, afs)):
-            high, low = high_low_split(f, N, J, L, weyl)
+            high, low = high_low_split(f, N, J, weyl)
             xs = np.arange(af.offset, af.offset + len(af.samples))
             err = float(np.max(np.abs(high.values_at(xs) + low.values_at(xs) - af.samples)))
-            _require(err <= tol, f"high+low != A_N f at J={J} (err={err:.3g})")
+            _require(f"split error |high + low - A_N f| at J={J}", err, tol)
             hr = norm_p(high, 2.0, I) / norm_p(f, 2.0, twoI)
             lr = norm_p(low, math.inf, I) / norm_p(f, 1.0, twoI)
             logJ = math.log(J) if J > 1 else 1.0

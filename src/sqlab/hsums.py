@@ -3,15 +3,12 @@ average S_J(x) = sum_{q<=J} |H(q,x)|/q.
 
 All five kinds are trigonometric sums over a residue class of numerators a,
 so one period of values (in x) is a single inverse DFT of the weight vector.
-``h_vector`` exposes that; ``h_sum`` is the scalar entry point.  The support
-machinery (``support_verdict`` and ``divisor_set``) encodes the vanishing
-patterns used to prove the (log J)^2 bound on S_J.
+``h_vector`` exposes that; ``h_sum`` is the scalar entry point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -88,60 +85,6 @@ def h_sum(kind: str, q: int, x: int) -> complex:
     return complex(vals[x % len(vals)])
 
 
-@dataclass(frozen=True)
-class HSupportVerdict:
-    in_support: bool
-    bound: float
-
-
-def _odd_prime_conditions(odd_factors, x: int) -> bool:
-    """The per-prime membership test shared by all three support sets."""
-    x = abs(x)
-    for p, k in odd_factors:
-        pk = p**k
-        if k % 2 == 0 and x % pk == 0:
-            continue
-        if x % (pk // p) == 0 and x % pk != 0:
-            continue
-        return False
-    return True
-
-
-def support_verdict(q: int, x: int, flavor: str = "plain") -> HSupportVerdict:
-    """Membership of x in the support set for H(q,.) (plain) or Htilde(q,.)
-    (tilde), with the associated upper bound on the modulus."""
-    if q < 1:
-        raise DomainError(f"support_verdict: q={q} must be positive")
-    fac = factorize(q)
-    b = fac.two_exponent
-    odd = fac.odd_factors
-    odd_bound = 1
-    for p, k in odd:
-        odd_bound *= p ** (k // 2)
-    if flavor == "plain":
-        if b == 0:
-            ok = _odd_prime_conditions(odd, x)
-            bound = float(odd_bound)
-        else:
-            ok = x % (1 << max(b - 2, 0)) == 0 and _odd_prime_conditions(odd, x)
-            bound = 2.0 ** (b / 2) * odd_bound
-    elif flavor == "tilde":
-        ok = x % (1 << (b + 1)) == 0 and _odd_prime_conditions(odd, x)
-        bound = 2.0 ** (b / 2 + 1) * odd_bound
-    else:
-        raise DomainError(f"support_verdict: unknown flavor {flavor!r}")
-    return HSupportVerdict(ok, bound if ok else 0.0)
-
-
-@dataclass(frozen=True)
-class DivisorSet:
-    """All q in [1,J] at which H(q,x) can be nonzero."""
-
-    x: int
-    J: int
-    members: tuple[int, ...]
-
-
 def _primes_upto(n: int) -> list[int]:
     if n < 2:
         return []
@@ -153,74 +96,19 @@ def _primes_upto(n: int) -> list[int]:
     return [int(p) for p in np.nonzero(sieve)[0]]
 
 
-def divisor_set(x: int, J: int) -> DivisorSet:
-    """Enumerate the admissible-exponent pattern of moduli for fixed x."""
-    if J < 1:
-        raise DomainError(f"divisor_set: J={J} must be positive")
-    primes = _primes_upto(J)
-    odd_primes = [p for p in primes if p != 2]
-    members: set[int] = set()
-
-    if x == 0:
-        # q = 2^b * (odd square), with the odd square itself at most J
-        odd_sq = [1]
-        for p in odd_primes:
-            extra = []
-            for s in odd_sq:
-                v = s * p * p
-                while v <= J:
-                    extra.append(v)
-                    v *= p * p
-            odd_sq.extend(extra)
-        for s in odd_sq:
-            q = s
-            while q <= J:
-                members.add(q)
-                q *= 2
-        return DivisorSet(0, J, tuple(sorted(members)))
-
-    ax = abs(x)
-    a = 0
-    while ax % 2 == 0:
-        ax //= 2
-        a += 1
-    x_odd = []
-    for p, ell in factorize(ax).factors:
-        x_odd.append((p, ell))
-    fresh = [p for p in odd_primes if all(p != pj for pj, _ in x_odd)]
-
-    # admissible odd-prime-power cores: even exponents <= ell, or ell + 1
-    cores = [1]
-    for p, ell in x_odd:
-        choices = [p**k for k in range(0, ell + 1, 2)] + [p ** (ell + 1)]
-        cores = [c * pw for c in cores for pw in choices if c * pw <= J]
-    # squarefree products of fresh primes, capped by J
-    def extend(core: int, idx: int):
-        for b in range(a + 3):
-            q = core << b
-            if q > J:
-                break
-            members.add(q)
-        for i in range(idx, len(fresh)):
-            nxt = core * fresh[i]
-            if nxt > J:
-                break
-            extend(nxt, i + 1)
-
-    for c in cores:
-        extend(c, 0)
-    return DivisorSet(x, J, tuple(sorted(members)))
-
-
 def abs_h_on_points(q: int, xs: np.ndarray) -> np.ndarray:
     """|H(q, x)| for an array of integers x."""
     vals = h_vector("H", q)
     return np.abs(vals[np.mod(xs, 2 * q)])
 
 
-def _adversarial_candidates(J: int, cap_count: int = 4000) -> list[int]:
-    """Highly divisible x values (products of small prime powers <= J^2),
-    which maximize the size of the divisor set."""
+_ADVERSARIAL_COUNT = 4000
+
+
+def _adversarial_candidates(J: int) -> list[int]:
+    """The _ADVERSARIAL_COUNT smallest highly divisible x values (products
+    of small prime powers <= J^2), which maximize the number of q with
+    H(q,x) != 0."""
     cap = J * J
     primes = [p for p in _primes_upto(64) if p <= max(J, 2)]
     out = {0, 1}
@@ -233,8 +121,8 @@ def _adversarial_candidates(J: int, cap_count: int = 4000) -> list[int]:
                 nxt.append(w)
                 w *= p
         frontier.extend(nxt)
-        frontier = sorted(set(frontier))[: cap_count * 4]
-    out.update(frontier[:cap_count])
+        frontier = sorted(set(frontier))[: _ADVERSARIAL_COUNT * 4]
+    out.update(frontier[:_ADVERSARIAL_COUNT])
     return sorted(out)
 
 

@@ -1,6 +1,6 @@
-"""Discrete averaging operators along the squares, their maximal variant,
-Fourier-multiplier application on periodized grids, and the high/low
-frequency splitting used to compare the average against its smooth part.
+"""Discrete averaging operators along the squares, Fourier-multiplier
+application on periodized grids, and the high/low frequency splitting used
+to compare the average against its smooth part.
 
 Signals are finitely supported functions Z -> R stored as an offset plus a
 contiguous sample block.  All operators return new Signal instances.
@@ -26,28 +26,20 @@ class Signal:
     samples: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.float64)
+        arr = self.samples
+        # a float64 array that owns its data is frozen in place; a view or
+        # input that needs conversion becomes a private copy
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.flags.owndata):
+            arr = np.array(arr, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("Signal: samples must be a nonempty 1-d array")
         if not np.all(np.isfinite(arr)):
             raise DomainError("Signal: samples must be finite")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    @property
-    def support(self) -> tuple[int, int]:
-        """[first, last] integer indices carrying the block (inclusive)."""
-        return self.offset, self.offset + len(self.samples) - 1
-
-    def value_at(self, n: int) -> float:
-        i = n - self.offset
-        if 0 <= i < len(self.samples):
-            return float(self.samples[i])
-        return 0.0
 
     def values_at(self, ns: np.ndarray) -> np.ndarray:
         ns = np.asarray(ns, dtype=np.int64)
@@ -79,11 +71,6 @@ class IntervalZ:
     def double(self) -> "IntervalZ":
         """2I: same left endpoint, doubled length."""
         return IntervalZ(self.a, 2 * self.b - self.a + 1)
-
-    def triple(self) -> "IntervalZ":
-        """3I: one copy of I glued on each side of 2I's span, i.e. the
-        concentric enlargement used by the stopping-time averages."""
-        return IntervalZ(2 * self.a - self.b - 1, 2 * self.b - self.a + 1)
 
 
 def _next_pow2(n: int) -> int:
@@ -158,25 +145,6 @@ def average_squares(f: Signal, N: int, method: str = "direct") -> Signal:
     raise DomainError(f"average_squares: unknown method {method!r}")
 
 
-def maximal_average(f: Signal, N_max: int, dyadic: bool = True) -> Signal:
-    """sup over N of A_N |f|, with N ranging over powers of two up to N_max
-    (dyadic=True) or over all 1 <= N <= N_max."""
-    if N_max < 1:
-        raise DomainError(f"maximal_average: N_max={N_max} must be positive")
-    g = Signal(f.offset, np.abs(f.samples))
-    if dyadic:
-        Ns = [1 << s for s in range(N_max.bit_length()) if (1 << s) <= N_max]
-    else:
-        Ns = list(range(1, N_max + 1))
-    out_off = f.offset - N_max * N_max
-    best = np.zeros(len(g.samples) + N_max * N_max)
-    for N in Ns:
-        a = average_squares(g, N, method="auto")
-        i = a.offset - out_off
-        best[i : i + len(a.samples)] = np.maximum(best[i : i + len(a.samples)], a.samples)
-    return Signal(out_off, best)
-
-
 def norm_p(f: Signal, p: float, interval: IntervalZ | None = None) -> float:
     """lp norm of f, or the normalized norm <|f|^p>_I^{1/p} on an interval.
 
@@ -247,29 +215,31 @@ def split_grid_len(N: int, n: int) -> int:
 
 
 def high_low_split(
-    f: Signal, N: int, J: int, L: int | None = None, weyl: MultiplierGrid | None = None
+    f: Signal, N: int, J: int, weyl: MultiplierGrid | None = None
 ) -> tuple[Signal, Signal]:
     """Split A_N f into a high-frequency part and a low-frequency part.
 
     The low part applies the narrow major-arc multiplier built from bumps of
     width J/(q N^2) at each rational a/(2q) with q < J; the high part
     applies its complement within the full Weyl multiplier, so High + Low =
-    A_N f exactly up to FFT roundoff.  Both share one spectrum of f.  A
-    caller splitting at several J may pass the Weyl grid, sampled once at
-    the same L.  For J >= N/4 no splitting is meaningful at this cutoff and
-    the pair (0, A_N f) is returned.
+    A_N f exactly up to FFT roundoff.  Both share one spectrum of f, of
+    length L = split_grid_len(N, len(f)).  A caller splitting at several J
+    may pass the Weyl grid, sampled once: its length is then L, and a grid
+    shorter than split_grid_len(N, len(f)) would wrap around, so it is
+    refused.  For J >= N/4 no splitting is meaningful at this cutoff and the pair
+    (0, A_N f) is returned.
     """
     if N < 1 or J < 1 or J & (J - 1):
         raise DomainError(f"high_low_split: need N>=1 and J a power of two, got N={N} J={J}")
     if J >= max(1, N // 4):
         af = average_squares(f, N, method="auto")
         return Signal(af.offset, np.zeros(len(af.samples))), af
-    if L is None:
-        L = split_grid_len(N, len(f.samples))
+    need = split_grid_len(N, len(f.samples))
     if weyl is None:
-        weyl = sample_multiplier("weyl", N, None, None, L)
-    elif weyl.L != L:
-        raise ContractError(f"high_low_split: Weyl grid has L={weyl.L}, need {L}")
+        weyl = sample_multiplier("weyl", N, None, None, need)
+    elif weyl.L < need:
+        raise ContractError(f"high_low_split: Weyl grid has L={weyl.L}, need at least {need}")
+    L = weyl.L
     low_grid = sample_multiplier("b_N1", N, J, J, L)
     high_grid = MultiplierGrid(L, weyl.values - low_grid.values)
     high, low = _apply_multipliers(f, [high_grid, low_grid])

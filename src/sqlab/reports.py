@@ -42,10 +42,6 @@ class ExperimentReport:
             )
         self.rows.append([_plain(v) for v in values])
 
-    def column(self, name: str) -> list:
-        i = self.columns.index(name)
-        return [row[i] for row in self.rows]
-
     def to_json(self) -> str:
         doc = {
             "name": self.name,

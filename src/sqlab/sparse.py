@@ -1,6 +1,6 @@
 """Stopping-time construction of sparse collections dominating the square
 averages, together with the admissible truncation function tau and the
-sparse bilinear form used to certify domination numerically.
+sparse bilinear form.
 
 Dyadic intervals are taken from the grid anchored at the left endpoint of
 the root interval E: children of [a, a + 2^k - 1] split at the midpoint.
@@ -20,9 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import DomainError
-from .operators import IntervalZ, Signal, average_on, average_squares
+from .operators import IntervalZ, Signal, average_on
 
 STOPPING_CONSTANT = 8.0
+# every witness set fills at least this fraction of its interval
+_CARLESON_FRACTION = 0.75
+# recursion depth past which sparse_decompose gives up
+_MAX_DEPTH = 64
 
 
 class SparsityError(AssertionError):
@@ -49,11 +53,6 @@ class StoppingTime:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def at(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.int64)
-        i = np.clip(xs - self.E.a, 0, len(self.values) - 1)
-        return self.values[i]
-
 
 @dataclass(frozen=True)
 class SparseNode:
@@ -67,11 +66,10 @@ class SparseNode:
 @dataclass
 class SparseCollection:
     """A collection of dyadic intervals whose witness sets are pairwise
-    disjoint and each fill at least carleson_fraction of their interval."""
+    disjoint and each fill at least _CARLESON_FRACTION of their interval."""
 
     root: IntervalZ
     nodes: list[SparseNode] = field(default_factory=list)
-    carleson_fraction: float = 0.75
 
     def verify(self) -> None:
         """Check witness disjointness, containment, and density; raise
@@ -82,9 +80,9 @@ class SparseCollection:
             w = node.witness
             if len(w) and (w[0] < iv.a or w[-1] > iv.b):
                 raise SparsityError(f"witness escapes interval [{iv.a},{iv.b}]")
-            if len(w) < self.carleson_fraction * len(iv):
+            if len(w) < _CARLESON_FRACTION * len(iv):
                 raise SparsityError(
-                    f"witness density {len(w)}/{len(iv)} below {self.carleson_fraction}"
+                    f"witness density {len(w)}/{len(iv)} below {_CARLESON_FRACTION}"
                 )
             pts = set(int(x) for x in w)
             if seen & pts:
@@ -174,31 +172,7 @@ def check_admissible(tau: StoppingTime, f: Signal, C: float = STOPPING_CONSTANT)
     return True
 
 
-def truncated_maximal(f: Signal, tau: StoppingTime) -> np.ndarray:
-    """sup_{N <= tau(x)} A_N |f| (x) for x in tau's base interval, N over
-    powers of two."""
-    E = tau.E
-    xs = np.arange(E.a, E.b + 1)
-    tv = tau.values
-    n_max = int(tv.max()) if len(tv) else 1
-    g = Signal(f.offset, np.abs(np.asarray(f.samples)))
-    out = np.zeros(len(xs))
-    N = 1
-    while N <= n_max:
-        a = average_squares(g, N, method="auto")
-        vals = a.values_at(xs)
-        mask = tv >= N
-        out[mask] = np.maximum(out[mask], vals[mask])
-        N *= 2
-    return out
-
-
-def sparse_decompose(
-    f: Signal,
-    E: IntervalZ,
-    C: float = STOPPING_CONSTANT,
-    max_depth: int = 64,
-) -> SparseCollection:
+def sparse_decompose(f: Signal, E: IntervalZ, C: float = STOPPING_CONSTANT) -> SparseCollection:
     """Recursive stopping-time decomposition of E.
 
     At each node the stopping children are the maximal dyadic subintervals
@@ -207,10 +181,10 @@ def sparse_decompose(
     is at most |E|/4 per level (checked), so witnesses fill >= 3/4 of each
     interval and the collection is sparse.
     """
-    coll = SparseCollection(root=E, carleson_fraction=0.75)
+    coll = SparseCollection(root=E)
 
     def recurse(node: IntervalZ, depth: int) -> None:
-        if depth > max_depth:
+        if depth > _MAX_DEPTH:
             raise SparsityError("sparse_decompose: recursion depth exceeded")
         children = find_stopping_children(f, node, C)
         child_mass = sum(len(c) for c in children)
@@ -244,25 +218,3 @@ def sparse_form(
         total += len(iv) * average_on(f, iv.double(), r) * average_on(g, iv, s)
     return float(total)
 
-
-def verify_domination(
-    f: Signal,
-    g: Signal,
-    E: IntervalZ,
-    N: int,
-    r: float = 1.0,
-    s: float = 1.0,
-    C: float = STOPPING_CONSTANT,
-) -> tuple[float, float, float]:
-    """Compare <A_N f, g> restricted to E against the sparse form.
-
-    Returns (bilinear value, sparse form value, their ratio); the ratio is
-    the empirical domination constant and should stay bounded as N and E
-    grow.
-    """
-    coll = sparse_decompose(f, E, C)
-    af = average_squares(Signal(f.offset, np.abs(np.asarray(f.samples))), N)
-    xs = np.arange(E.a, E.b + 1)
-    pairing = float(np.dot(af.values_at(xs), np.abs(g.values_at(xs))))
-    lam = sparse_form(coll, f, g, r, s)
-    return pairing, lam, pairing / lam if lam > 0 else math.inf

@@ -1,0 +1,228 @@
+"""Reference routes that only the tests use: the support sets and divisor
+enumeration of H(q,x), brute-force square-root counts, the maximal and
+truncated maximal averages, and the sparse-domination comparison.
+
+The library computes none of these; the tests check the library against
+them.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from sqlab.arith import DomainError, factorize
+from sqlab.hsums import _primes_upto
+from sqlab.operators import IntervalZ, Signal, average_squares
+from sqlab.sparse import STOPPING_CONSTANT, StoppingTime, sparse_decompose, sparse_form
+
+# ---------------------------------------------------------------------------
+# arithmetic
+# ---------------------------------------------------------------------------
+
+
+def count_sqrts_bruteforce(x: int, q: int) -> int:
+    """#{l in [0,q) : l*l = x (mod q)} by exhaustive enumeration (the oracle)."""
+    if q < 1:
+        raise DomainError(f"count_sqrts_bruteforce: q={q} must be positive")
+    x %= q
+    return sum(1 for ell in range(q) if ell * ell % q == x)
+
+
+def is_qr(x: int, p: int) -> bool:
+    """Whether a unit x is a quadratic residue mod the odd prime p."""
+    if x % p == 0:
+        raise DomainError("is_qr expects a unit")
+    return pow(x % p, (p - 1) // 2, p) == 1
+
+
+# ---------------------------------------------------------------------------
+# support of H(q, .)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class HSupportVerdict:
+    in_support: bool
+    bound: float
+
+
+def _odd_prime_conditions(odd_factors, x: int) -> bool:
+    """The per-prime membership test shared by all three support sets."""
+    x = abs(x)
+    for p, k in odd_factors:
+        pk = p**k
+        if k % 2 == 0 and x % pk == 0:
+            continue
+        if x % (pk // p) == 0 and x % pk != 0:
+            continue
+        return False
+    return True
+
+
+def support_verdict(q: int, x: int, flavor: str = "plain") -> HSupportVerdict:
+    """Membership of x in the support set for H(q,.) (plain) or Htilde(q,.)
+    (tilde), with the associated upper bound on the modulus."""
+    if q < 1:
+        raise DomainError(f"support_verdict: q={q} must be positive")
+    fac = factorize(q)
+    b = fac.two_exponent
+    odd = tuple((p, k) for p, k in fac.factors if p != 2)
+    odd_bound = 1
+    for p, k in odd:
+        odd_bound *= p ** (k // 2)
+    if flavor == "plain":
+        if b == 0:
+            ok = _odd_prime_conditions(odd, x)
+            bound = float(odd_bound)
+        else:
+            ok = x % (1 << max(b - 2, 0)) == 0 and _odd_prime_conditions(odd, x)
+            bound = 2.0 ** (b / 2) * odd_bound
+    elif flavor == "tilde":
+        ok = x % (1 << (b + 1)) == 0 and _odd_prime_conditions(odd, x)
+        bound = 2.0 ** (b / 2 + 1) * odd_bound
+    else:
+        raise DomainError(f"support_verdict: unknown flavor {flavor!r}")
+    return HSupportVerdict(ok, bound if ok else 0.0)
+
+
+@dataclass(frozen=True)
+class DivisorSet:
+    """All q in [1,J] at which H(q,x) can be nonzero."""
+
+    x: int
+    J: int
+    members: tuple[int, ...]
+
+
+def divisor_set(x: int, J: int) -> DivisorSet:
+    """Enumerate the admissible-exponent pattern of moduli for fixed x."""
+    if J < 1:
+        raise DomainError(f"divisor_set: J={J} must be positive")
+    primes = _primes_upto(J)
+    odd_primes = [p for p in primes if p != 2]
+    members: set[int] = set()
+
+    if x == 0:
+        # q = 2^b * (odd square), with the odd square itself at most J
+        odd_sq = [1]
+        for p in odd_primes:
+            extra = []
+            for s in odd_sq:
+                v = s * p * p
+                while v <= J:
+                    extra.append(v)
+                    v *= p * p
+            odd_sq.extend(extra)
+        for s in odd_sq:
+            q = s
+            while q <= J:
+                members.add(q)
+                q *= 2
+        return DivisorSet(0, J, tuple(sorted(members)))
+
+    ax = abs(x)
+    a = 0
+    while ax % 2 == 0:
+        ax //= 2
+        a += 1
+    x_odd = []
+    for p, ell in factorize(ax).factors:
+        x_odd.append((p, ell))
+    fresh = [p for p in odd_primes if all(p != pj for pj, _ in x_odd)]
+
+    # admissible odd-prime-power cores: even exponents <= ell, or ell + 1
+    cores = [1]
+    for p, ell in x_odd:
+        choices = [p**k for k in range(0, ell + 1, 2)] + [p ** (ell + 1)]
+        cores = [c * pw for c in cores for pw in choices if c * pw <= J]
+    # squarefree products of fresh primes, capped by J
+    def extend(core: int, idx: int):
+        for b in range(a + 3):
+            q = core << b
+            if q > J:
+                break
+            members.add(q)
+        for i in range(idx, len(fresh)):
+            nxt = core * fresh[i]
+            if nxt > J:
+                break
+            extend(nxt, i + 1)
+
+    for c in cores:
+        extend(c, 0)
+    return DivisorSet(x, J, tuple(sorted(members)))
+
+
+# ---------------------------------------------------------------------------
+# maximal averages and sparse domination
+# ---------------------------------------------------------------------------
+
+
+def triple(I: IntervalZ) -> IntervalZ:
+    """3I: one copy of I glued on each side of 2I's span, i.e. the
+    concentric enlargement used by the stopping-time averages."""
+    return IntervalZ(2 * I.a - I.b - 1, 2 * I.b - I.a + 1)
+
+
+def maximal_average(f: Signal, N_max: int, dyadic: bool = True) -> Signal:
+    """sup over N of A_N |f|, with N ranging over powers of two up to N_max
+    (dyadic=True) or over all 1 <= N <= N_max."""
+    if N_max < 1:
+        raise DomainError(f"maximal_average: N_max={N_max} must be positive")
+    g = Signal(f.offset, np.abs(f.samples))
+    if dyadic:
+        Ns = [1 << s for s in range(N_max.bit_length()) if (1 << s) <= N_max]
+    else:
+        Ns = list(range(1, N_max + 1))
+    out_off = f.offset - N_max * N_max
+    best = np.zeros(len(g.samples) + N_max * N_max)
+    for N in Ns:
+        a = average_squares(g, N, method="auto")
+        i = a.offset - out_off
+        best[i : i + len(a.samples)] = np.maximum(best[i : i + len(a.samples)], a.samples)
+    return Signal(out_off, best)
+
+
+def truncated_maximal(f: Signal, tau: StoppingTime) -> np.ndarray:
+    """sup_{N <= tau(x)} A_N |f| (x) for x in tau's base interval, N over
+    powers of two."""
+    E = tau.E
+    xs = np.arange(E.a, E.b + 1)
+    tv = tau.values
+    n_max = int(tv.max()) if len(tv) else 1
+    g = Signal(f.offset, np.abs(np.asarray(f.samples)))
+    out = np.zeros(len(xs))
+    N = 1
+    while N <= n_max:
+        a = average_squares(g, N, method="auto")
+        vals = a.values_at(xs)
+        mask = tv >= N
+        out[mask] = np.maximum(out[mask], vals[mask])
+        N *= 2
+    return out
+
+
+def verify_domination(
+    f: Signal,
+    g: Signal,
+    E: IntervalZ,
+    N: int,
+    r: float = 1.0,
+    s: float = 1.0,
+    C: float = STOPPING_CONSTANT,
+) -> tuple[float, float, float]:
+    """Compare <A_N f, g> restricted to E against the sparse form.
+
+    Returns (bilinear value, sparse form value, their ratio); the ratio is
+    the empirical domination constant and should stay bounded as N and E
+    grow.
+    """
+    coll = sparse_decompose(f, E, C)
+    af = average_squares(Signal(f.offset, np.abs(np.asarray(f.samples))), N)
+    xs = np.arange(E.a, E.b + 1)
+    pairing = float(np.dot(af.values_at(xs), np.abs(g.values_at(xs))))
+    lam = sparse_form(coll, f, g, r, s)
+    return pairing, lam, pairing / lam if lam > 0 else math.inf

@@ -36,12 +36,9 @@ from sqlab.operators import (
     average_squares,
     bilinear_form,
 )
-from sqlab.sparse import (
-    build_admissible_tau,
-    check_admissible,
-    sparse_decompose,
-    verify_domination,
-)
+from sqlab.sparse import build_admissible_tau, check_admissible, sparse_decompose
+
+from oracles import count_sqrts_bruteforce, divisor_set, is_qr, support_verdict, verify_domination
 
 
 def _report(n: int, message: str) -> None:
@@ -95,7 +92,7 @@ def test_criterion_02_square_root_counting():
                     elif j % 2 == 1:
                         want = 0
                     else:
-                        want = 2 * p ** (j // 2) if arith.is_qr(u, p) else 0
+                        want = 2 * p ** (j // 2) if is_qr(u, p) else 0
                     assert got == want, (p, k, j, u, got, want)
                     # difference table feeding the odd prime-power sums
                     if k >= 2:
@@ -109,7 +106,7 @@ def test_criterion_02_square_root_counting():
                             dwant = 0
                         assert diff == dwant, (p, k, j, u, diff, dwant)
                     if pk <= 200_000:
-                        assert got == arith.count_sqrts_bruteforce(x, pk)
+                        assert got == count_sqrts_bruteforce(x, pk)
                     checked += 1
     elapsed = time.time() - t0
     assert elapsed < 60
@@ -134,7 +131,7 @@ def test_criterion_04_support_lemmas():
     for q in range(1, 301):
         vals = np.abs(hsums.h_vector("H", q))
         for x in range(0, 2 * q):
-            verdict = hsums.support_verdict(q, x, flavor="plain")
+            verdict = support_verdict(q, x, flavor="plain")
             if not verdict.in_support:
                 assert vals[x] <= 1e-10, (q, x, vals[x])
             else:
@@ -143,7 +140,7 @@ def test_criterion_04_support_lemmas():
     tables = {q: np.abs(hsums.h_vector("H", q)) for q in range(1, 201)}
     for x in range(0, 501):
         scanned = {q for q, v in tables.items() if v[x % (2 * q)] > 1e-10}
-        enumerated = set(hsums.divisor_set(x, 200).members)
+        enumerated = set(divisor_set(x, 200).members)
         assert scanned <= enumerated, (x, scanned - enumerated)
     elapsed = time.time() - t0
     _report(4, f"vanishing + bounds verified q<=300; divisor enumeration covers scan, {elapsed:.1f}s")

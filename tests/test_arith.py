@@ -12,16 +12,16 @@ from sqlab.arith import (
     DomainError,
     Factorization,
     count_sqrts,
-    count_sqrts_bruteforce,
     count_sqrts_prime_power,
     epsilon,
     factorize,
     is_prime,
-    is_qr,
     jacobi,
     sqrt_count_vector,
     sqrt_count_vector_bruteforce,
 )
+
+from oracles import count_sqrts_bruteforce, is_qr
 
 
 class TestPrimality:

@@ -1,6 +1,8 @@
 """The benchmark under perfbench/ reaches into sqlab by import and by module
 attribute; every sqlab name it uses must still exist, so that removing one
-fails here and not silently inside a benchmark run."""
+fails here and not silently inside a benchmark run.  Conversely, every
+public name sqlab defines must be used by sqlab itself, by the benchmark or
+by the CLI, so that a route only the tests use lives with the tests."""
 
 import ast
 import importlib
@@ -152,4 +154,118 @@ def test_tracer_scan_reports_what_is_missing():
         "gauss.no_such_table",
         "no_such_layer.f",
         "operators.DomainError",
+    ]
+
+
+SRC = ROOT / "src" / "sqlab"
+
+
+def public_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(dotted name, node) of each public function and class of a module,
+    and of each public method and property of those classes."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            out.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                out += [
+                    (f"{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                ]
+    return out
+
+
+def bench_reads(source: str) -> tuple[set, set]:
+    """(qualified, attributes) a benchmark source reads: ("module", name)
+    for each name imported from a sqlab module or read off a local bound to
+    one, and the name of every attribute read on any object."""
+    imports, attributes = sqlab_references(source)
+    qualified, bound = set(), {}
+    for module, name, local in imports:
+        if module == "sqlab" and name is not None:
+            bound[local] = name
+        elif module.startswith("sqlab."):
+            if name is None:
+                bound[local] = module.split(".", 1)[1]
+            else:
+                qualified.add((module.split(".", 1)[1], name))
+    qualified |= {(bound[local], attr) for local, attr in attributes if local in bound}
+    tree = ast.parse(source)
+    return qualified, {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def unused_names(sources: dict, bench_sources: list, spans: set, commands) -> list[str]:
+    """The public functions, classes, methods and properties of the modules
+    in ``sources`` (module name -> source) that nothing runs: none is
+    referenced in those modules outside its own definition, read by a
+    benchmark source, named by a tracer span, or the runner of a command."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    refs: dict[str, set] = {}  # name -> ids of the nodes referring to it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, set()).add(id(node))
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, set()).add(id(node))
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    refs.setdefault(alias.name, set()).add(id(node))
+    qualified, attributes = set(), set()
+    for text in bench_sources:
+        q, a = bench_reads(text)
+        qualified |= q
+        attributes |= a
+    runners = {"run_" + command.replace("-", "_") for command in commands}
+    unused = []
+    for module, tree in trees.items():
+        for dotted, node in public_definitions(tree):
+            inside = {id(n) for n in ast.walk(node)}
+            if (
+                refs.get(node.name, set()) - inside
+                or f"{module}.{dotted}" in spans
+                or ("." in dotted and node.name in attributes)
+                or ("." not in dotted and (module, dotted) in qualified)
+                or (module == "experiments" and dotted in runners)
+            ):
+                continue
+            unused.append(f"{module}.{dotted}")
+    return sorted(unused)
+
+
+def test_library_defines_only_what_runs():
+    # a name only the tests use belongs in tests/oracles.py, not in sqlab
+    from sqlab.cli import COMMANDS
+
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    spans, _ = tracer_names(TRACER.read_text())
+    bench = [path.read_text() for path in BENCH_FILES]
+    assert "experiments" in sources and "operators" in sources
+    unused = unused_names(sources, bench, spans, COMMANDS)
+    assert not unused, f"nothing that runs uses {', '.join(unused)}"
+
+
+def test_unused_scan_reports_what_nothing_runs():
+    # each kind of use keeps one name; the three names nothing uses are named
+    sources = {
+        "experiments": (
+            "from .beta import shared\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "def imported_by_bench():\n    return shared()\n"
+            "def _private():\n    return 0\n"
+            "class Box:\n"
+            "    def called(self):\n        return self.prop\n"
+            "    @property\n    def prop(self):\n        return 1\n"
+            "    def lonely(self):\n        return 2\n"
+            "    def traced(self):\n        return 3\n"
+            "def run_demo():\n    return Box()\n"
+            "def run_other():\n    return 0\n"
+        ),
+        "beta": "def shared():\n    return 1\ndef attribute_of_bench():\n    return 2\n",
+    }
+    bench = ["from sqlab import beta\nfrom sqlab.experiments import imported_by_bench\nbeta.attribute_of_bench()\nobj.called()\n"]
+    assert unused_names(sources, bench, {"experiments.Box.traced"}, ["demo"]) == [
+        "experiments.Box.lonely",
+        "experiments.recursive",
+        "experiments.run_other",
     ]

@@ -63,12 +63,34 @@ class TestExitCodes:
             ["fjk-constant", "--n", "16", "--grid", "64", "--threads", "-1"],
             ["fjk-constant", "--n", "16", "--grid", "64", "--threads", str((os.cpu_count() or 1) + 1)],
             ["fjk-constant", "--n", "16", "--grid", "0"],
+            # 4 N^2 = 2^26 quadrature panels at xi = 4: past the 2^21 budget
+            ["gamma-decay", "--n", "4096", "--grid", "5"],
+            # arrays past 2^47 bytes, which no address space can map:
+            # numpy's MemoryError, raised before anything is allocated
+            ["improving-ratio", "--n", "16777216", "--trials", "1"],
+            ["sparse-demo", "--e-size", "1125899906842624"],
         ],
     )
     def test_bad_input_is_one_line_and_one(self, argv, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("sqlab: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gauss-check", "--q-max", "20"],
+            ["hsum-identities", "--q-max", "20"],
+            ["gamma-decay", "--n", "64", "--grid", "10"],
+            ["high-low", "--n", "64", "--j", "4", "--trials", "1"],
+        ],
+    )
+    def test_violation_names_value_and_bound(self, argv, capsys):
+        assert main(argv + ["--tol", "0"]) == 2
+        err = capsys.readouterr().err
+        found = re.fullmatch(r"sqlab: invariant violation: .+ = (\S+) exceeds bound (\S+)\n", err)
+        assert found, err
+        assert float(found[1]) > float(found[2]) == 0.0
 
 
 class TestFlags:

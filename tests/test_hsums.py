@@ -12,12 +12,12 @@ from sqlab.arith import count_sqrts, epsilon, factorize
 from sqlab.hsums import (
     abs_h_on_points,
     accumulate_S,
-    divisor_set,
     h_period,
     h_sum,
     h_vector,
-    support_verdict,
 )
+
+from oracles import divisor_set, support_verdict
 
 
 def log_average_S(x: int, J: int, support_filtered: bool = False) -> float:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlab.operators import IntervalZ, Signal, average_on, average_squares, maximal_average
+from sqlab.operators import IntervalZ, Signal, average_on, average_squares
 from sqlab.sparse import (
     STOPPING_CONSTANT,
     SparseCollection,
@@ -19,9 +19,9 @@ from sqlab.sparse import (
     find_stopping_children,
     sparse_decompose,
     sparse_form,
-    truncated_maximal,
-    verify_domination,
 )
+
+from oracles import maximal_average, triple, truncated_maximal, verify_domination
 
 
 def indicator_pair(size: int, seed: int, density: float = 0.12):
@@ -45,7 +45,7 @@ def children_oracle(f: Signal, E: IntervalZ, C: float) -> list[IntervalZ]:
 
     def descend(a: int, length: int) -> None:
         I = IntervalZ(a, a + length - 1)
-        if average_on(f, I.triple()) > threshold:
+        if average_on(f, triple(I)) > threshold:
             out.append(I)
             return
         if length >= 2:
@@ -65,7 +65,7 @@ def violating_blocks(f: Signal, E: IntervalZ, C: float) -> list[tuple[int, int]]
     length = 1
     while length <= len(E):
         for a in range(E.a, E.b + 1, length):
-            if average_on(f, IntervalZ(a, a + length - 1).triple()) > threshold:
+            if average_on(f, triple(IntervalZ(a, a + length - 1))) > threshold:
                 out.append((a, length))
         length *= 2
     return out
@@ -96,12 +96,12 @@ class TestStoppingChildren:
         kids = find_stopping_children(f, E)
         thr = STOPPING_CONSTANT * average_on(f, E.double())
         for c in kids:
-            assert average_on(f, c.triple()) > thr
+            assert average_on(f, triple(c)) > thr
             # the dyadic parent (when proper) must not violate
             ln = 2 * len(c)
             pa = E.a + ((c.a - E.a) // ln) * ln
             if ln < len(E):
-                assert average_on(f, IntervalZ(pa, pa + ln - 1).triple()) <= thr
+                assert average_on(f, triple(IntervalZ(pa, pa + ln - 1))) <= thr
 
     def test_children_disjoint_and_inside(self):
         E, f, _ = indicator_pair(1 << 12, seed=3, density=0.01)
@@ -158,7 +158,7 @@ class TestStoppingTime:
         with pytest.raises(Exception):
             StoppingTime(E, np.full(16, 8))  # tau^2 = 64 > |E| = 16
         st = StoppingTime(E, np.full(16, 4))
-        assert st.at(np.array([0, 7])).tolist() == [4, 4]
+        assert st.values[[0, 7]].tolist() == [4, 4]
 
     def test_built_tau_is_admissible(self):
         for seed in range(8):
@@ -199,7 +199,7 @@ class TestStoppingTime:
         while ln <= size:
             for a in range(0, size, ln):
                 I = IntervalZ(a, a + ln - 1)
-                if average_on(f, I.triple()) > thr:
+                if average_on(f, triple(I)) > thr:
                     saw_violation = True
                     assert int(tau.values[a : a + ln].min()) ** 2 > ln
             ln *= 2
@@ -213,7 +213,7 @@ class TestStoppingTime:
         samples[0:8] = 1.0
         f = Signal(0, samples)
         thr = STOPPING_CONSTANT * average_on(f, E.double())
-        assert average_on(f, IntervalZ(0, 0).triple()) > thr
+        assert average_on(f, triple(IntervalZ(0, 0))) > thr
         bad = StoppingTime(E, np.ones(size, dtype=np.int64))
         assert not check_admissible(bad, f)
 

@@ -128,13 +128,25 @@ class TestHighLowSplit:
         assert _close(high, apply_multiplier_complex(f, high_grid), f, L)
         assert _close(low, apply_multiplier_complex(f, low_grid), f, L)
         # a Weyl grid passed in gives the same bytes as one sampled inside
-        high2, low2 = high_low_split(f, N, J, L, weyl)
+        high2, low2 = high_low_split(f, N, J, weyl)
         assert np.array_equal(high.samples, high2.samples)
         assert np.array_equal(low.samples, low2.samples)
 
     def test_weyl_grid_of_other_length_rejected(self):
-        f = Signal(0, np.ones(100))
-        L = split_grid_len(64, len(f))
-        weyl = sample_multiplier("weyl", 64, None, None, 2 * L)
+        # f longer than N^2, so L = 2(n + N^2) rounded up and a grid of L/2
+        # is still a valid sample: it would wrap A_N f around, so it is
+        # refused; a longer grid sets the transform length
+        rng = np.random.default_rng(9)
+        f = Signal(0, (rng.random(6000) < 0.2).astype(float))
+        N, J = 64, 4
+        L = split_grid_len(N, len(f))
+        short = sample_multiplier("weyl", N, None, None, L // 2)
         with pytest.raises(ContractError):
-            high_low_split(f, 64, 4, L, weyl)
+            high_low_split(f, N, J, short)
+        weyl = sample_multiplier("weyl", N, None, None, 2 * L)
+        low_grid = sample_multiplier("b_N1", N, J, J, 2 * L)
+        high_grid = MultiplierGrid(2 * L, weyl.values - low_grid.values)
+        high, low = high_low_split(f, N, J, weyl)
+        assert len(high) == len(low) == 2 * L
+        assert _close(high, apply_multiplier_complex(f, high_grid), f, 2 * L)
+        assert _close(low, apply_multiplier_complex(f, low_grid), f, 2 * L)
