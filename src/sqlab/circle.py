@@ -101,8 +101,18 @@ def gamma_N(xi, N: int):
     return val
 
 
-# panel budget of gamma_N_quad: one panel per half oscillation
-MAX_PANELS = 1 << 21
+# panel budget of gamma_N_quad
+_MAX_PANELS = 1 << 21
+
+
+def quad_panels(xi: float, N: int) -> int:
+    """The number of panels gamma_N_quad takes at (xi, N): one per half
+    oscillation of e(xi N^2 u^2 / 2) on [0, 1], at least one.  Raises
+    QuadratureError when it exceeds the budget of 2^21 panels."""
+    n_half = max(1, math.ceil(abs(float(xi) * N * N)))
+    if n_half > _MAX_PANELS:
+        raise QuadratureError(f"{n_half} quadrature panels exceed the budget of {_MAX_PANELS}")
+    return n_half
 
 
 def gamma_N_quad(xi: float, N: int) -> complex:
@@ -110,17 +120,13 @@ def gamma_N_quad(xi: float, N: int) -> complex:
     one Gauss-Legendre 15-point rule per half oscillation.
 
     Kept as the independent route for verifying the closed form; raises
-    QuadratureError when the oscillation count exceeds MAX_PANELS.
+    QuadratureError when quad_panels(xi, N) is over budget.
     """
     if N < 1:
         raise DomainError(f"gamma_N_quad: N={N} must be positive")
+    n_half = quad_panels(xi, N)  # boundaries at phase multiples of pi
     c = float(xi) * N * N  # phase is pi * c * u^2
     ac = abs(c)
-    n_half = max(1, math.ceil(ac))  # boundaries at phase multiples of pi
-    if n_half > MAX_PANELS:
-        raise QuadratureError(
-            f"gamma_N_quad: {n_half} panels exceed budget {MAX_PANELS}"
-        )
     edges = np.sqrt(np.arange(n_half + 1) / max(ac, 1.0))
     edges[-1] = 1.0
     nodes, weights = np.polynomial.legendre.leggauss(15)

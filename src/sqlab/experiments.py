@@ -295,12 +295,11 @@ def run_gamma_decay(N: int = 1 << 8, points: int = 200, tol: float = 1e-9) -> Ex
         metadata={"quadrature": "Gauss-Legendre 15 per half oscillation"},
         columns=["xi", "abs_gamma", "envelope", "quad_err"],
     )
-    # the quadrature takes ceil(|xi| N^2) panels, the most at xi = 4
-    if 4 * N * N > circle.MAX_PANELS:
-        raise DomainError(
-            f"gamma-decay: N={N} needs {4 * N * N} quadrature panels at xi=4, "
-            f"more than the budget of {circle.MAX_PANELS}"
-        )
+    # the quadrature takes the most panels at the largest point, xi = 4
+    try:
+        circle.quad_panels(4.0, N)
+    except circle.QuadratureError as e:
+        raise DomainError(f"gamma-decay: N={N} at xi=4: {e}") from None
     xis = np.concatenate([[0.0], np.geomspace(2.0**-20, 4.0, points - 1)])
     for xi in xis:
         g = circle.gamma_N(float(xi), N)

@@ -206,7 +206,7 @@ def _apply_multipliers(f: Signal, grids: list[MultiplierGrid]) -> list[Signal]:
     # analysis transform e(-x xi) (numpy fft): under it the A_N kernel
     # (1/N) sum_k delta_{-k^2} has symbol (1/N) sum_k e(k^2 xi), the Weyl sum
     outs = _real_convolutions(f.samples, L, [_hermitian_half(g.values) for g in grids])
-    return [Signal(f.offset - L // 2, np.roll(out, L // 2)) for out in outs]
+    return [Signal(f.offset - L // 2, np.roll(out, L // 2, axis=0)) for out in outs]
 
 
 def split_grid_len(N: int, n: int) -> int:
@@ -224,22 +224,20 @@ def high_low_split(
     applies its complement within the full Weyl multiplier, so High + Low =
     A_N f exactly up to FFT roundoff.  Both share one spectrum of f, of
     length L = split_grid_len(N, len(f)).  A caller splitting at several J
-    may pass the Weyl grid, sampled once: its length is then L, and a grid
-    shorter than split_grid_len(N, len(f)) would wrap around, so it is
-    refused.  For J >= N/4 no splitting is meaningful at this cutoff and the pair
-    (0, A_N f) is returned.
+    may pass the Weyl grid, sampled once at that L; a grid of any other
+    length is refused.  For J >= N/4 no splitting is meaningful at this
+    cutoff and the pair (0, A_N f) is returned.
     """
     if N < 1 or J < 1 or J & (J - 1):
         raise DomainError(f"high_low_split: need N>=1 and J a power of two, got N={N} J={J}")
     if J >= max(1, N // 4):
         af = average_squares(f, N, method="auto")
         return Signal(af.offset, np.zeros(len(af.samples))), af
-    need = split_grid_len(N, len(f.samples))
+    L = split_grid_len(N, len(f.samples))
     if weyl is None:
-        weyl = sample_multiplier("weyl", N, None, None, need)
-    elif weyl.L < need:
-        raise ContractError(f"high_low_split: Weyl grid has L={weyl.L}, need at least {need}")
-    L = weyl.L
+        weyl = sample_multiplier("weyl", N, None, None, L)
+    elif weyl.L != L:
+        raise ContractError(f"high_low_split: Weyl grid has L={weyl.L}, need {L}")
     low_grid = sample_multiplier("b_N1", N, J, J, L)
     high_grid = MultiplierGrid(L, weyl.values - low_grid.values)
     high, low = _apply_multipliers(f, [high_grid, low_grid])

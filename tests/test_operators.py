@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sqlab.arith import DomainError
 from sqlab.circle import ContractError, sample_multiplier
 from sqlab.experiments import average_polynomial, polynomial_shifts
+from sqlab import operators
 from sqlab.operators import (
     IntervalZ,
     Signal,
@@ -37,6 +38,23 @@ class TestSignal:
         fresh = np.arange(4.0)
         f = Signal(0, fresh)
         assert np.shares_memory(f.samples, fresh) and not fresh.flags.writeable
+
+    def test_operator_outputs_are_not_copied(self, monkeypatch):
+        # the rolled output of a multiplier owns its data, so Signal keeps it
+        made = []
+
+        class Recording(Signal):
+            def __post_init__(self):
+                made.append(self.samples)
+                super().__post_init__()
+
+        monkeypatch.setattr(operators, "Signal", Recording)
+        f = Signal(0, np.ones(100))
+        grid = sample_multiplier("weyl", 8, None, None, 256)
+        out = apply_multiplier(f, grid)
+        assert np.shares_memory(out.samples, made[-1])
+        high, low = high_low_split(f, 64, 4)
+        assert np.shares_memory(high.samples, made[-2]) and np.shares_memory(low.samples, made[-1])
 
     def test_view_and_converted_input_are_copied(self):
         base = np.arange(8.0)
