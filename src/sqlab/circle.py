@@ -69,14 +69,14 @@ def weyl_multiplier(xi, N: int) -> complex:
 
 
 def weyl_multiplier_grid(N: int, L: int) -> np.ndarray:
-    """Weyl multiplier at every xi = j/L, j in [0,L), via one inverse DFT
-    of the histogram of k^2 mod L."""
+    """Weyl multiplier at every xi = j/L, j in [0,L): conj(rfft)/N of the
+    histogram of k^2 mod L on bins 0..L//2, mirrored exactly Hermitian."""
     if N < 1 or L < 1:
         raise DomainError("weyl_multiplier_grid: N and L must be positive")
     k = np.arange(1, N + 1, dtype=np.int64)
     c = (k % L) * (k % L) % L  # k^2 mod L without overflow for L < 2^31
-    hist = np.bincount(c, minlength=L).astype(np.float64)
-    return (L / N) * np.fft.ifft(hist)
+    h = np.conj(np.fft.rfft(np.bincount(c, minlength=L))) / N
+    return np.concatenate((h, np.conj(h[1 : L - L // 2][::-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +198,8 @@ def dirichlet_approx(xi, N: int) -> ReducedRational:
 
 @dataclass(frozen=True)
 class MultiplierGrid:
-    """Values of a 1-periodic multiplier at the L frequencies j/L."""
+    """Values of a 1-periodic multiplier at the L frequencies j/L, exactly
+    Hermitian (m[-j] = conj(m[j])) as the multiplier of a real kernel."""
 
     L: int
     values: np.ndarray
@@ -208,6 +209,14 @@ class MultiplierGrid:
             raise DomainError(f"MultiplierGrid: L={self.L} must be a power of two")
         if len(self.values) != self.L or not np.all(np.isfinite(self.values)):
             raise DomainError("MultiplierGrid: bad values array")
+        # bins 0..L//2 against their mirrors -j, on the .real and .imag views
+        # so that no complex copy of the grid is made
+        h = self.L // 2 + 1
+        re, im = self.values.real, self.values.imag
+        if im[0] or not (
+            np.array_equal(re[1:h], re[:-h:-1]) and np.array_equal(im[1:h], -im[:-h:-1])
+        ):
+            raise DomainError("MultiplierGrid: values are not exactly Hermitian")
 
 
 def _accumulate_arcs_grid(

@@ -21,11 +21,10 @@ from .sparse import SparsityError
 
 class _UsageErrorParser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad usage; we reserve 2 for
-    invariant violations, so remap usage errors to 1."""
+    invariant violations, so remap usage errors to 1, with one line."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(f"sqlab: error: {message}", file=sys.stderr)
         sys.exit(1)
 
 
@@ -39,6 +38,13 @@ def _dyadic_list(text: str) -> list[int]:
     return out
 
 
+def _count(text: str) -> int:
+    v = int(text)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"{v} is not a positive integer")
+    return v
+
+
 def _float_list(text: str) -> list[float]:
     return [float(p) for p in text.split(",")]
 
@@ -49,7 +55,7 @@ def _int_list(text: str) -> list[int]:
 
 SEED = ("--seed", "seed", int)
 TOL = ("--tol", "tol", float)
-TRIALS = ("--trials", "trials", int)
+TRIALS = ("--trials", "trials", _count)
 EXPONENT = ("--p", "p", float)
 N_LIST = ("--n", "n_list", _dyadic_list)
 J_LIST = ("--j", "j_list", _dyadic_list)
@@ -85,7 +91,7 @@ COMMANDS = {
     ),
     "multifreq": (
         "multi-frequency maximal operator norms",
-        [("--s", "s_list", _int_list), ("--octaves", "n_octaves", int), TRIALS, GRID, SEED],
+        [("--s", "s_list", _int_list), ("--octaves", "n_octaves", _count), TRIALS, GRID, SEED],
     ),
     "poly-average": (
         "improving ratios for polynomial averages",
@@ -144,11 +150,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"sqlab: error: {exc}", file=sys.stderr)
         return 1
     text = report.render(fmt)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if out:
+            with open(out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        print(f"sqlab: error: cannot write the report: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -49,6 +49,16 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _require_memory(job: str, need: int) -> None:
+    """Raise DomainError, before anything is allocated, when a job's arrays
+    need more than the machine's physical memory."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > memory:
+        raise DomainError(
+            f"{job} needs {need} bytes of arrays, more than the {memory} bytes of physical memory"
+        )
+
+
 def _require(quantity: str, value: float, bound: float) -> None:
     """Raise InvariantViolation, naming the quantity, its value and the
     bound, unless value <= bound (so NaN fails)."""
@@ -217,6 +227,8 @@ def run_lowpass_scan(
         j < 1 or (j & (j - 1)) for j in j_list
     ):
         raise ValueError("j_list must be strictly increasing powers of two")
+    if x_max < 0:
+        raise DomainError(f"lowpass-scan: x_max={x_max} must be nonnegative")
     report = ExperimentReport(
         "lowpass-scan",
         parameters={"j_list": list(j_list), "x_max": x_max, "adversarial": adversarial},
@@ -566,7 +578,6 @@ def run_poly_average(
         metadata={"fit": "max over random indicator trials"},
         columns=["N", "scale", "max_ratio"],
     )
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     scales = []
     for N in n_list:
         shifts = polynomial_shifts(coeffs, N)
@@ -574,11 +585,7 @@ def run_poly_average(
         # float64 samples: the indicator on 2I (2 scale) and the
         # average_polynomial buffer (2 scale + the spread of the shifts)
         need = 8 * (4 * scale + int(shifts.max()) - int(shifts.min()))
-        if need > memory:
-            raise DomainError(
-                f"poly-average at N={N} needs {need} bytes of arrays, "
-                f"more than the {memory} bytes of physical memory"
-            )
+        _require_memory(f"poly-average at N={N}", need)
         scales.append(scale)
     for N, scale in zip(n_list, scales):
         I = IntervalZ(0, scale - 1)
@@ -652,13 +659,15 @@ def run_high_low(
         metadata={"references": "J^-1/2 logJ (high, l2), J (logJ)^2 (low, linf)"},
         columns=["J", "trial", "split_err", "high_ratio", "high_ref", "low_ratio", "low_ref"],
     )
+    splits = min(j_list) < max(1, N // 4)
+    L = split_grid_len(N, 2 * N * N)
+    # complex128 Weyl, low and high grids of length L when some J splits;
+    # float64 f on 2I and A_N f (2N^2 + 3N^2 samples) per trial
+    _require_memory(f"high-low at N={N}", (48 * L if splits else 0) + 40 * N * N * trials)
     I = IntervalZ(0, N * N - 1)
     twoI = I.double()
-    L = split_grid_len(N, len(twoI))
     # the Weyl grid does not depend on J: sample it once if any J splits
-    weyl = None
-    if min(j_list) < max(1, N // 4):
-        weyl = circle.sample_multiplier("weyl", N, None, None, L)
+    weyl = circle.sample_multiplier("weyl", N, None, None, L) if splits else None
     # trial t draws the same f for every J: draw each f and A_N f once
     rng = make_rng(seed)
     fs = [Signal(twoI.a, _random_indicator(rng, len(twoI), 0.1)) for _ in range(trials)]

@@ -92,21 +92,6 @@ def _smooth_len(n: int) -> int:
     return best
 
 
-def _hermitian_half(m: np.ndarray) -> np.ndarray:
-    """Bins 0..L//2 of the Hermitian part (m[j] + conj(m[-j])) / 2 of a
-    length-L symbol.
-
-    For real f, Re ifft(fft(f) m) = irfft(rfft(f) h): the anti-Hermitian
-    part of m only feeds the imaginary part of the output, so dropping it
-    here is exactly what keeping .real of the complex route did.
-    """
-    half = len(m) // 2 + 1
-    h = np.conj(np.concatenate((m[:1], m[:-half:-1])))  # conj(m[-j])
-    h += m[:half]
-    h *= 0.5
-    return h
-
-
 def _real_convolutions(x: np.ndarray, L: int, spectra: list[np.ndarray]) -> list[np.ndarray]:
     """Length-L circular convolutions of the real block x (zero-padded)
     with each kernel given by its half spectrum (rfft layout): one rfft of
@@ -184,13 +169,13 @@ def apply_multiplier(f: Signal, grid: MultiplierGrid) -> Signal:
     """Apply a Fourier multiplier, sampled at frequencies j/L, to f by
     periodized convolution.
 
-    The transform length is the grid's L (a power of two).  The output is
-    real: it applies the Hermitian part (m[j] + conj(m[-j])) / 2 of the
-    grid m through one rfft/irfft pair, which equals the real part of the
-    complex route ifft(fft(f) m).  The output lives on a window of length L
-    centered so that a convolution kernel concentrated near frequency 0
-    (equivalently, spatially spread over [-L/2, L/2)) is captured without
-    wraparound ambiguity.  L must exceed 2x the signal length.
+    The transform length is the grid's L (a power of two).  The grid is
+    exactly Hermitian, so its bins 0..L/2 act through one rfft/irfft pair,
+    which equals the complex route ifft(fft(f) m).  The output lives on a
+    window of length L centered so that a convolution kernel concentrated
+    near frequency 0 (equivalently, spatially spread over [-L/2, L/2)) is
+    captured without wraparound ambiguity.  L must exceed 2x the signal
+    length.
     """
     (out,) = _apply_multipliers(f, [grid])
     return out
@@ -205,7 +190,7 @@ def _apply_multipliers(f: Signal, grids: list[MultiplierGrid]) -> list[Signal]:
         raise ContractError(f"apply_multiplier: grid L={L} too small for signal length {n}")
     # analysis transform e(-x xi) (numpy fft): under it the A_N kernel
     # (1/N) sum_k delta_{-k^2} has symbol (1/N) sum_k e(k^2 xi), the Weyl sum
-    outs = _real_convolutions(f.samples, L, [_hermitian_half(g.values) for g in grids])
+    outs = _real_convolutions(f.samples, L, [g.values[: L // 2 + 1] for g in grids])
     return [Signal(f.offset - L // 2, np.roll(out, L // 2, axis=0)) for out in outs]
 
 

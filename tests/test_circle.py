@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sqlab.arith import DomainError
 from sqlab.circle import (
     ContractError,
     MultiplierGrid,
@@ -155,10 +156,13 @@ def level_sum(xi: Fraction, N: int, s: int, width_scale: float | None = None) ->
 
 
 def piece_oracle(which: str, N: int, M: int, J: int | None, xi: Fraction) -> complex:
-    """The multiplier pieces at xi from their definitions: a_N sums the
-    dyadic levels s <= log2 M; the narrow bumps eta_{q N^2/J} on the levels
-    s <= log2 J give b_N1 (M = J) or a_tilde (M > J), and the rest of a_N
-    splits into the bump differences on those levels and the levels above."""
+    """The multiplier pieces at xi from their definitions: weyl is m_N and
+    c_N = m_N - a_N; a_N sums the dyadic levels s <= log2 M; the narrow
+    bumps eta_{q N^2/J} on the levels s <= log2 J give b_N1 (M = J) or
+    a_tilde (M > J), and the rest of a_N splits into the bump differences
+    on those levels and the levels above."""
+    if which == "weyl":
+        return weyl_multiplier(xi, N)
     m = M.bit_length() - 1
     s0 = J.bit_length() - 1 if J else m
 
@@ -167,6 +171,8 @@ def piece_oracle(which: str, N: int, M: int, J: int | None, xi: Fraction) -> com
 
     if which == "a_N":
         return wide(1, m)
+    if which == "c_N":
+        return weyl_multiplier(xi, N) - wide(1, m)
     narrow = sum((level_sum(xi, N, s, N * N / J) for s in range(1, s0 + 1)), 0j)
     if which == "a_tilde" or (which == "b_N1" and M == J):
         return narrow
@@ -201,10 +207,14 @@ class TestWeyl:
         assert weyl_multiplier(0, 7) == 1.0
 
     def test_grid_matches_pointwise(self):
-        N, L = 24, 512
-        g = weyl_multiplier_grid(N, L)
-        for j in (0, 1, 100, 255, 511):
-            assert abs(g[j] - weyl_multiplier(Fraction(j, L), N)) < 1e-12
+        # one rfft gives bins 0..L//2, and bin -j mirrors bin j, at odd L too
+        N = 24
+        for L in (512, 511, 513, 3, 2, 1):
+            g = weyl_multiplier_grid(N, L)
+            assert len(g) == L
+            assert np.array_equal(g[1:], np.conj(g[:0:-1])) and g[0].imag == 0, L
+            for j in range(L):
+                assert abs(g[j] - weyl_multiplier(Fraction(j, L), N)) < 1e-12, (L, j)
 
     @given(st.integers(min_value=0, max_value=63), st.integers(min_value=1, max_value=40))
     @settings(max_examples=80, deadline=None)
@@ -299,7 +309,9 @@ class TestDirichlet:
 
 
 PIECES = [
+    ("weyl", None, None),
     ("a_N", 64, None),
+    ("c_N", 64, None),
     ("b_N1", 64, 64),
     ("b_N2", 64, 64),
     ("b_N1", 64, 16),
@@ -398,9 +410,21 @@ class TestArcs:
         with pytest.raises(Exception):
             MultiplierGrid(12, np.zeros(12))  # not a power of two
 
+    @pytest.mark.parametrize("j, part", [(3, "real"), (13, "imag"), (0, "imag"), (8, "imag")])
+    def test_grid_that_is_not_exactly_hermitian_refused(self, j, part):
+        # one bin moved by one ulp, or an imaginary DC or Nyquist bin
+        L = 16
+        m = sample_multiplier("weyl", 2, None, None, L).values
+        MultiplierGrid(L, m)
+        bad = m.copy()
+        view = getattr(bad, part)
+        view[j] = np.nextafter(view[j], 1.0)
+        with pytest.raises(DomainError, match="not exactly Hermitian"):
+            MultiplierGrid(L, bad)
+
 
 class TestFJK:
-    @pytest.mark.parametrize("grid", [512, 4096])
+    @pytest.mark.parametrize("grid", [512, 4096, 511])
     def test_runner_rows_match_pointwise_oracle(self, grid):
         n_list = (16, 256, 1024)
         want = fjk_rows_oracle(n_list, grid)

@@ -69,6 +69,16 @@ class TestExitCodes:
             # numpy's MemoryError, raised before anything is allocated
             ["improving-ratio", "--n", "16777216", "--trials", "1"],
             ["sparse-demo", "--e-size", "1125899906842624"],
+            # L = 2^35: 1.5 TiB of grids, refused before anything is allocated
+            ["high-low", "--n", "65536", "--trials", "1"],
+            # counts that measure nothing, and a negative scan window
+            ["improving-ratio", "--n", "16", "--trials", "0"],
+            ["multifreq", "--octaves", "0"],
+            ["high-low", "--trials", "-2"],
+            ["lowpass-scan", "--x-max", "-1"],
+            # a usage error, and a report that cannot be written
+            ["improving-ratio", "--n", "3"],
+            ["gauss-check", "--q-max", "2", "--out", "/nonexistent/dir/x.json"],
         ],
     )
     def test_bad_input_is_one_line_and_one(self, argv, capsys):
@@ -180,6 +190,8 @@ class TestSmallRuns:
             ["halfdim", "--n", "8,16", "--eps", "0.5", "--strategy", "squares"],
             ["poly-average", "--coeffs", "0,0,1", "--n", "4,8", "--trials", "2"],
             ["high-low", "--n", "64", "--j", "4", "--trials", "2"],
+            # an odd grid length: the Weyl grid mirrors L//2 bins, not L/2 - 1
+            ["fjk-constant", "--n", "4", "--grid", "3"],
         ],
     )
     def test_exit_zero(self, argv, tmp_path):
