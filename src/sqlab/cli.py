@@ -59,7 +59,7 @@ TRIALS = ("--trials", "trials", _count)
 EXPONENT = ("--p", "p", float)
 N_LIST = ("--n", "n_list", _dyadic_list)
 J_LIST = ("--j", "j_list", _dyadic_list)
-Q_MAX = ("--q-max", "q_max", int)
+Q_MAX = ("--q-max", "q_max", _count)
 GRID = ("--grid", "grid", int)
 
 # command -> (help, [(flag, runner parameter, type | tuple of choices | bool)])
@@ -76,7 +76,7 @@ COMMANDS = {
     ),
     "gamma-decay": (
         "oscillatory profile decay and quadrature audit",
-        [("--n", "N", int), ("--grid", "points", int), TOL],
+        [("--n", "N", int), ("--grid", "points", _count), TOL],
     ),
     "improving-ratio": ("normalized-average improving ratios", [N_LIST, EXPONENT, TRIALS, SEED]),
     "orlicz-ratio": ("Orlicz-endpoint bilinear ratios", [N_LIST, TRIALS, SEED]),

@@ -24,10 +24,13 @@ from .gauss import gauss_G0, gauss_G0_vector, gauss_G_closed, gauss_G_vector
 from .operators import (
     IntervalZ,
     Signal,
+    average_polynomial,
     average_squares,
     bilinear_form,
     high_low_split,
     norm_p,
+    polynomial_shifts,
+    shift_average_bytes,
     split_grid_len,
 )
 from .reports import ExperimentReport
@@ -345,9 +348,24 @@ def extremal_pair(N: int) -> tuple[Signal, Signal]:
 
 
 def _check_exponent(p: float) -> None:
-    """The ratios use the dual exponent p' = p / (p - 1), finite for p > 1."""
-    if not p > 1.0:
-        raise ValueError(f"p={p} must exceed 1")
+    """The ratios use the dual exponent p' = p / (p - 1), finite and
+    above 1 for finite p > 1."""
+    if not (p > 1.0 and math.isfinite(p)):
+        raise ValueError(f"p={p} must be finite and exceed 1")
+
+
+def _max_ratio(average, scale: int, p: float, trials: int, seed: int) -> float:
+    """max <average(f)>_{I,p'} / <f>_{2I,p} over random indicators f on 2I,
+    with I = [0, scale)."""
+    pprime = p / (p - 1.0)
+    I = IntervalZ(0, scale - 1)
+    twoI = I.double()
+    rng = make_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        f = Signal(twoI.a, _random_indicator(rng, len(twoI), 0.1))
+        worst = max(worst, norm_p(average(f), pprime, I) / norm_p(f, p, twoI))
+    return worst
 
 
 def run_improving_ratio(
@@ -372,25 +390,18 @@ def run_improving_ratio(
         columns=["N", "max_ratio", "const_ratio", "extremal_pairing", "extremal_lower"],
     )
     for N in n_list:
+        worst = _max_ratio(lambda f: average_squares(f, N), N * N, p, trials, seed)
         I = IntervalZ(0, N * N - 1)
         twoI = I.double()
-        rng = make_rng(seed)
-        worst = 0.0
-        for _ in range(trials):
-            f = Signal(twoI.a, _random_indicator(rng, len(twoI), 0.1))
-            af = average_squares(f, N, method="auto")
-            num = norm_p(af, pprime, I)
-            den = norm_p(f, p, twoI)
-            worst = max(worst, num / den)
         # constants contract: f = chi_{2I} has ratio <= 1
         full = Signal(twoI.a, np.ones(len(twoI)))
-        aff = average_squares(full, N, method="auto")
+        aff = average_squares(full, N)
         const_ratio = norm_p(aff, pprime, I) / norm_p(full, p, twoI)
         _require(f"constant indicator ratio at N={N}", const_ratio, 1.0 + 1e-12)
         # extremal pair: pairing is exactly 1; the lower bound is the
         # pairing divided by the improving prediction |I|<f><g>
         f0, g0 = extremal_pair(N)
-        pairing = bilinear_form(average_squares(f0, N), g0)
+        pairing = bilinear_form(average_squares(f0, N, method="direct"), g0)
         _require(f"|extremal pairing - 1| at N={N}", abs(pairing - 1.0), 0.0)
         predicted = len(I) * norm_p(f0, p, twoI) * norm_p(g0, p, I)
         report.add_row(N, worst, const_ratio, pairing, pairing / predicted)
@@ -424,13 +435,13 @@ def run_orlicz_ratio(
         for _ in range(trials):
             f = Signal(twoI.a, _random_indicator(rng, len(twoI), 0.05))
             g = Signal(I.a, _random_indicator(rng, len(I), 0.05))
-            pairing = bilinear_form(average_squares(f, N, method="auto"), g)
+            pairing = bilinear_form(average_squares(f, N), g)
             denom = psi(norm_p(f, 1.0, twoI)) * psi(norm_p(g, 1.0, I)) * len(I)
             if denom > 0:
                 worst = max(worst, pairing / denom)
         full_f = Signal(twoI.a, np.ones(len(twoI)))
         full_g = Signal(I.a, np.ones(len(I)))
-        pairing = bilinear_form(average_squares(full_f, N, method="auto"), full_g)
+        pairing = bilinear_form(average_squares(full_f, N), full_g)
         full_ratio = pairing / (psi(1.0) * psi(1.0) * len(I))
         _require(f"full-indicator Orlicz ratio at N={N}", full_ratio, 1.0 + 1e-12)
         f0, g0 = extremal_pair(N)
@@ -468,7 +479,7 @@ def run_halfdim(
             raise ValueError(f"unknown strategy {strategy!r}")
         samples = np.zeros(N * N + 1)
         samples[G] = 1.0
-        a = average_squares(Signal(0, samples), N, method="auto")
+        a = average_squares(Signal(0, samples), N)
         for eps in eps_list:
             count = int(np.count_nonzero(np.asarray(a.samples) > eps))
             if eps > 1.0:
@@ -524,37 +535,6 @@ def run_multifreq(
 # polynomial averages (exploratory)
 # ---------------------------------------------------------------------------
 
-def polynomial_shifts(coeffs: Sequence[int], N: int) -> np.ndarray:
-    """P(1), ..., P(N) for the integer polynomial P with coefficients coeffs
-    in increasing-degree order, evaluated exactly; DomainError when one of
-    them does not fit in int64."""
-    bound = np.iinfo(np.int64).max
-    shifts = []
-    for k in range(1, N + 1):
-        v = 0
-        for c in reversed(coeffs):
-            v = v * k + int(c)
-        if abs(v) > bound:
-            raise DomainError(f"polynomial shift P({k}) = {v} does not fit in int64")
-        shifts.append(v)
-    return np.array(shifts, dtype=np.int64)
-
-
-def average_polynomial(f: Signal, N: int, coeffs: Sequence[int]) -> Signal:
-    """(1/N) sum_{k=1}^N f(x + P(k)) for an integer polynomial P given by
-    coeffs in increasing-degree order."""
-    if N < 1:
-        raise ValueError(f"average_polynomial: N={N} must be positive")
-    shifts = polynomial_shifts(coeffs, N)
-    lo, hi = int(shifts.min()), int(shifts.max())
-    n = len(f.samples)
-    acc = np.zeros(n + hi - lo)
-    for sh in shifts:
-        i = hi - int(sh)
-        acc[i : i + n] += f.samples
-    return Signal(f.offset - hi, acc / N)
-
-
 def run_poly_average(
     coeffs: Sequence[int] = (0, 1, 1),
     n_list: Sequence[int] = (16, 32, 64),
@@ -565,7 +545,6 @@ def run_poly_average(
     """Improving-ratio table for the average along an arbitrary integer
     polynomial (default n^2 + n); exploratory, no bound asserted."""
     _check_exponent(p)
-    pprime = p / (p - 1.0)
     report = ExperimentReport(
         "poly-average",
         parameters={
@@ -582,20 +561,12 @@ def run_poly_average(
     for N in n_list:
         shifts = polynomial_shifts(coeffs, N)
         scale = max(1, int(np.abs(shifts).max()))
-        # float64 samples: the indicator on 2I (2 scale) and the
-        # average_polynomial buffer (2 scale + the spread of the shifts)
-        need = 8 * (4 * scale + int(shifts.max()) - int(shifts.min()))
+        # the float64 indicator on 2I and the arrays of the average's route
+        need = 16 * scale + shift_average_bytes(2 * scale, shifts)
         _require_memory(f"poly-average at N={N}", need)
         scales.append(scale)
     for N, scale in zip(n_list, scales):
-        I = IntervalZ(0, scale - 1)
-        twoI = I.double()
-        rng = make_rng(seed)
-        worst = 0.0
-        for _ in range(trials):
-            f = Signal(twoI.a, _random_indicator(rng, len(twoI), 0.1))
-            af = average_polynomial(f, N, coeffs)
-            worst = max(worst, norm_p(af, pprime, I) / norm_p(f, p, twoI))
+        worst = _max_ratio(lambda f: average_polynomial(f, N, coeffs), scale, p, trials, seed)
         report.add_row(N, scale, worst)
     return report
 
@@ -614,14 +585,18 @@ def run_sparse_demo(
 ) -> ExperimentReport:
     """Random indicator pair on (2E, E): run the stopping-time recursion,
     audit the witnesses, and report both sides of sparse domination."""
+    if e_size < 2 or e_size & (e_size - 1):
+        raise ValueError("e_size must be a power of two >= 2")
+    if not (C > 0 and math.isfinite(C)):
+        raise ValueError(f"stopping constant C={C} must be finite and positive")
+    if not 0 <= density <= 1:
+        raise ValueError(f"density={density} must lie in [0, 1]")
     report = ExperimentReport(
         "sparse-demo",
         parameters={"e_size": e_size, "density": density, "C": C, "seed": seed, "r": r, "s": s},
         metadata={"stopping_constant": C},
         columns=["quantity", "value"],
     )
-    if e_size < 2 or e_size & (e_size - 1):
-        raise ValueError("e_size must be a power of two >= 2")
     E = IntervalZ(0, e_size - 1)
     twoE = E.double()
     rng = make_rng(seed)
@@ -631,7 +606,7 @@ def run_sparse_demo(
     tau = build_admissible_tau(f, E, C)
     _require("inadmissible built stopping times", int(not check_admissible(tau, f, C)), 0)
     N = max(2, int(math.isqrt(e_size)) // 2)
-    af = average_squares(f, N, method="auto")
+    af = average_squares(f, N)
     xs = np.arange(E.a, E.b + 1)
     pairing = float(np.dot(af.values_at(xs), g.values_at(xs)))
     lam = sparse_form(coll, f, g, r, s)
@@ -671,7 +646,7 @@ def run_high_low(
     # trial t draws the same f for every J: draw each f and A_N f once
     rng = make_rng(seed)
     fs = [Signal(twoI.a, _random_indicator(rng, len(twoI), 0.1)) for _ in range(trials)]
-    afs = [average_squares(f, N, method="auto") for f in fs]
+    afs = [average_squares(f, N) for f in fs]
     for J in j_list:
         for t, (f, af) in enumerate(zip(fs, afs)):
             high, low = high_low_split(f, N, J, weyl)

@@ -9,6 +9,7 @@ contiguous sample block.  All operators return new Signal instances.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,34 +101,77 @@ def _real_convolutions(x: np.ndarray, L: int, spectra: list[np.ndarray]) -> list
     return [np.fft.irfft(xhat * h, L) for h in spectra]
 
 
-def average_squares(f: Signal, N: int, method: str = "direct") -> Signal:
-    """A_N f(x) = (1/N) sum_{k=1}^{N} f(x + k^2).
+# above this many shifts, one transform costs less than the shifted adds
+_FFT_SHIFTS = 64
 
-    direct accumulates N shifted copies; dft convolves f with the histogram
-    of {N^2 - k^2 : k <= N} by real FFTs of length L, the smallest 5-smooth
-    integer >= n + N^2 (n the length of f's block): the linear convolution
-    has n + N^2 - 1 samples, so nothing wraps around.  auto takes dft for
-    N > 64 and direct otherwise.
-    """
-    if N < 1:
-        raise DomainError(f"average_squares: N={N} must be positive")
-    if method == "auto":
-        method = "dft" if N > 64 else "direct"
+
+def _average_shifts(f: Signal, shifts: np.ndarray, method: str | None = None) -> Signal:
+    """(1/m) sum_{s in shifts} f(x + s) for a nonempty int64 array of m
+    shifts, on the n + max - min + 1 samples from f.offset - max.  direct
+    adds the shifted copies of f's block in order; dft convolves the block
+    with the histogram of max - shifts by real FFTs of the smallest 5-smooth
+    length >= that window, one more than the convolution's, so nothing
+    wraps.  None takes dft above _FFT_SHIFTS shifts."""
+    if method is None:
+        method = "dft" if len(shifts) > _FFT_SHIFTS else "direct"
+    hi, lo = int(shifts.max()), int(shifts.min())
     n = len(f.samples)
-    NN = N * N
-    out_len = n + NN  # support shifts by -k^2, k^2 in [1, N^2]
+    out_len = n + hi - lo + 1
     if method == "direct":
         acc = np.zeros(out_len)
-        for k in range(1, N + 1):
-            acc[NN - k * k : NN - k * k + n] += f.samples
-        return Signal(f.offset - NN, acc / N)
-    if method == "dft":
+        for i in (hi - shifts).tolist():
+            acc[i : i + n] += f.samples
+    elif method == "dft":
         L = _smooth_len(out_len)
-        ks = np.arange(1, N + 1, dtype=np.int64)
-        kernel_hat = np.fft.rfft(np.bincount(NN - ks * ks), L)
-        (conv,) = _real_convolutions(f.samples, L, [kernel_hat])
-        return Signal(f.offset - NN, conv[:out_len] / N)
-    raise DomainError(f"average_squares: unknown method {method!r}")
+        (acc,) = _real_convolutions(f.samples, L, [np.fft.rfft(np.bincount(hi - shifts), L)])
+    else:
+        raise DomainError(f"unknown averaging method {method!r}")
+    return Signal(f.offset - hi, acc[:out_len] / len(shifts))
+
+
+def shift_average_bytes(n: int, shifts: np.ndarray) -> int:
+    """Bytes of the arrays _average_shifts allocates for a block of n
+    samples on the route it chooses: the float64 output and, on the FFT
+    route, the padded input, two complex half spectra and the inverse
+    transform, all of the transform length L."""
+    out_len = n + int(shifts.max()) - int(shifts.min()) + 1
+    if len(shifts) <= _FFT_SHIFTS:
+        return 8 * out_len
+    L = _smooth_len(out_len)
+    return 8 * out_len + 8 * L + 2 * 16 * (L // 2 + 1) + 8 * L
+
+
+def average_squares(f: Signal, N: int, method: str | None = None) -> Signal:
+    """A_N f(x) = (1/N) sum_{k=1}^{N} f(x + k^2): _average_shifts over the
+    shifts k^2, on n + N^2 samples from f.offset - N^2; method "direct" or
+    "dft" fixes its route, None lets it choose."""
+    if N < 1:
+        raise DomainError(f"average_squares: N={N} must be positive")
+    return _average_shifts(f, np.arange(1, N + 1, dtype=np.int64) ** 2, method)
+
+
+def polynomial_shifts(coeffs: Sequence[int], N: int) -> np.ndarray:
+    """P(1), ..., P(N) for the integer polynomial P with coefficients coeffs
+    in increasing-degree order, evaluated exactly; DomainError when N < 1
+    or one of them does not fit in int64."""
+    if N < 1:
+        raise DomainError(f"polynomial_shifts: N={N} must be positive")
+    bound = np.iinfo(np.int64).max
+    shifts = []
+    for k in range(1, N + 1):
+        v = 0
+        for c in reversed(coeffs):
+            v = v * k + int(c)
+        if abs(v) > bound:
+            raise DomainError(f"polynomial shift P({k}) = {v} does not fit in int64")
+        shifts.append(v)
+    return np.array(shifts, dtype=np.int64)
+
+
+def average_polynomial(f: Signal, N: int, coeffs: Sequence[int]) -> Signal:
+    """(1/N) sum_{k=1}^N f(x + P(k)): _average_shifts over the shifts
+    polynomial_shifts(coeffs, N), by the route it chooses."""
+    return _average_shifts(f, polynomial_shifts(coeffs, N))
 
 
 def norm_p(f: Signal, p: float, interval: IntervalZ | None = None) -> float:
@@ -216,7 +260,7 @@ def high_low_split(
     if N < 1 or J < 1 or J & (J - 1):
         raise DomainError(f"high_low_split: need N>=1 and J a power of two, got N={N} J={J}")
     if J >= max(1, N // 4):
-        af = average_squares(f, N, method="auto")
+        af = average_squares(f, N)
         return Signal(af.offset, np.zeros(len(af.samples))), af
     L = split_grid_len(N, len(f.samples))
     if weyl is None:

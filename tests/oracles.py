@@ -1,6 +1,7 @@
 """Reference routes that only the tests use: the support sets and divisor
-enumeration of H(q,x), brute-force square-root counts, the maximal and
-truncated maximal averages, and the sparse-domination comparison.
+enumeration of H(q,x), brute-force square-root counts, the direct shift
+average, the maximal and truncated maximal averages, and the
+sparse-domination comparison.
 
 The library computes none of these; the tests check the library against
 them.
@@ -157,8 +158,20 @@ def divisor_set(x: int, J: int) -> DivisorSet:
 
 
 # ---------------------------------------------------------------------------
-# maximal averages and sparse domination
+# averages, maximal averages and sparse domination
 # ---------------------------------------------------------------------------
+
+
+def average_shifts_direct(f: Signal, shifts: np.ndarray) -> Signal:
+    """(1/m) sum_{s in shifts} f(x + s) by m shifted adds, on the window
+    of operators._average_shifts (the former polynomial-average loop)."""
+    lo, hi = int(shifts.min()), int(shifts.max())
+    n = len(f.samples)
+    acc = np.zeros(n + hi - lo + 1)
+    for sh in shifts:
+        i = hi - int(sh)
+        acc[i : i + n] += f.samples
+    return Signal(f.offset - hi, acc / len(shifts))
 
 
 def triple(I: IntervalZ) -> IntervalZ:
@@ -180,7 +193,7 @@ def maximal_average(f: Signal, N_max: int, dyadic: bool = True) -> Signal:
     out_off = f.offset - N_max * N_max
     best = np.zeros(len(g.samples) + N_max * N_max)
     for N in Ns:
-        a = average_squares(g, N, method="auto")
+        a = average_squares(g, N)
         i = a.offset - out_off
         best[i : i + len(a.samples)] = np.maximum(best[i : i + len(a.samples)], a.samples)
     return Signal(out_off, best)
@@ -197,7 +210,7 @@ def truncated_maximal(f: Signal, tau: StoppingTime) -> np.ndarray:
     out = np.zeros(len(xs))
     N = 1
     while N <= n_max:
-        a = average_squares(g, N, method="auto")
+        a = average_squares(g, N)
         vals = a.values_at(xs)
         mask = tv >= N
         out[mask] = np.maximum(out[mask], vals[mask])

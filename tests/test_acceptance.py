@@ -255,7 +255,7 @@ def test_criterion_09_improving_and_sharpness():
     # fourth power is exactly 8N, i.e. N^{1/4} growth
     for N in (4, 16, 64, 256, 1024):
         f, g = extremal_pair(N)
-        pairing = bilinear_form(average_squares(f, N), g)
+        pairing = bilinear_form(average_squares(f, N, method="direct"), g)
         assert pairing == 1.0
         I4 = Fraction(N**2) ** 4
         favg4 = Fraction(N, 2 * N**2) ** 3  # <f>_{2I,4/3}^4

@@ -47,18 +47,39 @@ def resolve(module: str, name: str | None):
 
 
 def missing_names(source: str) -> list[str]:
-    """The sqlab names a source file uses that do not exist."""
+    """The sqlab names a source file uses that do not exist, and each
+    keyword it passes to a sqlab callable that takes no parameter of that
+    name, as "module.callable(keyword=)"."""
     imports, attributes = sqlab_references(source)
-    missing, modules = [], {}
+    missing, modules, bound = [], {}, {}
     for module, name, local in imports:
         obj = resolve(module, name)
         if obj is None:
             missing.append(f"{module}.{name}" if name else module)
         elif inspect.ismodule(obj):
             modules[local] = obj
+        else:
+            bound[local] = (f"{module}.{name}", obj)
     for local, attr in attributes:
         if local in modules and not hasattr(modules[local], attr):
             missing.append(f"{modules[local].__name__}.{attr}")
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in bound:
+            name, target = bound[func.id]
+        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in modules:
+            name = f"{modules[func.value.id].__name__}.{func.attr}"
+            target = getattr(modules[func.value.id], func.attr, None)
+        else:
+            continue
+        if not callable(target):
+            continue
+        params = inspect.signature(target).parameters
+        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            continue
+        missing += [f"{name}({kw.arg}=)" for kw in node.keywords if kw.arg and kw.arg not in params]
     return missing
 
 
@@ -71,15 +92,20 @@ def test_benchmark_uses_only_existing_sqlab_names():
 def test_scan_reports_what_is_missing():
     # the scan must see both kinds of use, or the test above checks nothing
     source = (
-        "from sqlab import circle, no_such_module\n"
+        "from sqlab import circle, no_such_module, operators\n"
         "from sqlab.gauss import gauss_G0, no_such_sum\n"
         "circle.dirichlet_approx(0, 1)\n"
         "circle.no_such_function(0)\n"
+        'operators.average_squares(f, 2, method="dft")\n'
+        'operators.average_squares(f, 2, route="dft")\n'
+        "gauss_G0(1, q=3, modulus=3)\n"
     )
     assert sorted(missing_names(source)) == [
         "sqlab.circle.no_such_function",
+        "sqlab.gauss.gauss_G0(modulus=)",
         "sqlab.gauss.no_such_sum",
         "sqlab.no_such_module",
+        "sqlab.operators.average_squares(route=)",
     ]
 
 

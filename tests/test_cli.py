@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from sqlab import experiments
 from sqlab.cli import COMMANDS, build_parser, main, runner
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -76,6 +77,20 @@ class TestExitCodes:
             ["multifreq", "--octaves", "0"],
             ["high-low", "--trials", "-2"],
             ["lowpass-scan", "--x-max", "-1"],
+            ["gauss-check", "--q-max", "0"],
+            ["hsum-identities", "--q-max", "-3"],
+            ["gamma-decay", "--grid", "0"],
+            # an infinite exponent has no dual exponent above 1
+            ["improving-ratio", "--n", "16", "--p", "inf", "--trials", "1"],
+            ["poly-average", "--n", "16", "--p", "inf", "--trials", "1"],
+            # stopping constants and densities outside their domain
+            ["sparse-demo", "--c-stop", "nan"],
+            ["sparse-demo", "--c-stop", "inf"],
+            ["sparse-demo", "--c-stop", "0"],
+            ["sparse-demo", "--c-stop", "-1"],
+            ["sparse-demo", "--density", "nan"],
+            ["sparse-demo", "--density", "1.5"],
+            ["sparse-demo", "--density", "-0.1"],
             # a usage error, and a report that cannot be written
             ["improving-ratio", "--n", "3"],
             ["gauss-check", "--q-max", "2", "--out", "/nonexistent/dir/x.json"],
@@ -85,6 +100,18 @@ class TestExitCodes:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("sqlab: error: ") and err.count("\n") == 1
+
+    def test_poly_average_preflight_counts_the_fft_route(self, monkeypatch, capsys):
+        # 1 MiB of memory: at N = 128 the direct buffers (0.6 MB) fit, but
+        # the FFT route the average takes above 64 shifts needs 2.2 MB
+        memory = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(experiments.os, "sysconf", memory.__getitem__)
+        argv = ["poly-average", "--coeffs", "0,0,1", "--trials", "1", "--n"]
+        assert main(argv + ["64"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["128"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sqlab: error: poly-average at N=128 needs") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",

@@ -9,17 +9,18 @@ from hypothesis import strategies as st
 
 from sqlab.arith import DomainError
 from sqlab.circle import ContractError, sample_multiplier
-from sqlab.experiments import average_polynomial, polynomial_shifts
 from sqlab import operators
 from sqlab.operators import (
     IntervalZ,
     Signal,
     apply_multiplier,
     average_on,
+    average_polynomial,
     average_squares,
     bilinear_form,
     high_low_split,
     norm_p,
+    polynomial_shifts,
 )
 
 from oracles import maximal_average, triple

@@ -1,5 +1,5 @@
-"""The real-FFT spectral path of sqlab.operators against the complex and
-power-of-two routes it replaced, kept here as oracles."""
+"""The real-FFT spectral path of sqlab.operators against the complex,
+power-of-two and per-operator routes it replaced, kept here as oracles."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 from sqlab.circle import ContractError, MultiplierGrid, sample_multiplier
 from sqlab.operators import (
     Signal,
+    _average_shifts,
     _smooth_len,
     apply_multiplier,
     average_squares,
     high_low_split,
     split_grid_len,
 )
+
+from oracles import average_shifts_direct
 
 
 def apply_multiplier_complex(f: Signal, grid: MultiplierGrid) -> Signal:
@@ -36,6 +39,24 @@ def average_squares_pow2_dft(f: Signal, N: int) -> Signal:
     kernel = np.bincount((-(np.arange(1, N + 1, dtype=np.int64) ** 2)) % L, minlength=L)
     conv = np.fft.irfft(np.fft.rfft(f.samples, L) * np.fft.rfft(kernel, L), L)
     return Signal(f.offset - NN, np.roll(conv, NN)[:out_len] / N)
+
+
+def average_squares_own_routes(f: Signal, N: int, method: str) -> Signal:
+    """Oracle: A_N f by the loop and the real FFT that average_squares had
+    of its own, before it shared the shift-average engine."""
+    n = len(f.samples)
+    NN = N * N
+    out_len = n + NN  # support shifts by -k^2, k^2 in [1, N^2]
+    if method == "direct":
+        acc = np.zeros(out_len)
+        for k in range(1, N + 1):
+            acc[NN - k * k : NN - k * k + n] += f.samples
+        return Signal(f.offset - NN, acc / N)
+    L = _smooth_len(out_len)
+    ks = np.arange(1, N + 1, dtype=np.int64)
+    kernel_hat = np.fft.rfft(np.bincount(NN - ks * ks), L)
+    conv = np.fft.irfft(np.fft.rfft(f.samples, L) * kernel_hat, L)
+    return Signal(f.offset - NN, conv[:out_len] / N)
 
 
 def _close(a: Signal, b: Signal, f: Signal, L: int) -> bool:
@@ -84,8 +105,32 @@ class TestAverageSquares:
     def test_auto_switches_to_dft_above_64(self):
         f = Signal(-3, np.random.default_rng(0).random(50))
         for N, route in ((64, "direct"), (65, "dft")):
-            auto = average_squares(f, N, method="auto")
+            auto = average_squares(f, N)
             assert np.array_equal(auto.samples, average_squares(f, N, method=route).samples)
+
+    @pytest.mark.parametrize("N", [1, 7, 64, 65, 90])
+    def test_same_bytes_as_own_routes(self, N):
+        f = Signal(-3, np.random.default_rng(N).random(50))
+        for method in ("direct", "dft"):
+            new, old = average_squares(f, N, method), average_squares_own_routes(f, N, method)
+            assert new.offset == old.offset and np.array_equal(new.samples, old.samples)
+
+    @given(
+        samples,
+        offsets,
+        st.lists(st.integers(min_value=-300, max_value=300), min_size=1, max_size=100).map(
+            lambda s: np.array(s, dtype=np.int64)
+        ),
+    )
+    @example(np.array([1.0, -2.0, 0.5]), 4, np.array([3, -2, 0, 3, -7], dtype=np.int64))
+    @settings(max_examples=60, deadline=None)
+    def test_both_shift_routes_match_direct_oracle(self, x, offset, shifts):
+        # repeated, negative, zero and unsorted shifts
+        f = Signal(offset, x)
+        L = _smooth_len(len(x) + int(shifts.max()) - int(shifts.min()) + 1)
+        oracle = average_shifts_direct(f, shifts)
+        for method in ("direct", "dft"):
+            assert _close(_average_shifts(f, shifts, method), oracle, f, L)
 
 
 class TestApplyMultiplier:
