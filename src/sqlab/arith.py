@@ -1,8 +1,12 @@
 """Exact integer arithmetic: factorization, Jacobi symbols and square-root
 counting mod q.
 
-Everything here works on plain Python ints (inputs are at most 64-bit) and is
-pure: safe to call concurrently, no caches with visible state.
+Everything here works on plain Python ints and is pure: safe to call
+concurrently.  Primes and factors come from one trial-division route, sized
+to the moduli the experiments factor (a few thousand).  ``factorize`` is an
+``lru_cache`` and exposes ``cache_info``.  Factoring n costs about
+max(p2, sqrt(p1)) divisions, p1 >= p2 its two largest prime factors, so a
+64-bit semiprime of two 32-bit primes takes about 2^31.
 """
 
 from __future__ import annotations
@@ -13,72 +17,26 @@ from functools import lru_cache
 
 import numpy as np
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# Verified deterministic Miller-Rabin bases for n < 3.3 * 10^24 (covers 64-bit).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-_TRIAL_LIMIT = 10**6
-
 
 class DomainError(ValueError):
     """An argument is outside the documented domain."""
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for 0 <= n < 2**64."""
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    """Find a nontrivial factor of composite odd n (Brent's variant)."""
-    if n % 2 == 0:
+def _least_prime_factor(m: int, d: int = 3) -> int:
+    """Least prime factor of m >= 2: 2, then odd divisors from d while
+    d*d <= m.  d is odd, and m has no prime factor in [3, d)."""
+    if m % 2 == 0:
         return 2
-    for c in range(1, 64):
-        y, m = 2, 128
-        g = r = q = 1
-        x = ys = 0
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"rho failed on {n}")  # unreachable for n < 2**63
+    while d * d <= m:
+        if m % d == 0:
+            return d
+        d += 2
+    return m
+
+
+def is_prime(n: int) -> bool:
+    """Primality by trial division up to isqrt(n)."""
+    return n >= 2 and _least_prime_factor(n) == n
 
 
 @dataclass(frozen=True)
@@ -101,17 +59,11 @@ class Factorization:
 
     @property
     def odd_part(self) -> int:
-        q = self.n
-        while q % 2 == 0:
-            q //= 2
-        return q
+        return self.n >> self.two_exponent
 
     @property
     def two_exponent(self) -> int:
-        for p, k in self.factors:
-            if p == 2:
-                return k
-        return 0
+        return dict(self.factors).get(2, 0)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -119,28 +71,17 @@ def factorize(n: int) -> Factorization:
     """Factor a positive integer n <= 2**63 - 1 into prime powers."""
     if not 1 <= n <= 2**63 - 1:
         raise DomainError(f"factorize: n={n} out of range")
-    m = n
-    fac: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
+    factors = []
+    m, d = n, 3
+    while m > 1:
+        p = _least_prime_factor(m, d)
+        k = 0
         while m % p == 0:
-            fac[p] = fac.get(p, 0) + 1
             m //= p
-    p = 41
-    while p * p <= m and p <= _TRIAL_LIMIT:
-        while m % p == 0:
-            fac[p] = fac.get(p, 0) + 1
-            m //= p
-        p += 2
-    # whatever is left is free of prime factors <= 10^6
-    stack = [m] if m > 1 else []
-    while stack:
-        m = stack.pop()
-        if is_prime(m):
-            fac[m] = fac.get(m, 0) + 1
-        else:
-            d = _pollard_rho(m)
-            stack.extend((d, m // d))
-    return Factorization(n, tuple(sorted(fac.items())))
+            k += 1
+        factors.append((p, k))
+        d = max(p, 3)
+    return Factorization(n, tuple(factors))
 
 
 def jacobi(a: int, n: int) -> int:
@@ -172,12 +113,10 @@ def sqrt_count_vector_bruteforce(q: int) -> np.ndarray:
     """Vector v with v[x] = #{l in [0,q): l*l = x (mod q)}, by enumeration."""
     if q < 1:
         raise DomainError(f"sqrt_count_vector_bruteforce: q={q} must be positive")
+    if q - 1 > math.isqrt(2**63 - 1):
+        raise DomainError(f"sqrt_count_vector_bruteforce: q={q}: (q-1)^2 overflows int64")
     ell = np.arange(q, dtype=np.int64)
-    if q <= 3_000_000:  # l*l fits in int64
-        sq = ell * ell % q
-    else:
-        sq = np.array([i * i % q for i in range(q)], dtype=np.int64)
-    return np.bincount(sq, minlength=q)
+    return np.bincount(ell * ell % q, minlength=q)
 
 
 def _count_sqrts_odd_prime_power(x: int, p: int, k: int) -> int:

@@ -458,6 +458,8 @@ def run_halfdim(
 ) -> ExperimentReport:
     """Superlevel-set measure test: for G in [0, N^2] with |G| = N, the
     quantity eps^3 |{A_N chi_G > eps}| stays of size (log N)^8 at most."""
+    if not all(math.isfinite(eps) and eps > 0 for eps in eps_list):
+        raise ValueError(f"eps values {list(eps_list)} must be finite and positive")
     report = ExperimentReport(
         "halfdim",
         parameters={
@@ -484,7 +486,8 @@ def run_halfdim(
             count = int(np.count_nonzero(np.asarray(a.samples) > eps))
             if eps > 1.0:
                 _require(f"superlevel set size at eps={eps} > 1", count, 0)
-            report.add_row(N, float(eps), count, eps**3 * count, math.log(N) ** 8)
+            # count > 0 implies eps < 1 (A_N chi_G <= 1), so eps^3 cannot overflow
+            report.add_row(N, float(eps), count, eps**3 * count if count else 0.0, math.log(N) ** 8)
     return report
 
 
@@ -575,16 +578,20 @@ def run_poly_average(
 # sparse machinery and the high/low decomposition
 # ---------------------------------------------------------------------------
 
+# exponents (r, s) of the sparse form that sparse-demo reports
+_SPARSE_R = 1.6
+_SPARSE_S = 1.6
+
+
 def run_sparse_demo(
     e_size: int = 1 << 10,
     density: float = 0.1,
     C: float = STOPPING_CONSTANT,
     seed: int = 0,
-    r: float = 1.6,
-    s: float = 1.6,
 ) -> ExperimentReport:
     """Random indicator pair on (2E, E): run the stopping-time recursion,
-    audit the witnesses, and report both sides of sparse domination."""
+    audit the witnesses, and report both sides of sparse domination, with
+    the sparse form at exponents (_SPARSE_R, _SPARSE_S)."""
     if e_size < 2 or e_size & (e_size - 1):
         raise ValueError("e_size must be a power of two >= 2")
     if not (C > 0 and math.isfinite(C)):
@@ -593,7 +600,7 @@ def run_sparse_demo(
         raise ValueError(f"density={density} must lie in [0, 1]")
     report = ExperimentReport(
         "sparse-demo",
-        parameters={"e_size": e_size, "density": density, "C": C, "seed": seed, "r": r, "s": s},
+        parameters={"e_size": e_size, "density": density, "C": C, "seed": seed, "r": _SPARSE_R, "s": _SPARSE_S},
         metadata={"stopping_constant": C},
         columns=["quantity", "value"],
     )
@@ -609,7 +616,7 @@ def run_sparse_demo(
     af = average_squares(f, N)
     xs = np.arange(E.a, E.b + 1)
     pairing = float(np.dot(af.values_at(xs), g.values_at(xs)))
-    lam = sparse_form(coll, f, g, r, s)
+    lam = sparse_form(coll, f, g, _SPARSE_R, _SPARSE_S)
     report.add_row("intervals", float(len(coll.nodes)))
     report.add_row("pairing", pairing)
     report.add_row("sparse_form", lam)

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import DomainError, factorize, jacobi
+from .arith import DomainError, factorize, is_prime, jacobi
 from .gauss import gauss_G0_vector, gauss_G_vector
 
 _KINDS = ("H", "H0", "H1", "Htilde") + tuple(f"Hj{j}" for j in range(8))
@@ -34,32 +34,24 @@ def h_weights(kind: str, q: int) -> np.ndarray:
     if q < 1:
         raise DomainError(f"h_weights: q={q} must be positive")
     if kind == "H":
-        w = gauss_G0_vector(q).copy()
+        w = gauss_G0_vector(q)
         w[~_coprime_mask(2 * q, q)] = 0
         w[0] = 0  # a runs over [1, 2q-1]
         return w
     if kind == "H0":
         return gauss_G_vector(q)
     if kind == "H1":
-        w = np.zeros(q, dtype=np.complex128)
-        g = gauss_G_vector(q)
-        for a in range(1, q + 1):  # a = q contributes only when q = 1
-            if math.gcd(a, q) == 1:
-                w[a % q] += g[a % q]
+        w = gauss_G_vector(q)
+        w[~_coprime_mask(q, q)] = 0  # a = q, i.e. index 0, stays only when q = 1
         return w
     if kind == "Htilde" or (kind.startswith("Hj") and kind[2:].isdigit()):
-        fac = factorize(q)
-        qp = fac.odd_part
+        # jacobi(a, q') is 0 when gcd(a, q') > 1, so no coprimality mask
+        qp = factorize(q).odd_part
+        a = np.arange(1, 2 * q)
+        if kind != "Htilde":
+            a = a[a % 8 == int(kind[2:])]
         w = np.zeros(2 * q, dtype=np.complex128)
-        scale = 1.0 / math.sqrt(q)
-        if kind == "Htilde":
-            wanted = lambda a: True
-        else:
-            j = int(kind[2:])
-            wanted = lambda a: a % 8 == j
-        for a in range(1, 2 * q):
-            if wanted(a) and math.gcd(a, qp) == 1:
-                w[a] = scale * jacobi(a, qp)
+        w[a] = (1.0 / math.sqrt(q)) * np.array([jacobi(int(v), qp) for v in a])
         return w
     raise DomainError(f"h_weights: unknown kind {kind!r}")
 
@@ -85,17 +77,6 @@ def h_sum(kind: str, q: int, x: int) -> complex:
     return complex(vals[x % len(vals)])
 
 
-def _primes_upto(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(math.isqrt(n)) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return [int(p) for p in np.nonzero(sieve)[0]]
-
-
 def abs_h_on_points(q: int, xs: np.ndarray) -> np.ndarray:
     """|H(q, x)| for an array of integers x."""
     vals = h_vector("H", q)
@@ -110,7 +91,7 @@ def _adversarial_candidates(J: int) -> list[int]:
     of small prime powers <= J^2), which maximize the number of q with
     H(q,x) != 0."""
     cap = J * J
-    primes = [p for p in _primes_upto(64) if p <= max(J, 2)]
+    primes = [p for p in range(2, min(max(J, 2), 64) + 1) if is_prime(p)]
     out = {0, 1}
     frontier = [1]
     for p in primes:

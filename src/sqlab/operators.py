@@ -13,6 +13,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .arith import DomainError
 from .circle import ContractError, MultiplierGrid, sample_multiplier
@@ -74,23 +75,10 @@ class IntervalZ:
         return IntervalZ(self.a, 2 * self.b - self.a + 1)
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << max(0, (n - 1).bit_length())
-
-
 def _smooth_len(n: int) -> int:
     """Smallest 5-smooth integer >= n: a length whose FFT needs only
     radix-2, 3 and 5 passes."""
-    best = _next_pow2(n)
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            q = -(-n // p35)  # p35 * 2^k >= n  iff  2^k >= ceil(n / p35)
-            best = min(best, p35 << (q - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
+    return next_fast_len(n, real=True)
 
 
 def _real_convolutions(x: np.ndarray, L: int, spectra: list[np.ndarray]) -> list[np.ndarray]:
@@ -239,8 +227,9 @@ def _apply_multipliers(f: Signal, grids: list[MultiplierGrid]) -> list[Signal]:
 
 
 def split_grid_len(N: int, n: int) -> int:
-    """Default grid length of high_low_split for a signal of n samples."""
-    return _next_pow2(max(4 * N * N, 2 * (n + N * N)))
+    """Default grid length of high_low_split for a signal of n samples: the
+    least power of two >= max(4 N^2, 2 (n + N^2))."""
+    return 1 << (max(4 * N * N, 2 * (n + N * N)) - 1).bit_length()
 
 
 def high_low_split(

@@ -1,5 +1,6 @@
-"""Reference routes that only the tests use: the support sets and divisor
-enumeration of H(q,x), brute-force square-root counts, the direct shift
+"""Reference routes that only the tests use: the prime sieve, brute-force
+square-root counts, the per-numerator H weights, the support sets and
+divisor enumeration of H(q,x), the direct shift
 average, the maximal and truncated maximal averages, and the
 sparse-domination comparison.
 
@@ -14,14 +15,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sqlab.arith import DomainError, factorize
-from sqlab.hsums import _primes_upto
+from sqlab.arith import DomainError, factorize, jacobi
+from sqlab.gauss import gauss_G0_vector, gauss_G_vector
 from sqlab.operators import IntervalZ, Signal, average_squares
 from sqlab.sparse import STOPPING_CONSTANT, StoppingTime, sparse_decompose, sparse_form
 
 # ---------------------------------------------------------------------------
 # arithmetic
 # ---------------------------------------------------------------------------
+
+
+def primes_upto(n: int) -> list[int]:
+    """The primes <= n by the sieve of Eratosthenes."""
+    if n < 2:
+        return []
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, int(math.isqrt(n)) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return [int(p) for p in np.nonzero(sieve)[0]]
 
 
 def count_sqrts_bruteforce(x: int, q: int) -> int:
@@ -37,6 +50,35 @@ def is_qr(x: int, p: int) -> bool:
     if x % p == 0:
         raise DomainError("is_qr expects a unit")
     return pow(x % p, (p - 1) // 2, p) == 1
+
+
+# ---------------------------------------------------------------------------
+# weights of the H family
+# ---------------------------------------------------------------------------
+
+
+def h_weights_loop(kind: str, q: int) -> np.ndarray:
+    """hsums.h_weights by one pass over the numerators a, with an explicit
+    gcd test in place of the library's masks."""
+    if kind == "H0":
+        return gauss_G_vector(q)
+    if kind in ("H", "H1"):
+        # H: a in [1, 2q-1] on G0; H1: a in [1, q] on G, where a = q
+        # contributes only when q = 1
+        P, g = (2 * q, gauss_G0_vector(q)) if kind == "H" else (q, gauss_G_vector(q))
+        w = np.zeros(P, dtype=np.complex128)
+        for a in range(1, 2 * q) if kind == "H" else range(1, q + 1):
+            if math.gcd(a, q) == 1:
+                w[a % P] += g[a % P]
+        return w
+    qp = factorize(q).odd_part
+    w = np.zeros(2 * q, dtype=np.complex128)
+    scale = 1.0 / math.sqrt(q)
+    for a in range(1, 2 * q):
+        wanted = kind == "Htilde" or a % 8 == int(kind[2:])
+        if wanted and math.gcd(a, qp) == 1:
+            w[a] = scale * jacobi(a, qp)
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +144,7 @@ def divisor_set(x: int, J: int) -> DivisorSet:
     """Enumerate the admissible-exponent pattern of moduli for fixed x."""
     if J < 1:
         raise DomainError(f"divisor_set: J={J} must be positive")
-    primes = _primes_upto(J)
+    primes = primes_upto(J)
     odd_primes = [p for p in primes if p != 2]
     members: set[int] = set()
 

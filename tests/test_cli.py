@@ -17,6 +17,15 @@ from sqlab.cli import COMMANDS, build_parser, main, runner
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def strict_loads(text):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run(argv, tmp_path, name="out.json"):
     out = tmp_path / name
     code = main(list(argv) + ["--out", str(out)])
@@ -91,6 +100,10 @@ class TestExitCodes:
             ["sparse-demo", "--density", "nan"],
             ["sparse-demo", "--density", "1.5"],
             ["sparse-demo", "--density", "-0.1"],
+            # superlevel thresholds that are not finite and positive
+            ["halfdim", "--n", "4", "--eps", "nan,-1"],
+            ["halfdim", "--n", "4", "--eps", "inf"],
+            ["halfdim", "--n", "4", "--eps", "0"],
             # a usage error, and a report that cannot be written
             ["improving-ratio", "--n", "3"],
             ["gauss-check", "--q-max", "2", "--out", "/nonexistent/dir/x.json"],
@@ -165,13 +178,13 @@ class TestFlags:
     def test_adversarial_switch_reaches_runner(self, flag, expected, tmp_path):
         code, text = run(["lowpass-scan", "--j", "4", "--x-max", "50", flag], tmp_path)
         assert code == 0
-        assert json.loads(text)["parameters"]["adversarial"] is expected
+        assert strict_loads(text)["parameters"]["adversarial"] is expected
 
 
 class TestReportSchema:
     def test_json_keys(self, tmp_path):
         _, text = run(["gauss-check", "--q-max", "15"], tmp_path)
-        doc = json.loads(text)
+        doc = strict_loads(text)
         assert set(doc) == {"name", "parameters", "metadata", "columns", "rows"}
         assert all(len(r) == len(doc["columns"]) for r in doc["rows"])
 
@@ -187,7 +200,7 @@ class TestReportSchema:
 
     def test_stdout_default(self, capsys):
         assert main(["gauss-check", "--q-max", "10"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = strict_loads(capsys.readouterr().out)
         assert doc["name"] == "gauss-check"
 
 
@@ -215,6 +228,8 @@ class TestSmallRuns:
             ["gamma-decay", "--n", "32", "--grid", "40"],
             ["orlicz-ratio", "--n", "4,8", "--trials", "2"],
             ["halfdim", "--n", "8,16", "--eps", "0.5", "--strategy", "squares"],
+            # eps^3 overflows a float, but the superlevel set is empty
+            ["halfdim", "--n", "4", "--eps", "1e308"],
             ["poly-average", "--coeffs", "0,0,1", "--n", "4,8", "--trials", "2"],
             ["high-low", "--n", "64", "--j", "4", "--trials", "2"],
             # an odd grid length: the Weyl grid mirrors L//2 bins, not L/2 - 1
@@ -224,4 +239,4 @@ class TestSmallRuns:
     def test_exit_zero(self, argv, tmp_path):
         code, text = run(argv, tmp_path)
         assert code == 0
-        json.loads(text)
+        strict_loads(text)

@@ -10,14 +10,16 @@ from hypothesis import strategies as st
 
 from sqlab.arith import count_sqrts, epsilon, factorize
 from sqlab.hsums import (
+    _KINDS,
     abs_h_on_points,
     accumulate_S,
     h_period,
     h_sum,
     h_vector,
+    h_weights,
 )
 
-from oracles import divisor_set, support_verdict
+from oracles import divisor_set, h_weights_loop, support_verdict
 
 
 def log_average_S(x: int, J: int, support_filtered: bool = False) -> float:
@@ -51,6 +53,11 @@ class TestBasicIdentities:
         for x in range(5):
             assert h_sum("H", 1, x) == 0
             assert h_sum("H1", 1, x) == 1
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_weights_match_per_numerator_loop(self, kind):
+        for q in range(1, 300):
+            assert np.array_equal(h_weights(kind, q), h_weights_loop(kind, q)), q
 
     def test_periodicity(self):
         for kind in ("H", "H0", "H1", "Htilde"):
