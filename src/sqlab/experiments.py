@@ -28,10 +28,10 @@ from .operators import (
     average_squares,
     bilinear_form,
     high_low_split,
+    high_low_split_bytes,
     norm_p,
     polynomial_shifts,
     shift_average_bytes,
-    split_grid_len,
 )
 from .reports import ExperimentReport
 from .sparse import (
@@ -226,9 +226,7 @@ def run_lowpass_scan(
     """max_x S_J(x) with S_J(x) = sum_{q <= J} |H(q,x)|/q, windowed over
     [0, x_max] plus adversarial highly-divisible candidates; the column
     normalized by (log J)^2 should stay bounded."""
-    if any(j2 <= j1 for j1, j2 in zip(j_list, j_list[1:])) or any(
-        j < 1 or (j & (j - 1)) for j in j_list
-    ):
+    if any(J <= prev or J & (J - 1) for prev, J in zip([0, *j_list], j_list)):
         raise ValueError("j_list must be strictly increasing powers of two")
     if x_max < 0:
         raise DomainError(f"lowpass-scan: x_max={x_max} must be nonnegative")
@@ -242,10 +240,7 @@ def run_lowpass_scan(
     if adversarial:
         extra = hsums._adversarial_candidates(max(j_list))
         xs = np.unique(np.concatenate([xs, np.asarray(extra, dtype=np.int64)]))
-    snaps: dict = {J: None for J in j_list}
-    hsums.accumulate_S(max(j_list), xs, snapshots=snaps)
-    for J in j_list:
-        vals = snaps[J]
+    for J, vals in zip(j_list, hsums.accumulate_S(j_list, xs)):
         i = int(np.argmax(vals))
         top = float(vals[i])
         denom = math.log(J) ** 2 if J > 1 else 1.0
@@ -641,27 +636,27 @@ def run_high_low(
         metadata={"references": "J^-1/2 logJ (high, l2), J (logJ)^2 (low, linf)"},
         columns=["J", "trial", "split_err", "high_ratio", "high_ref", "low_ratio", "low_ref"],
     )
-    splits = min(j_list) < max(1, N // 4)
-    L = split_grid_len(N, 2 * N * N)
-    # complex128 Weyl, low and high grids of length L when some J splits;
-    # float64 f on 2I and A_N f (2N^2 + 3N^2 samples) per trial
-    _require_memory(f"high-low at N={N}", (48 * L if splits else 0) + 40 * N * N * trials)
+    # the split's arrays, f on 2I, A_N f and its window xs (64 N^2 bytes),
+    # and the arrays values_at builds on that window (128 N^2, measured)
+    _require_memory(f"high-low at N={N}", high_low_split_bytes(N, 2 * N * N, j_list) + 192 * N * N)
     I = IntervalZ(0, N * N - 1)
     twoI = I.double()
-    # the Weyl grid does not depend on J: sample it once if any J splits
-    weyl = circle.sample_multiplier("weyl", N, None, None, L) if splits else None
-    # trial t draws the same f for every J: draw each f and A_N f once
     rng = make_rng(seed)
-    fs = [Signal(twoI.a, _random_indicator(rng, len(twoI), 0.1)) for _ in range(trials)]
-    afs = [average_squares(f, N) for f in fs]
-    for J in j_list:
-        for t, (f, af) in enumerate(zip(fs, afs)):
-            high, low = high_low_split(f, N, J, weyl)
-            xs = np.arange(af.offset, af.offset + len(af.samples))
+    table = [[] for _ in j_list]  # rows per J, emitted J-major
+    for t in range(trials):
+        f = Signal(twoI.a, _random_indicator(rng, len(twoI), 0.1))
+        af = average_squares(f, N)
+        xs = np.arange(af.offset, af.offset + len(af.samples))
+        parts = high_low_split(f, N, j_list)
+        for rows in table:
+            J, high, low = next(parts)
             err = float(np.max(np.abs(high.values_at(xs) + low.values_at(xs) - af.samples)))
-            _require(f"split error |high + low - A_N f| at J={J}", err, tol)
             hr = norm_p(high, 2.0, I) / norm_p(f, 2.0, twoI)
             lr = norm_p(low, math.inf, I) / norm_p(f, 1.0, twoI)
+            del high, low  # free this J's parts before the next J's are made
             logJ = math.log(J) if J > 1 else 1.0
-            report.add_row(J, t, err, hr, logJ / math.sqrt(J), lr, J * logJ**2)
+            rows.append((J, t, err, hr, logJ / math.sqrt(J), lr, J * logJ**2))
+    for row in (row for rows in table for row in rows):
+        _require(f"split error |high + low - A_N f| at J={row[0]}", row[2], tol)
+        report.add_row(*row)
     return report

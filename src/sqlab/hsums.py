@@ -9,6 +9,7 @@ so one period of values (in x) is a single inverse DFT of the weight vector.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -107,13 +108,13 @@ def _adversarial_candidates(J: int) -> list[int]:
     return sorted(out)
 
 
-def accumulate_S(J: int, xs: np.ndarray, snapshots: dict | None = None) -> np.ndarray:
-    """S_J at each point of xs; if ``snapshots`` is given, it is filled with
-    copies of the running sum at each J' in snapshots.keys() <= J."""
-    S = np.zeros(len(xs), dtype=np.float64)
-    marks = sorted(snapshots.keys()) if snapshots is not None else []
-    for q in range(1, J + 1):
-        S += abs_h_on_points(q, xs) / q
-        if marks and q == marks[0]:
-            snapshots[marks.pop(0)] = S.copy()
-    return S
+def accumulate_S(j_list: Sequence[int], xs: np.ndarray) -> list[np.ndarray]:
+    """S_J at each point of xs for each J of the increasing j_list, in
+    order: copies of one running sum over q, of which the last is the sum
+    itself."""
+    S, out = np.zeros(len(xs)), []
+    for prev, J in zip([0, *j_list], j_list):
+        for q in range(prev + 1, J + 1):
+            S += abs_h_on_points(q, xs) / q
+        out.append(S if J == j_list[-1] else S.copy())
+    return out

@@ -9,7 +9,7 @@ contiguous sample block.  All operators return new Signal instances.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,12 +81,13 @@ def _smooth_len(n: int) -> int:
     return next_fast_len(n, real=True)
 
 
-def _real_convolutions(x: np.ndarray, L: int, spectra: list[np.ndarray]) -> list[np.ndarray]:
+def _real_convolutions(x: np.ndarray, L: int, spectra: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
     """Length-L circular convolutions of the real block x (zero-padded)
-    with each kernel given by its half spectrum (rfft layout): one rfft of
-    x is shared by every kernel."""
+    with each kernel given by its half spectrum (rfft layout), one at a
+    time: one rfft of x, taken at the first, is shared by every kernel."""
     xhat = np.fft.rfft(x, L)
-    return [np.fft.irfft(xhat * h, L) for h in spectra]
+    for h in spectra:
+        yield np.fft.irfft(xhat * h, L)
 
 
 # above this many shifts, one transform costs less than the shifted adds
@@ -111,7 +112,7 @@ def _average_shifts(f: Signal, shifts: np.ndarray, method: str | None = None) ->
             acc[i : i + n] += f.samples
     elif method == "dft":
         L = _smooth_len(out_len)
-        (acc,) = _real_convolutions(f.samples, L, [np.fft.rfft(np.bincount(hi - shifts), L)])
+        acc = next(_real_convolutions(f.samples, L, [np.fft.rfft(np.bincount(hi - shifts), L)]))
     else:
         raise DomainError(f"unknown averaging method {method!r}")
     return Signal(f.offset - hi, acc[:out_len] / len(shifts))
@@ -199,65 +200,68 @@ def bilinear_form(f: Signal, g: Signal) -> float:
 
 def apply_multiplier(f: Signal, grid: MultiplierGrid) -> Signal:
     """Apply a Fourier multiplier, sampled at frequencies j/L, to f by
-    periodized convolution.
-
-    The transform length is the grid's L (a power of two).  The grid is
-    exactly Hermitian, so its bins 0..L/2 act through one rfft/irfft pair,
-    which equals the complex route ifft(fft(f) m).  The output lives on a
-    window of length L centered so that a convolution kernel concentrated
-    near frequency 0 (equivalently, spatially spread over [-L/2, L/2)) is
-    captured without wraparound ambiguity.  L must exceed 2x the signal
-    length.
-    """
-    (out,) = _apply_multipliers(f, [grid])
-    return out
+    periodized convolution of the grid's length L (a power of two, at least
+    twice f's length).  The grid is exactly Hermitian, so its bins 0..L/2
+    act through one rfft/irfft pair, which equals the complex route
+    ifft(fft(f) m).  The output window of length L is centered, so that a
+    kernel near frequency 0 (spread over [-L/2, L/2)) does not wrap."""
+    return next(_apply_multipliers(f, grid.L, [grid.values[: grid.L // 2 + 1]]))
 
 
-def _apply_multipliers(f: Signal, grids: list[MultiplierGrid]) -> list[Signal]:
-    """apply_multiplier for several grids of one length, sharing f's
-    spectrum."""
-    L = grids[0].L
-    n = len(f.samples)
-    if L < 2 * n:
-        raise ContractError(f"apply_multiplier: grid L={L} too small for signal length {n}")
+def _apply_multipliers(f: Signal, L: int, spectra: Iterable[np.ndarray]) -> Iterator[Signal]:
+    """apply_multiplier for each half spectrum (bins 0..L/2 of a grid of
+    length L), one output at a time, sharing f's spectrum."""
+    if L < 2 * len(f.samples):
+        raise ContractError(f"apply_multiplier: grid L={L} too small for signal length {len(f)}")
     # analysis transform e(-x xi) (numpy fft): under it the A_N kernel
-    # (1/N) sum_k delta_{-k^2} has symbol (1/N) sum_k e(k^2 xi), the Weyl sum
-    outs = _real_convolutions(f.samples, L, [g.values[: L // 2 + 1] for g in grids])
-    return [Signal(f.offset - L // 2, np.roll(out, L // 2, axis=0)) for out in outs]
+    # (1/N) sum_k delta_{-k^2} has symbol (1/N) sum_k e(k^2 xi), the Weyl
+    # sum; map, unlike a loop variable, keeps no output alive between steps
+    outs = _real_convolutions(f.samples, L, spectra)
+    return map(lambda out: Signal(f.offset - L // 2, np.roll(out, L // 2, axis=0)), outs)
 
 
-def split_grid_len(N: int, n: int) -> int:
-    """Default grid length of high_low_split for a signal of n samples: the
-    least power of two >= max(4 N^2, 2 (n + N^2))."""
+def _split_grid_len(N: int, n: int) -> int:
+    """Grid length of high_low_split for a signal of n samples: the least
+    power of two >= max(4 N^2, 2 (n + N^2))."""
     return 1 << (max(4 * N * N, 2 * (n + N * N)) - 1).bit_length()
 
 
-def high_low_split(
-    f: Signal, N: int, J: int, weyl: MultiplierGrid | None = None
-) -> tuple[Signal, Signal]:
-    """Split A_N f into a high-frequency part and a low-frequency part.
+def high_low_split(f: Signal, N: int, j_list: Sequence[int]) -> Iterator[tuple[int, Signal, Signal]]:
+    """Yield (J, High, Low) for each J of j_list, in order: Low applies the
+    narrow major-arc multiplier of bumps of width J/(q N^2) at each a/(2q)
+    with q < J, High its complement within the Weyl multiplier, so High +
+    Low = A_N f up to FFT roundoff; for J >= N/4 no split is meaningful and
+    (0, A_N f) comes back.  All J share one Weyl grid and one spectrum of
+    f, of length L = _split_grid_len(N, len(f)), taken at the first J that
+    splits; each kernel is formed on bins 0..L/2 only.  Bad N or J raise
+    DomainError at the first next()."""
+    if N < 1 or any(J < 1 or J & (J - 1) for J in j_list):
+        raise DomainError(f"high_low_split: need N>=1 and J powers of two, got N={N} J={list(j_list)}")
+    cut, L = max(1, N // 4), _split_grid_len(N, len(f.samples))
 
-    The low part applies the narrow major-arc multiplier built from bumps of
-    width J/(q N^2) at each rational a/(2q) with q < J; the high part
-    applies its complement within the full Weyl multiplier, so High + Low =
-    A_N f exactly up to FFT roundoff.  Both share one spectrum of f, of
-    length L = split_grid_len(N, len(f)).  A caller splitting at several J
-    may pass the Weyl grid, sampled once at that L; a grid of any other
-    length is refused.  For J >= N/4 no splitting is meaningful at this
-    cutoff and the pair (0, A_N f) is returned.
-    """
-    if N < 1 or J < 1 or J & (J - 1):
-        raise DomainError(f"high_low_split: need N>=1 and J a power of two, got N={N} J={J}")
-    if J >= max(1, N // 4):
-        af = average_squares(f, N)
-        return Signal(af.offset, np.zeros(len(af.samples))), af
-    L = split_grid_len(N, len(f.samples))
-    if weyl is None:
-        weyl = sample_multiplier("weyl", N, None, None, L)
-    elif weyl.L != L:
-        raise ContractError(f"high_low_split: Weyl grid has L={weyl.L}, need {L}")
-    low_grid = sample_multiplier("b_N1", N, J, J, L)
-    high_grid = MultiplierGrid(L, weyl.values - low_grid.values)
-    high, low = _apply_multipliers(f, [high_grid, low_grid])
-    return high, low
+    def kernels() -> Iterator[np.ndarray]:
+        weyl = sample_multiplier("weyl", N, None, None, L).values[: L // 2 + 1].copy()
+        for J in j_list:
+            if J < cut:
+                low = sample_multiplier("b_N1", N, J, J, L).values[: L // 2 + 1].copy()
+                yield weyl - low
+                yield low
 
+    parts = _apply_multipliers(f, L, kernels())
+    for J in j_list:
+        if J < cut:
+            yield J, next(parts), next(parts)
+        else:
+            af = average_squares(f, N)
+            yield J, Signal(af.offset, np.zeros(len(af.samples))), af
+
+
+def high_low_split_bytes(N: int, n: int, j_list: Sequence[int]) -> int:
+    """Peak bytes of high_low_split's arrays for a block of n samples, each
+    (High, Low) dropped before the next: when some J splits, 49 per point
+    of L (measured: the Weyl and Low kernels, f's spectrum, the High kernel
+    or output, the inverse transform, its rolled copy and finiteness mask);
+    else A_N f's route and a zero High."""
+    if min(j_list) < max(1, N // 4):
+        return 49 * _split_grid_len(N, n)
+    return shift_average_bytes(n, np.arange(1, N + 1, dtype=np.int64) ** 2) + 8 * (n + N * N)

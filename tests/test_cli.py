@@ -7,6 +7,7 @@ import json
 import os
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,50 @@ class TestExitCodes:
         assert main(argv + ["128"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("sqlab: error: poly-average at N=128 needs") and err.count("\n") == 1
+
+    def test_high_low_preflight_refuses_before_allocating(self, monkeypatch, capsys):
+        # the count is read off a refusal at one byte of memory; with one
+        # byte less than the count the job is refused before it draws f,
+        # and with exactly the count it runs
+        drawn = []
+        make_rng = experiments.make_rng
+        monkeypatch.setattr(experiments, "make_rng", lambda seed: drawn.append(seed) or make_rng(seed))
+        argv = ["high-low", "--n", "64", "--j", "4,16", "--trials", "2"]
+
+        def run_with(memory):
+            pages = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
+            monkeypatch.setattr(experiments.os, "sysconf", pages.__getitem__)
+            code = main(argv)
+            return code, capsys.readouterr().err
+
+        code, err = run_with(1)
+        assert code == 1 and err.count("\n") == 1
+        need = int(re.fullmatch(r"sqlab: error: high-low at N=64 needs (\d+) bytes .*\n", err).group(1))
+        code, err = run_with(need - 1)
+        assert code == 1 and f"needs {need} bytes" in err and drawn == []
+        assert run_with(need) == (0, "")
+        assert drawn == [0]
+
+    @staticmethod
+    def _high_low_count_and_peak(monkeypatch, j_list, trials):
+        counts = []
+        monkeypatch.setattr(experiments, "_require_memory", lambda job, need: counts.append(need))
+        tracemalloc.start()
+        try:
+            experiments.run_high_low(256, j_list, trials)
+            return counts[0], tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_high_low_preflight_bounds_the_traced_peak(self, monkeypatch, trials):
+        count, peak = self._high_low_count_and_peak(monkeypatch, [4, 16], trials)
+        assert peak <= count <= 1.25 * peak
+
+    def test_high_low_preflight_covers_the_unsplit_route(self, monkeypatch):
+        # J = 64 = N/4 does not split: A_N f's arrays and the audit's
+        count, peak = self._high_low_count_and_peak(monkeypatch, [64], 2)
+        assert peak <= count
 
     @pytest.mark.parametrize(
         "argv",

@@ -32,7 +32,7 @@ def log_average_S(x: int, J: int, support_filtered: bool = False) -> float:
 def scan_max_S(J: int, x_range: tuple[int, int]) -> tuple[int, float]:
     """(argmax x, max S_J) over a window of x; ties break to the smallest x."""
     xs = np.arange(x_range[0], x_range[1] + 1, dtype=np.int64)
-    S = accumulate_S(J, xs)
+    (S,) = accumulate_S([J], xs)
     best = int(np.argmax(S))
     return int(xs[best]), float(S[best])
 
@@ -149,9 +149,9 @@ class TestLowPass:
 
     def test_scan_and_accumulate_consistency(self):
         xs = np.arange(0, 300)
-        running = {16: None, 64: None}
-        final = accumulate_S(64, xs, snapshots=running)
-        assert np.allclose(final, running[64])
+        running = dict(zip((16, 64), accumulate_S([16, 64], xs)))
+        (final,) = accumulate_S([64], xs)
+        assert np.array_equal(final, running[64])
         for J in (16, 64):
             direct = np.array([log_average_S(int(x), J) for x in xs[:50]])
             assert np.allclose(running[J][:50], direct)

@@ -54,7 +54,7 @@ class TestSignal:
         grid = sample_multiplier("weyl", 8, None, None, 256)
         out = apply_multiplier(f, grid)
         assert np.shares_memory(out.samples, made[-1])
-        high, low = high_low_split(f, 64, 4)
+        ((_, high, low),) = high_low_split(f, 64, [4])
         assert np.shares_memory(high.samples, made[-2]) and np.shares_memory(low.samples, made[-1])
 
     def test_view_and_converted_input_are_copied(self):
@@ -227,8 +227,8 @@ class TestHighLow:
     def test_split_is_exact(self):
         rng = np.random.default_rng(6)
         f = Signal(0, (rng.random(256) < 0.2).astype(float))
-        N, J = 64, 4
-        high, low = high_low_split(f, N, J)
+        N = 64
+        ((_, high, low),) = high_low_split(f, N, [4])
         a = average_squares(f, N)
         xs = np.arange(a.offset - 10, a.offset + len(a.samples) + 10)
         err = np.max(np.abs(high.values_at(xs) + low.values_at(xs) - a.values_at(xs)))
@@ -236,7 +236,7 @@ class TestHighLow:
 
     def test_trivial_branch(self):
         f = Signal(0, np.ones(16))
-        high, low = high_low_split(f, 8, 4)  # J >= N/4: no split
+        ((_, high, low),) = high_low_split(f, 8, [4])  # J >= N/4: no split
         assert np.all(np.asarray(high.samples) == 0.0)
         a = average_squares(f, 8)
         xs = np.arange(a.offset, a.offset + len(a.samples))
@@ -246,7 +246,7 @@ class TestHighLow:
         # the low-pass part has much smaller sup norm on spread-out data
         rng = np.random.default_rng(7)
         f = Signal(0, (rng.random(512) < 0.05).astype(float))
-        high, low = high_low_split(f, 64, 4)
+        ((_, high, low),) = high_low_split(f, 64, [4])
         assert norm_p(low, math.inf) < 0.5 * max(norm_p(high, math.inf), 1e-9) or norm_p(
             low, math.inf
         ) < 0.1

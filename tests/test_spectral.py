@@ -6,15 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqlab.circle import ContractError, MultiplierGrid, sample_multiplier
+from sqlab import operators
+from sqlab.arith import DomainError
+from sqlab.circle import MultiplierGrid, sample_multiplier
 from sqlab.operators import (
     Signal,
     _average_shifts,
     _smooth_len,
+    _split_grid_len,
     apply_multiplier,
     average_squares,
     high_low_split,
-    split_grid_len,
 )
 
 from oracles import average_shifts_direct
@@ -156,7 +158,7 @@ class TestApplyMultiplier:
     @settings(max_examples=20, deadline=None)
     def test_sampled_pieces_match_oracle(self, x, offset, N):
         f = Signal(offset, x)
-        L = split_grid_len(N, len(x))
+        L = _split_grid_len(N, len(x))
         for piece in ("weyl", "b_N1"):
             grid = sample_multiplier(piece, N, 2, 2, L)
             assert _close(apply_multiplier(f, grid), apply_multiplier_complex(f, grid), f, L)
@@ -164,30 +166,61 @@ class TestApplyMultiplier:
 
 class TestHighLowSplit:
     def test_parts_match_oracle_on_their_own_grids(self):
+        # a trivial J (16 >= N/4) between two that split, and a repeated J
         rng = np.random.default_rng(8)
         f = Signal(-20, (rng.random(300) < 0.2).astype(float))
-        N, J = 64, 4
-        L = split_grid_len(N, len(f))
+        N, j_list = 64, [4, 16, 2, 4]
+        L = _split_grid_len(N, len(f))
         weyl = sample_multiplier("weyl", N, None, None, L)
-        low_grid = sample_multiplier("b_N1", N, J, J, L)
-        high_grid = MultiplierGrid(L, weyl.values - low_grid.values)
-        high, low = high_low_split(f, N, J)
-        assert _close(high, apply_multiplier_complex(f, high_grid), f, L)
-        assert _close(low, apply_multiplier_complex(f, low_grid), f, L)
-        # a Weyl grid passed in gives the same bytes as one sampled inside
-        high2, low2 = high_low_split(f, N, J, weyl)
-        assert np.array_equal(high.samples, high2.samples)
-        assert np.array_equal(low.samples, low2.samples)
+        out = list(high_low_split(f, N, j_list))
+        assert [J for J, _, _ in out] == j_list
+        for J, high, low in out:
+            if J >= N // 4:
+                af = average_squares(f, N)
+                assert np.array_equal(low.samples, af.samples) and low.offset == af.offset
+                assert high.offset == af.offset and not np.any(high.samples)
+                continue
+            low_grid = sample_multiplier("b_N1", N, J, J, L)
+            high_grid = MultiplierGrid(L, weyl.values - low_grid.values)
+            assert _close(high, apply_multiplier_complex(f, high_grid), f, L)
+            assert _close(low, apply_multiplier_complex(f, low_grid), f, L)
+        # the repeated J gives the same bytes both times
+        assert np.array_equal(out[0][1].samples, out[3][1].samples)
+        assert np.array_equal(out[0][2].samples, out[3][2].samples)
 
-    def test_weyl_grid_of_other_length_rejected(self):
-        # f longer than N^2, so L = 2(n + N^2) rounded up and a grid of L/2
-        # is still a valid sample: it would wrap A_N f around; a grid of 2L
-        # would set a transform length the inputs do not call for
-        rng = np.random.default_rng(9)
-        f = Signal(0, (rng.random(6000) < 0.2).astype(float))
-        N, J = 64, 4
-        L = split_grid_len(N, len(f))
-        for other in (L // 2, 2 * L):
-            weyl = sample_multiplier("weyl", N, None, None, other)
-            with pytest.raises(ContractError):
-                high_low_split(f, N, J, weyl)
+    def _count_work(self, monkeypatch, f):
+        """Record the rffts of f's block and the pieces sampled."""
+        rffts, pieces = [], []
+        rfft, sample = np.fft.rfft, operators.sample_multiplier
+
+        def counting_rfft(a, *args, **kwargs):
+            rffts.append(a is f.samples)
+            return rfft(a, *args, **kwargs)
+
+        def counting_sample(which, *args):
+            pieces.append(which)
+            return sample(which, *args)
+
+        monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+        monkeypatch.setattr(operators, "sample_multiplier", counting_sample)
+        return rffts, pieces
+
+    @pytest.mark.parametrize("j_list", [[4], [4, 8], [2, 4, 8, 2]])
+    def test_one_spectrum_of_f_and_one_weyl_grid_per_call(self, monkeypatch, j_list):
+        f = Signal(0, (np.random.default_rng(3).random(200) < 0.2).astype(float))
+        rffts, pieces = self._count_work(monkeypatch, f)
+        for _ in high_low_split(f, 64, j_list):
+            pass
+        assert sum(rffts) == 1
+        assert pieces == ["weyl"] + ["b_N1"] * len(j_list)
+
+    def test_no_grid_when_no_J_splits(self, monkeypatch):
+        f = Signal(0, np.ones(100))
+        _, pieces = self._count_work(monkeypatch, f)
+        assert [J for J, _, _ in high_low_split(f, 64, [16, 32, 16])] == [16, 32, 16]
+        assert pieces == []
+
+    def test_bad_J_raises_at_first_next(self):
+        parts = high_low_split(Signal(0, np.ones(10)), 64, [4, 3])
+        with pytest.raises(DomainError):
+            next(parts)
