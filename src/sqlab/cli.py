@@ -106,7 +106,7 @@ COMMANDS = {
             SEED,
         ],
     ),
-    "high-low": ("high/low frequency split audit", [("--n", "N", int), J_LIST, TRIALS, SEED, TOL]),
+    "high-low": ("high/low frequency split audit", [("--n", "N", _count), J_LIST, TRIALS, SEED, TOL]),
 }
 
 

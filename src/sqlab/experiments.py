@@ -609,8 +609,7 @@ def run_sparse_demo(
     _require("inadmissible built stopping times", int(not check_admissible(tau, f, C)), 0)
     N = max(2, int(math.isqrt(e_size)) // 2)
     af = average_squares(f, N)
-    xs = np.arange(E.a, E.b + 1)
-    pairing = float(np.dot(af.values_at(xs), g.values_at(xs)))
+    pairing = float(np.dot(af.on(E), g.on(E)))
     lam = sparse_form(coll, f, g, _SPARSE_R, _SPARSE_S)
     report.add_row("intervals", float(len(coll.nodes)))
     report.add_row("pairing", pairing)
@@ -636,9 +635,11 @@ def run_high_low(
         metadata={"references": "J^-1/2 logJ (high, l2), J (logJ)^2 (low, linf)"},
         columns=["J", "trial", "split_err", "high_ratio", "high_ref", "low_ratio", "low_ref"],
     )
-    # the split's arrays, f on 2I, A_N f and its window xs (64 N^2 bytes),
-    # and the arrays values_at builds on that window (128 N^2, measured)
-    _require_memory(f"high-low at N={N}", high_low_split_bytes(N, 2 * N * N, j_list) + 192 * N * N)
+    if N < 1:
+        raise DomainError(f"high-low: N={N} must be positive")
+    # the split's arrays, f on 2I and A_N f (40 N^2 bytes), 64 KiB of small objects
+    need = high_low_split_bytes(N, 2 * N * N, j_list) + 40 * N * N + (1 << 16)
+    _require_memory(f"high-low at N={N}", need)
     I = IntervalZ(0, N * N - 1)
     twoI = I.double()
     rng = make_rng(seed)
@@ -646,11 +647,11 @@ def run_high_low(
     for t in range(trials):
         f = Signal(twoI.a, _random_indicator(rng, len(twoI), 0.1))
         af = average_squares(f, N)
-        xs = np.arange(af.offset, af.offset + len(af.samples))
+        window = IntervalZ(af.offset, af.offset + len(af) - 1)
         parts = high_low_split(f, N, j_list)
         for rows in table:
             J, high, low = next(parts)
-            err = float(np.max(np.abs(high.values_at(xs) + low.values_at(xs) - af.samples)))
+            err = float(np.max(np.abs(high.on(window) + low.on(window) - af.samples)))
             hr = norm_p(high, 2.0, I) / norm_p(f, 2.0, twoI)
             lr = norm_p(low, math.inf, I) / norm_p(f, 1.0, twoI)
             del high, low  # free this J's parts before the next J's are made

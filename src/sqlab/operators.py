@@ -51,6 +51,14 @@ class Signal:
         out[ok] = self.samples[i[ok]]
         return out
 
+    def on(self, interval: IntervalZ) -> np.ndarray:
+        """f at the points of an interval: a read-only view of the block
+        when the interval lies inside it, else values_at's gather."""
+        i = interval.a - self.offset
+        if i >= 0 and interval.b - self.offset < len(self.samples):
+            return self.samples[i : i + len(interval)]
+        return self.values_at(np.arange(interval.a, interval.b + 1))
+
     @classmethod
     def delta(cls, n: int = 0) -> "Signal":
         return cls(n, np.ones(1))
@@ -163,23 +171,15 @@ def average_polynomial(f: Signal, N: int, coeffs: Sequence[int]) -> Signal:
     return _average_shifts(f, polynomial_shifts(coeffs, N))
 
 
-def norm_p(f: Signal, p: float, interval: IntervalZ | None = None) -> float:
-    """lp norm of f, or the normalized norm <|f|^p>_I^{1/p} on an interval.
-
-    p = inf gives the sup; interval=None gives the global (unnormalized)
-    norm.
-    """
-    if interval is None:
-        vals = np.abs(f.samples)
-        scale = 1.0
-    else:
-        vals = np.abs(f.values_at(np.arange(interval.a, interval.b + 1)))
-        scale = 1.0 / len(interval)
+def norm_p(f: Signal, p: float, interval: IntervalZ) -> float:
+    """The normalized norm <|f|^p>_I^{1/p} of f on an interval; p = inf
+    gives the sup."""
+    vals = np.abs(f.on(interval))
     if math.isinf(p):
-        return float(np.max(vals)) if vals.size else 0.0
+        return float(np.max(vals))
     if p <= 0:
         raise DomainError(f"norm_p: p={p} must be positive")
-    return float((scale * np.sum(vals**p)) ** (1.0 / p))
+    return float(((1.0 / len(interval)) * np.sum(vals**p)) ** (1.0 / p))
 
 
 def average_on(f: Signal, interval: IntervalZ, p: float = 1.0) -> float:
@@ -188,14 +188,13 @@ def average_on(f: Signal, interval: IntervalZ, p: float = 1.0) -> float:
 
 
 def bilinear_form(f: Signal, g: Signal) -> float:
-    """sum_x f(x) g(x)."""
+    """sum_x f(x) g(x), over the overlap of the two blocks."""
     lo = max(f.offset, g.offset)
-    hi = min(f.offset + len(f.samples), g.offset + len(g.samples))
-    if hi <= lo:
+    hi = min(f.offset + len(f), g.offset + len(g)) - 1
+    if hi < lo:
         return 0.0
-    return float(
-        np.dot(f.samples[lo - f.offset : hi - f.offset], g.samples[lo - g.offset : hi - g.offset])
-    )
+    overlap = IntervalZ(lo, hi)
+    return float(np.dot(f.on(overlap), g.on(overlap)))
 
 
 def apply_multiplier(f: Signal, grid: MultiplierGrid) -> Signal:

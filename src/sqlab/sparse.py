@@ -104,7 +104,7 @@ def _violations(f: Signal, E: IntervalZ, C: float) -> list[np.ndarray]:
         raise DomainError(f"sparse: |E|={size} must be a power of two >= 2")
     threshold = C * average_on(f, E.double())
     lo = E.a - size  # 3E = [E.a - |E|, E.a + 2|E| - 1]
-    prefix = np.concatenate([[0.0], np.cumsum(np.abs(f.values_at(np.arange(lo, lo + 3 * size))))])
+    prefix = np.concatenate([[0.0], np.cumsum(np.abs(f.on(IntervalZ(lo, lo + 3 * size - 1))))])
     table = []
     length = 1
     while length <= size:

@@ -216,6 +216,11 @@ def average_shifts_direct(f: Signal, shifts: np.ndarray) -> Signal:
     return Signal(f.offset - hi, acc / len(shifts))
 
 
+def block(f: Signal) -> IntervalZ:
+    """The interval f's sample block covers."""
+    return IntervalZ(f.offset, f.offset + len(f) - 1)
+
+
 def triple(I: IntervalZ) -> IntervalZ:
     """3I: one copy of I glued on each side of 2I's span, i.e. the
     concentric enlargement used by the stopping-time averages."""
@@ -245,15 +250,14 @@ def truncated_maximal(f: Signal, tau: StoppingTime) -> np.ndarray:
     """sup_{N <= tau(x)} A_N |f| (x) for x in tau's base interval, N over
     powers of two."""
     E = tau.E
-    xs = np.arange(E.a, E.b + 1)
     tv = tau.values
     n_max = int(tv.max()) if len(tv) else 1
     g = Signal(f.offset, np.abs(np.asarray(f.samples)))
-    out = np.zeros(len(xs))
+    out = np.zeros(len(E))
     N = 1
     while N <= n_max:
         a = average_squares(g, N)
-        vals = a.values_at(xs)
+        vals = a.on(E)
         mask = tv >= N
         out[mask] = np.maximum(out[mask], vals[mask])
         N *= 2
@@ -277,7 +281,6 @@ def verify_domination(
     """
     coll = sparse_decompose(f, E, C)
     af = average_squares(Signal(f.offset, np.abs(np.asarray(f.samples))), N)
-    xs = np.arange(E.a, E.b + 1)
-    pairing = float(np.dot(af.values_at(xs), np.abs(g.values_at(xs))))
+    pairing = float(np.dot(af.on(E), np.abs(g.on(E))))
     lam = sparse_form(coll, f, g, r, s)
     return pairing, lam, pairing / lam if lam > 0 else math.inf

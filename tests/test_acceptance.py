@@ -215,8 +215,6 @@ def test_criterion_08_high_low_decomposition():
     N, L = 1 << 10, 1 << 22
     I = IntervalZ(0, N * N - 1)
     II = I.double()
-    xs = np.arange(I.a, I.b + 1)
-    xs2 = np.arange(II.a, II.b + 1)
     weyl = sample_multiplier("weyl", N, None, None, L)
     grids = {}
     for J in (4, 8, 16, 32, 64):
@@ -227,16 +225,16 @@ def test_criterion_08_high_low_decomposition():
     for _ in range(20):
         f = Signal(II.a, (rng.random(len(II)) < 0.1).astype(float))
         af = average_squares(f, N, method="dft")
-        f2 = math.sqrt(float(np.mean(f.values_at(xs2) ** 2)))
+        f2 = math.sqrt(float(np.mean(f.on(II) ** 2)))
         f1 = average_on(f, II)
         # one spectrum of f for all ten grids, each half spectrum taken lazily
         parts = _apply_multipliers(f, L, (g.values[: L // 2 + 1] for pair in grids.values() for g in pair))
         for J in grids:
             lo, hi = next(parts), next(parts)
-            err = float(np.max(np.abs(lo.values_at(xs) + hi.values_at(xs) - af.values_at(xs))))
+            err = float(np.max(np.abs(lo.on(I) + hi.on(I) - af.on(I))))
             worst_err = max(worst_err, err)
-            h2 = math.sqrt(float(np.mean(np.abs(hi.values_at(xs)) ** 2)))
-            linf = float(np.max(np.abs(lo.values_at(xs))))
+            h2 = math.sqrt(float(np.mean(np.abs(hi.on(I)) ** 2)))
+            linf = float(np.max(np.abs(lo.on(I))))
             c_high = max(c_high, (h2 / f2) / (math.log(J) / math.sqrt(J)))
             c_low = max(c_low, (linf / f1) / (J * math.log(J) ** 2))
     assert worst_err < 1e-7

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from sqlab import experiments
+from sqlab.arith import DomainError
 from sqlab.cli import COMMANDS, build_parser, main, runner
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -108,12 +109,24 @@ class TestExitCodes:
             # a usage error, and a report that cannot be written
             ["improving-ratio", "--n", "3"],
             ["gauss-check", "--q-max", "2", "--out", "/nonexistent/dir/x.json"],
+            # a split with no squares to average
+            ["high-low", "--n", "0"],
+            ["high-low", "--n", "-4"],
         ],
     )
     def test_bad_input_is_one_line_and_one(self, argv, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("sqlab: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n", ["0", "-4"])
+    def test_high_low_names_a_bad_n(self, n, capsys):
+        assert main(["high-low", "--n", n]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and ("--n" in err or f"N={n}" in err)
+        # the runner refuses it too, before its memory preflight
+        with pytest.raises(DomainError, match=f"N={n} "):
+            experiments.run_high_low(int(n))
 
     def test_poly_average_preflight_counts_the_fft_route(self, monkeypatch, capsys):
         # 1 MiB of memory: at N = 128 the direct buffers (0.6 MB) fit, but
