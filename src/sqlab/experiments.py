@@ -236,6 +236,14 @@ def run_lowpass_scan(
         metadata={"fit": "max over scan window, no constant asserted"},
         columns=["J", "argmax_x", "max_S", "max_S_per_log2"],
     )
+    # 8 bytes a point for xs, the two arrays np.unique makes of it, S and a
+    # copy of S per J; 832 bytes per unit of max J for one period of
+    # |H(q, .)| at q = max J, its square-root-count tables and the cached
+    # factorizations (measured); 4 MiB of Python objects, most of them the
+    # search for the adversarial candidates
+    n = x_max + 1 + (hsums._ADVERSARIAL_COUNT + 1 if adversarial else 0)
+    need = 8 * n * (len(j_list) + 3) + 832 * max(j_list, default=0) + (1 << 22)
+    _require_memory(f"lowpass-scan at x_max={x_max}", need)
     xs = np.arange(0, x_max + 1, dtype=np.int64)
     if adversarial:
         extra = hsums._adversarial_candidates(max(j_list))

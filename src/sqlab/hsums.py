@@ -4,6 +4,18 @@ average S_J(x) = sum_{q<=J} |H(q,x)|/q.
 All five kinds are trigonometric sums over a residue class of numerators a,
 so one period of values (in x) is a single inverse DFT of the weight vector.
 ``h_vector`` exposes that; ``h_sum`` is the scalar entry point.
+
+S_J needs only |H(q,x)|, which is an integer that factors over the prime
+powers of q: with r_m(y) the number of square roots of y mod m, q > 1 and
+q = 2^b * prod p^k,
+
+    |H(q,x)| = T_2(x) * prod_{p odd} |r_{p^k}(-x) - r_{p^(k-1)}(-x)|,
+
+where T_2(x) = |r_{2^(b+1)}(-x) - r_{2^b}(-x)| for b >= 1 and 1 for b = 0;
+H(1,x) = 0.  ``abs_h_on_points`` evaluates this product from enumerated
+square-root-count tables, and ``accumulate_S`` adds one period of it, of
+length 2q, to the longest run of consecutive points at once, so the
+low-pass scan builds no complex table.
 """
 
 from __future__ import annotations
@@ -14,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import DomainError, factorize, is_prime, jacobi
+from .arith import DomainError, factorize, is_prime, jacobi, sqrt_count_vector_bruteforce
 from .gauss import gauss_G0_vector, gauss_G_vector
 
 _KINDS = ("H", "H0", "H1", "Htilde") + tuple(f"Hj{j}" for j in range(8))
@@ -78,19 +90,36 @@ def h_sum(kind: str, q: int, x: int) -> complex:
     return complex(vals[x % len(vals)])
 
 
+def _sqrt_count_step(p: int, k: int) -> np.ndarray:
+    """The factor of |H(q,x)| that p^k || q contributes, as a table over x
+    mod m: |r_m(-x) - r_{m/p}(-x)| with m = p^k for odd p and m = 2^(k+1)
+    for p = 2."""
+    m = p**k * (2 if p == 2 else 1)
+    y = -np.arange(m, dtype=np.int64)
+    return np.abs(sqrt_count_vector_bruteforce(m)[y % m] - sqrt_count_vector_bruteforce(m // p)[y % (m // p)])
+
+
 def abs_h_on_points(q: int, xs: np.ndarray) -> np.ndarray:
-    """|H(q, x)| for an array of integers x."""
-    vals = h_vector("H", q)
-    return np.abs(vals[np.mod(xs, 2 * q)])
+    """|H(q, x)| for an array of integers x, exactly, as int64: the product
+    over the prime powers of q of their square-root-count factors (the
+    empty product of q = 1 is replaced by H(1,x) = 0)."""
+    xs = np.asarray(xs, dtype=np.int64)
+    out = np.full(len(xs), int(q > 1), dtype=np.int64)
+    for p, k in factorize(q).factors:
+        step = _sqrt_count_step(p, k)
+        out *= step[xs % len(step)]
+    return out
 
 
 _ADVERSARIAL_COUNT = 4000
 
 
 def _adversarial_candidates(J: int) -> list[int]:
-    """The _ADVERSARIAL_COUNT smallest highly divisible x values (products
-    of small prime powers <= J^2), which maximize the number of q with
-    H(q,x) != 0."""
+    """0 and the _ADVERSARIAL_COUNT smallest x <= J^2 whose prime factors
+    are all at most min(max(J, 2), 61): highly divisible x, for which many
+    q have H(q,x) != 0.  For J >= 256 these are the 4000 smallest 61-smooth
+    numbers, all <= 16450, so a scan window [0, x_max] with x_max >= 16450
+    already holds every one of them."""
     cap = J * J
     primes = [p for p in range(2, min(max(J, 2), 64) + 1) if is_prime(p)]
     out = {0, 1}
@@ -108,13 +137,36 @@ def _adversarial_candidates(J: int) -> list[int]:
     return sorted(out)
 
 
+def _longest_run(xs: np.ndarray) -> tuple[int, int]:
+    """(lo, hi) of the longest slice with xs[lo:hi] = xs[lo] + arange(hi - lo)."""
+    # the order test keeps a step from 2^63 - 1 to -2^63, which wraps to 1, out of a run
+    step = (np.diff(xs) == 1) & (xs[1:] > xs[:-1])
+    edges = np.concatenate([[0], np.flatnonzero(~step) + 1, [len(xs)]])
+    i = int(np.argmax(np.diff(edges)))
+    return int(edges[i]), int(edges[i + 1])
+
+
 def accumulate_S(j_list: Sequence[int], xs: np.ndarray) -> list[np.ndarray]:
     """S_J at each point of xs for each J of the increasing j_list, in
     order: copies of one running sum over q, of which the last is the sum
-    itself."""
+    itself.  Each |H(q,.)|/q is evaluated on one period of the longest run
+    of consecutive points, added to the run as an (m, 2q) view plus a
+    partial period, and on the points outside the run."""
+    xs = np.asarray(xs, dtype=np.int64)
+    lo, hi = _longest_run(xs)
+    outside = np.concatenate([xs[:lo], xs[hi:]])
+    x0 = int(xs[lo]) if len(xs) else 0
     S, out = np.zeros(len(xs)), []
+    head, run, tail = S[:lo], S[lo:hi], S[hi:]
     for prev, J in zip([0, *j_list], j_list):
         for q in range(prev + 1, J + 1):
-            S += abs_h_on_points(q, xs) / q
+            P = min(2 * q, len(run))
+            vals = abs_h_on_points(q, np.concatenate([x0 + np.arange(P, dtype=np.int64), outside])) / q
+            m = len(run) // max(P, 1)
+            periods = run[: m * P].reshape(m, P)
+            periods += vals[:P]
+            run[m * P :] += vals[: len(run) - m * P]
+            head += vals[P : P + lo]
+            tail += vals[P + lo :]
         out.append(S if J == j_list[-1] else S.copy())
     return out

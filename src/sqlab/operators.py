@@ -232,7 +232,8 @@ def high_low_split(f: Signal, N: int, j_list: Sequence[int]) -> Iterator[tuple[i
     Low = A_N f up to FFT roundoff; for J >= N/4 no split is meaningful and
     (0, A_N f) comes back.  All J share one Weyl grid and one spectrum of
     f, of length L = _split_grid_len(N, len(f)), taken at the first J that
-    splits; each kernel is formed on bins 0..L/2 only.  Bad N or J raise
+    splits; each kernel is formed on bins 0..L/2 only.  A_N f is computed
+    once, at the first J that does not split.  Bad N or J raise
     DomainError at the first next()."""
     if N < 1 or any(J < 1 or J & (J - 1) for J in j_list):
         raise DomainError(f"high_low_split: need N>=1 and J powers of two, got N={N} J={list(j_list)}")
@@ -247,11 +248,12 @@ def high_low_split(f: Signal, N: int, j_list: Sequence[int]) -> Iterator[tuple[i
                 yield low
 
     parts = _apply_multipliers(f, L, kernels())
+    af = None
     for J in j_list:
         if J < cut:
             yield J, next(parts), next(parts)
         else:
-            af = average_squares(f, N)
+            af = average_squares(f, N) if af is None else af
             yield J, Signal(af.offset, np.zeros(len(af.samples))), af
 
 

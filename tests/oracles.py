@@ -1,7 +1,7 @@
 """Reference routes that only the tests use: the prime sieve, brute-force
 square-root counts, the per-numerator H weights, the support sets and
-divisor enumeration of H(q,x), the direct shift
-average, the maximal and truncated maximal averages, and the
+divisor enumeration of H(q,x), the low-pass sum S_J from FFT tables, the
+direct shift average, the maximal and truncated maximal averages, and the
 sparse-domination comparison.
 
 The library computes none of these; the tests check the library against
@@ -17,6 +17,7 @@ import numpy as np
 
 from sqlab.arith import DomainError, factorize, jacobi
 from sqlab.gauss import gauss_G0_vector, gauss_G_vector
+from sqlab.hsums import h_vector
 from sqlab.operators import IntervalZ, Signal, average_squares
 from sqlab.sparse import STOPPING_CONSTANT, StoppingTime, sparse_decompose, sparse_form
 
@@ -197,6 +198,17 @@ def divisor_set(x: int, J: int) -> DivisorSet:
     for c in cores:
         extend(c, 0)
     return DivisorSet(x, J, tuple(sorted(members)))
+
+
+def accumulate_S_fft(j_list, xs: np.ndarray) -> list[np.ndarray]:
+    """hsums.accumulate_S by the former route: |H(q, x)| read point by
+    point from the FFT table h_vector("H", q), one running sum over q."""
+    S, out = np.zeros(len(xs)), []
+    for prev, J in zip([0, *j_list], j_list):
+        for q in range(prev + 1, J + 1):
+            S += np.abs(h_vector("H", q)[np.mod(xs, 2 * q)]) / q
+        out.append(S if J == j_list[-1] else S.copy())
+    return out
 
 
 # ---------------------------------------------------------------------------

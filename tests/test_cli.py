@@ -83,6 +83,9 @@ class TestExitCodes:
             ["sparse-demo", "--e-size", "1125899906842624"],
             # L = 2^35: 1.5 TiB of grids, refused before anything is allocated
             ["high-low", "--n", "65536", "--trials", "1"],
+            # 10^15 scan points, and one period of 2^41 points at q = J
+            ["lowpass-scan", "--j", "64", "--x-max", "1000000000000000"],
+            ["lowpass-scan", "--j", "1099511627776"],
             # counts that measure nothing, and a negative scan window
             ["improving-ratio", "--n", "16", "--trials", "0"],
             ["multifreq", "--octaves", "0"],
@@ -183,6 +186,21 @@ class TestExitCodes:
         # J = 64 = N/4 does not split: A_N f's arrays and the audit's
         count, peak = self._high_low_count_and_peak(monkeypatch, [64], 2)
         assert peak <= count
+
+    @pytest.mark.parametrize(
+        "j_list, x_max, adversarial",
+        [([4096], 0, False), ([64, 256, 1024], 30000, True), ([4, 8, 16, 32], 200000, False)],
+    )
+    def test_lowpass_preflight_bounds_the_traced_peak(self, monkeypatch, j_list, x_max, adversarial):
+        counts = []
+        monkeypatch.setattr(experiments, "_require_memory", lambda job, need: counts.append(need))
+        tracemalloc.start()
+        try:
+            experiments.run_lowpass_scan(j_list, x_max, adversarial)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= counts[0]
 
     @pytest.mark.parametrize(
         "argv",

@@ -19,7 +19,7 @@ from sqlab.hsums import (
     h_weights,
 )
 
-from oracles import divisor_set, h_weights_loop, support_verdict
+from oracles import accumulate_S_fft, divisor_set, h_weights_loop, support_verdict
 
 
 def log_average_S(x: int, J: int, support_filtered: bool = False) -> float:
@@ -35,6 +35,28 @@ def scan_max_S(J: int, x_range: tuple[int, int]) -> tuple[int, float]:
     (S,) = accumulate_S([J], xs)
     best = int(np.argmax(S))
     return int(xs[best]), float(S[best])
+
+
+@st.composite
+def point_sets(draw):
+    """int64 points: runs of consecutive integers at any offset, some with
+    gaps, plus scattered and repeated points, in any order, or none."""
+    parts = []
+    for _ in range(draw(st.integers(0, 3))):
+        length = draw(st.integers(0, 400))
+        start = draw(st.integers(-(2**63), 2**63 - 1 - length))
+        gaps = draw(st.lists(st.integers(0, length - 1), max_size=3)) if length else []
+        parts.append(np.delete(np.int64(start) + np.arange(length, dtype=np.int64), gaps))
+    parts.append(np.array(draw(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=20)), dtype=np.int64))
+    points = np.concatenate(parts)
+    if len(points):
+        points = np.concatenate([points, points[draw(st.lists(st.integers(0, len(points) - 1), max_size=5))]])
+    order = draw(st.sampled_from(["drawn", "sorted", "shuffled"]))
+    if order == "sorted":
+        points = np.sort(points)
+    elif order == "shuffled":
+        points = points[draw(st.permutations(range(len(points))))]
+    return points
 
 
 class TestBasicIdentities:
@@ -157,6 +179,21 @@ class TestLowPass:
             assert np.allclose(running[J][:50], direct)
         arg, top = scan_max_S(64, (0, 299))
         assert abs(top - float(final[:300].max())) < 1e-12
+
+    def test_abs_h_factorisation_matches_fft_tables(self):
+        # every q < 600 (so q = 1 and every 2^b up to 512) at every x mod 2q
+        for q in range(1, 600):
+            vals = abs_h_on_points(q, np.arange(2 * q))
+            assert vals.dtype == np.int64
+            assert np.max(np.abs(vals - np.abs(h_vector("H", q)))) < 1e-10, q
+
+    @given(point_sets(), st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True).map(sorted))
+    @settings(max_examples=80, deadline=None)
+    def test_accumulate_matches_fft_tables(self, xs, j_list):
+        got, want = accumulate_S(j_list, xs), accumulate_S_fft(j_list, xs)
+        assert len(got) == len(want) == len(j_list)
+        for new, old in zip(got, want):
+            assert np.all(np.abs(new - old) <= 1e-13 * old)
 
     def test_abs_h_periodic_indexing(self):
         xs = np.array([0, 5, 12, 12 + 14, 5 + 28])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqlab import operators
+from sqlab import experiments, operators
 from sqlab.arith import DomainError
 from sqlab.circle import MultiplierGrid, sample_multiplier
 from sqlab.operators import (
@@ -219,6 +219,20 @@ class TestHighLowSplit:
         _, pieces = self._count_work(monkeypatch, f)
         assert [J for J, _, _ in high_low_split(f, 64, [16, 32, 16])] == [16, 32, 16]
         assert pieces == []
+
+    def test_one_average_per_trial_when_no_J_splits(self, monkeypatch):
+        # at N = 64 neither J = 16 nor J = 32 splits: per trial, the runner's
+        # audit takes A_N f once and the split once, for both J
+        calls = []
+
+        def counting(f, N, *args, **kwargs):
+            calls.append(N)
+            return average_squares(f, N, *args, **kwargs)
+
+        monkeypatch.setattr(operators, "average_squares", counting)
+        monkeypatch.setattr(experiments, "average_squares", counting)
+        experiments.run_high_low(64, [16, 32], 2)
+        assert calls == [64] * 4
 
     def test_bad_J_raises_at_first_next(self):
         parts = high_low_split(Signal(0, np.ones(10)), 64, [4, 3])
