@@ -1,10 +1,11 @@
 """Exact integer arithmetic: factorization, Jacobi symbols and square-root
 counting mod q.
 
-Everything here works on plain Python ints and is pure: safe to call
-concurrently.  Primes and factors come from one trial-division route, sized
-to the moduli the experiments factor (a few thousand).  ``factorize`` is an
-``lru_cache`` and exposes ``cache_info``.  Factoring n costs about
+Everything here works on plain Python ints, except ``jacobi_array`` and the
+square-root-count tables, which work on int64 arrays, and is pure: safe to
+call concurrently.  Primes and factors come from one trial-division route,
+sized to the moduli the experiments factor (a few thousand).  ``factorize``
+is an ``lru_cache`` and exposes ``cache_info``.  Factoring n costs about
 max(p2, sqrt(p1)) divisions, p1 >= p2 its two largest prime factors, so a
 64-bit semiprime of two 32-bit primes takes about 2^31.
 """
@@ -100,6 +101,41 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
+
+
+# the bits at odd positions 1, 3, ..., 61: a power of two 2^k <= 2^62 meets
+# them exactly when k is odd
+_ODD_BITS = np.int64(0x2AAAAAAAAAAAAAAA)
+
+
+def jacobi_array(a, n) -> np.ndarray:
+    """Jacobi symbol (a/n) elementwise over int64 arrays broadcast together,
+    every n odd and >= 1: the binary algorithm of ``jacobi``, one step for
+    all entries per pass, each pass on the entries whose a is still nonzero.
+    Bit 1 of t holds each entry's sign so far."""
+    a, n = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(n, dtype=np.int64))
+    bad = (n < 1) | (n % 2 == 0)
+    if bad.any():
+        raise DomainError(f"jacobi_array: n={int(n[bad][0])} must be a positive odd integer")
+    shape = a.shape
+    n = n.ravel()
+    a = a.ravel() % n
+    out = np.empty(len(a), dtype=np.int64)
+    live = np.arange(len(a))
+    t = np.zeros(len(a), dtype=np.int64)
+    while len(live):
+        done = a == 0
+        out[live[done]] = np.where(n[done] == 1, 1 - (t[done] & 2), 0)
+        keep = ~done
+        live, a, n, t = live[keep], a[keep], n[keep], t[keep]
+        low = a & -a  # the largest power of two dividing a
+        a //= low
+        # an odd power of two flips the sign when n = 3, 5 (mod 8), that is
+        # when bit 1 of n ^ (n >> 1) is set
+        t ^= (n ^ (n >> 1)) * ((low & _ODD_BITS) != 0)
+        t ^= a & n  # reciprocity: a and n odd, a flip when both are 3 (mod 4)
+        a, n = n % a, a
+    return out.reshape(shape)
 
 
 def epsilon(m: int) -> complex:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import fresnel
 
 from .arith import DomainError
-from .gauss import gauss_G0
+from .gauss import gauss_G0, gauss_G_closed_array
 
 
 class QuadratureError(ArithmeticError):
@@ -228,19 +228,23 @@ def _accumulate_arcs_grid(
     in integers before its one division, so theta at -j is exactly minus
     theta at j, and the grid is exactly Hermitian: out[-j] = conj(out[j]).
 
-    All reduced a of one q are handled at once, one row per arc.  The arcs
-    of a level are disjoint, so each j gets at most one arc's value, and a
-    j repeated inside one arc (a window wider than L) has one theta and is
-    added once, as a fancy-index ``+=`` does.
+    All reduced a of one q are handled at once, one row per arc, and the
+    weights G0(a, q) = G(a, 2q) of every arc of the level come from one
+    array call.  The arcs of a level are disjoint, so each j gets at most
+    one arc's value, and a j repeated inside one arc (a window wider than L)
+    has one theta and is added once, as a fancy-index ``+=`` does.
     """
-    for q in range(1 << (s - 1), 1 << s):
+    qs = range(1 << (s - 1), 1 << s)
+    numerators = [np.array([x for x in range(2 * q) if math.gcd(x, q) == 1], dtype=np.int64) for q in qs]
+    sizes = [len(a) for a in numerators]
+    g0s = gauss_G_closed_array(np.concatenate(numerators), np.repeat([2 * q for q in qs], sizes))
+    for q, a, g0 in zip(qs, numerators, np.split(g0s, np.cumsum(sizes)[:-1])):
         scale = float(1 << (2 * s)) if width_scale is None else width_scale * q
         half_width = 0.5 / scale
         # points per arc: |2j/L - a/q| < half_width
         radius = int(math.floor(half_width * L / 2.0)) + 1
         offs = np.arange(-radius, radius + 1, dtype=np.int64)
         qL = q * L
-        a = np.array([x for x in range(2 * q) if math.gcd(x, q) == 1], dtype=np.int64)
         j = (a * L // (2 * q))[:, None] + offs
         j %= L
         num = (2 * q * j - a[:, None] * L) % (2 * qL)
@@ -251,7 +255,6 @@ def _accumulate_arcs_grid(
         if not len(rows):
             continue
         thm = th[mask]
-        g0 = np.array([gauss_G0(int(x), q) for x in a])
         out[j[mask]] += g0[rows] * eta(scale * thm) * gamma_N(thm, N)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import circle, hsums
 from .arith import DomainError, count_sqrts, factorize
-from .gauss import gauss_G0, gauss_G0_vector, gauss_G_closed, gauss_G_vector
+from .gauss import gauss_G0_vector, gauss_G_closed_array, gauss_G_vector
 from .operators import (
     IntervalZ,
     Signal,
@@ -73,30 +73,54 @@ def _require(quantity: str, value: float, bound: float) -> None:
 # exact-identity suites
 # ---------------------------------------------------------------------------
 
+# (a, q) pairs per array evaluation in gauss-check: a block's arrays take
+# about 300 bytes a pair at their peak, so about 5 MB
+_GAUSS_CHECK_BLOCK = 1 << 14
+
+
+def _pair_q(i: int) -> int:
+    """The q of pair i when the pairs (a, q), a in [0, 2q), are listed in
+    order of q and then a: the largest q with q(q - 1) <= i."""
+    return (1 + math.isqrt(1 + 4 * i)) // 2
+
+
 def run_gauss_check(q_max: int = 150, tol: float = 1e-10) -> ExperimentReport:
     """Closed-form quadratic Gauss sums against direct summation, plus the
-    |G0| = 0-or-q^{-1/2} dichotomy for reduced fractions."""
+    |G0| = 0-or-q^{-1/2} dichotomy for reduced fractions.
+
+    The pairs (a, q), a in [0, 2q), go through the array closed form in
+    blocks of _GAUSS_CHECK_BLOCK, listed in order of q; a q cut by a block
+    edge takes the larger of its two partial maxima.  The direct sums stay
+    one inverse DFT per q (and per block the q appears in).
+    """
     report = ExperimentReport(
         "gauss-check",
         parameters={"q_max": q_max, "tol": tol},
         metadata={"oracle": "full DFT of the squares histogram"},
         columns=["q", "max_err_G", "max_err_G0", "max_err_norm"],
     )
+    total = q_max * (q_max + 1)  # sum of 2q over q <= q_max
+    err = np.zeros((3, q_max))  # max_err_G, max_err_G0, max_err_norm per q
+    for lo in range(0, total, _GAUSS_CHECK_BLOCK):
+        hi = min(lo + _GAUSS_CHECK_BLOCK, total)
+        ks = range(_pair_q(lo), _pair_q(hi - 1) + 1)
+        pieces = [np.arange(max(lo - k * (k - 1), 0), min(hi - k * (k - 1), 2 * k)) for k in ks]
+        sizes = [len(p) for p in pieces]
+        a = np.concatenate(pieces)
+        q = np.repeat(ks, sizes)
+        d = gauss_G_closed_array(a, q) - np.concatenate([gauss_G_vector(k)[p % k] for k, p in zip(ks, pieces)])
+        g0 = gauss_G_closed_array(a, 2 * q)
+        d0 = g0 - np.concatenate([gauss_G0_vector(k)[p] for k, p in zip(ks, pieces)])
+        expected = np.where(a & q & 1, 0.0, np.repeat([k**-0.5 for k in ks], sizes))
+        # hypot, not np.abs: it rounds as abs() of a complex scalar does
+        norm = np.abs(np.hypot(g0.real, g0.imag) - expected)
+        norm[(a == 0) | (np.gcd(a, q) != 1)] = 0.0
+        e = np.stack([np.hypot(d.real, d.imag), np.hypot(d0.real, d0.imag), norm])
+        block = err[:, ks.start - 1 : ks.stop - 1]
+        np.maximum(block, np.maximum.reduceat(e, np.cumsum([0, *sizes[:-1]]), axis=1), out=block)
     for q in range(1, q_max + 1):
-        vec = gauss_G_vector(q)
-        vec0 = gauss_G0_vector(q)
-        err_g = max(
-            abs(gauss_G_closed(a, q) - vec[a % q]) for a in range(2 * q)
-        )
-        err_g0 = max(abs(gauss_G_closed(a, 2 * q) - vec0[a % (2 * q)]) for a in range(2 * q))
-        err_norm = 0.0
-        for a in range(1, 2 * q):
-            if math.gcd(a, q) != 1:
-                continue
-            expected = 0.0 if (a * q) % 2 == 1 else q**-0.5
-            err_norm = max(err_norm, abs(abs(gauss_G0(a, q)) - expected))
-        report.add_row(q, err_g, err_g0, err_norm)
-        _require(f"gauss-check error at q={q}", max(err_g, err_g0, err_norm), tol)
+        report.add_row(q, *err[:, q - 1])
+        _require(f"gauss-check error at q={q}", err[:, q - 1].max(), tol)
     return report
 
 
@@ -236,8 +260,8 @@ def run_lowpass_scan(
         metadata={"fit": "max over scan window, no constant asserted"},
         columns=["J", "argmax_x", "max_S", "max_S_per_log2"],
     )
-    # 8 bytes a point for xs, the two arrays np.unique makes of it, S and a
-    # copy of S per J; 832 bytes per unit of max J for one period of
+    # 8 bytes a point for the window, the candidates, xs, S and a copy of S
+    # per J; 832 bytes per unit of max J for one period of
     # |H(q, .)| at q = max J, its square-root-count tables and the cached
     # factorizations (measured); 4 MiB of Python objects, most of them the
     # search for the adversarial candidates
@@ -246,8 +270,12 @@ def run_lowpass_scan(
     _require_memory(f"lowpass-scan at x_max={x_max}", need)
     xs = np.arange(0, x_max + 1, dtype=np.int64)
     if adversarial:
-        extra = hsums._adversarial_candidates(max(j_list))
-        xs = np.unique(np.concatenate([xs, np.asarray(extra, dtype=np.int64)]))
+        # the candidates are sorted and distinct, and those up to x_max are in
+        # the window already (every one of them for J >= 256 and x_max >= 16450),
+        # so xs stays sorted and distinct
+        extra = np.asarray(hsums._adversarial_candidates(max(j_list)), dtype=np.int64)
+        if extra[-1] > x_max:
+            xs = np.concatenate([xs, extra[extra > x_max]])
     for J, vals in zip(j_list, hsums.accumulate_S(j_list, xs)):
         i = int(np.argmax(vals))
         top = float(vals[i])
@@ -266,8 +294,8 @@ def run_fjk_constant(
 
     The grid is cut into ``threads`` contiguous blocks, one pool task each
     (1 <= threads <= os.cpu_count()), which find a/q and the offset
-    theta = (2jq - a grid)/(q grid) point by point; gamma_N then runs once
-    on all offsets, and G0 once per distinct a/q.
+    theta = (2jq - a grid)/(q grid) point by point; G0(a,q) = G(a,2q) and
+    gamma_N then run once each on the arrays of all grid points.
     """
     cores = os.cpu_count() or 1
     if not 1 <= threads <= cores:
@@ -293,9 +321,8 @@ def run_fjk_constant(
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             arcs = [x for part in pool.map(block, bounds[:-1], bounds[1:]) for x in part]
-        a, q, th = zip(*arcs)
-        g0 = {aq: gauss_G0(*aq) for aq in set(zip(a, q))}
-        main = np.array([g0[aq] for aq in zip(a, q)]) * circle.gamma_N(np.array(th), N)
+        a, q, th = (np.array(v) for v in zip(*arcs))
+        main = gauss_G_closed_array(a, 2 * q) * circle.gamma_N(th, N)
         d = circle.weyl_multiplier_grid(N, grid) - main
         # hypot, not np.abs: it rounds as abs() of a complex scalar does
         vals = np.hypot(d.real, d.imag) * N / np.sqrt(q)

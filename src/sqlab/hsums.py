@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import DomainError, factorize, is_prime, jacobi, sqrt_count_vector_bruteforce
+from .arith import DomainError, factorize, is_prime, jacobi_array, sqrt_count_vector_bruteforce
 from .gauss import gauss_G0_vector, gauss_G_vector
 
 _KINDS = ("H", "H0", "H1", "Htilde") + tuple(f"Hj{j}" for j in range(8))
@@ -64,7 +64,7 @@ def h_weights(kind: str, q: int) -> np.ndarray:
         if kind != "Htilde":
             a = a[a % 8 == int(kind[2:])]
         w = np.zeros(2 * q, dtype=np.complex128)
-        w[a] = (1.0 / math.sqrt(q)) * np.array([jacobi(int(v), qp) for v in a])
+        w[a] = (1.0 / math.sqrt(q)) * jacobi_array(a, qp)
         return w
     raise DomainError(f"h_weights: unknown kind {kind!r}")
 

@@ -1,8 +1,8 @@
 """Reference routes that only the tests use: the prime sieve, brute-force
-square-root counts, the per-numerator H weights, the support sets and
-divisor enumeration of H(q,x), the low-pass sum S_J from FFT tables, the
-direct shift average, the maximal and truncated maximal averages, and the
-sparse-domination comparison.
+square-root counts, the per-pair gauss-check rows, the per-numerator H
+weights, the support sets and divisor enumeration of H(q,x), the low-pass
+sum S_J from FFT tables, the direct shift average, the maximal and truncated
+maximal averages, and the sparse-domination comparison.
 
 The library computes none of these; the tests check the library against
 them.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sqlab.arith import DomainError, factorize, jacobi
-from sqlab.gauss import gauss_G0_vector, gauss_G_vector
+from sqlab.gauss import gauss_G0, gauss_G0_vector, gauss_G_closed, gauss_G_vector
 from sqlab.hsums import h_vector
 from sqlab.operators import IntervalZ, Signal, average_squares
 from sqlab.sparse import STOPPING_CONSTANT, StoppingTime, sparse_decompose, sparse_form
@@ -51,6 +51,30 @@ def is_qr(x: int, p: int) -> bool:
     if x % p == 0:
         raise DomainError("is_qr expects a unit")
     return pow(x % p, (p - 1) // 2, p) == 1
+
+
+# ---------------------------------------------------------------------------
+# Gauss sums
+# ---------------------------------------------------------------------------
+
+
+def gauss_check_rows(q_max: int) -> list[list]:
+    """The gauss-check rows [q, max_err_G, max_err_G0, max_err_norm] by one
+    scalar closed-form call per (a, q)."""
+    rows = []
+    for q in range(1, q_max + 1):
+        vec = gauss_G_vector(q)
+        vec0 = gauss_G0_vector(q)
+        err_g = max(abs(gauss_G_closed(a, q) - vec[a % q]) for a in range(2 * q))
+        err_g0 = max(abs(gauss_G_closed(a, 2 * q) - vec0[a % (2 * q)]) for a in range(2 * q))
+        err_norm = 0.0
+        for a in range(1, 2 * q):
+            if math.gcd(a, q) != 1:
+                continue
+            expected = 0.0 if (a * q) % 2 == 1 else q**-0.5
+            err_norm = max(err_norm, abs(abs(gauss_G0(a, q)) - expected))
+        rows.append([q, err_g, err_g0, err_norm])
+    return rows
 
 
 # ---------------------------------------------------------------------------

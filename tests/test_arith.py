@@ -17,6 +17,7 @@ from sqlab.arith import (
     factorize,
     is_prime,
     jacobi,
+    jacobi_array,
     sqrt_count_vector,
     sqrt_count_vector_bruteforce,
 )
@@ -109,6 +110,41 @@ class TestJacobi:
     def test_even_modulus_rejected(self):
         with pytest.raises(DomainError):
             jacobi(3, 4)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-(2**62), max_value=2**62),
+                st.one_of(st.just(1), st.integers(min_value=0, max_value=2**30 - 1).map(lambda k: 2 * k + 1)),
+            ),
+            max_size=200,
+        )
+    )
+    @settings(max_examples=200)
+    def test_array_matches_scalar(self, pairs):
+        a = np.array([x for x, _ in pairs], dtype=np.int64)
+        n = np.array([m for _, m in pairs], dtype=np.int64)
+        assert jacobi_array(a, n).tolist() == [jacobi(x, m) for x, m in pairs]
+
+    def test_array_broadcasts(self):
+        a = np.arange(-12, 12).reshape(4, 6)
+        n = np.array([[1], [3], [15], [2**31 - 1]])
+        out = jacobi_array(a, n)
+        assert out.shape == (4, 6)
+        assert out.tolist() == [[jacobi(int(x), int(m[0])) for x in row] for row, m in zip(a, n)]
+        assert jacobi_array(-1, 7) == jacobi(-1, 7)
+
+    @given(
+        st.integers(min_value=-(2**40), max_value=2**40),
+        st.one_of(
+            st.integers(min_value=-(2**62), max_value=0),
+            st.integers(min_value=1, max_value=2**40).map(lambda k: 2 * k),
+        ),
+    )
+    @settings(max_examples=100)
+    def test_array_rejects_even_or_nonpositive_modulus(self, a, bad):
+        with pytest.raises(DomainError, match=rf"^jacobi_array: n={bad} must be"):
+            jacobi_array([a, a], [3, bad])
 
     def test_epsilon(self):
         assert epsilon(1) == 1

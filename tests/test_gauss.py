@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlab.arith import DomainError
-from sqlab.gauss import gauss_G0, gauss_G0_vector, gauss_G_closed, gauss_G_vector
+from sqlab.experiments import run_gauss_check
+from sqlab.gauss import gauss_G0, gauss_G0_vector, gauss_G_closed, gauss_G_closed_array, gauss_G_vector
+
+from oracles import gauss_check_rows
 
 
 def gauss_G_direct(a: int, q: int) -> complex:
@@ -28,6 +31,23 @@ class TestDirectVsClosed:
     @settings(max_examples=150, deadline=None)
     def test_random_moduli(self, q, a):
         assert abs(gauss_G_closed(a, q) - gauss_G_direct(a, q)) < 1e-10
+
+    @given(
+        st.integers(min_value=1, max_value=3000),
+        st.one_of(st.integers(min_value=-(2**62), max_value=-1), st.integers(min_value=6000, max_value=2**62)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_numerator_mod_q_and_sign(self, q, a):
+        # G(a,q) depends on a mod q only, and G(-a,q) is the conjugate of G(a,q)
+        assert gauss_G_closed(a, q) == gauss_G_closed(a % q, q)
+        assert gauss_G_closed(-a, q) == gauss_G_closed(a, q).conjugate()
+        assert gauss_G0(a, q) == gauss_G_closed(a % (2 * q), 2 * q)
+        g = gauss_G_closed_array([a, -a], q)
+        assert g.tolist() == [gauss_G_closed(a, q), gauss_G_closed(-a, q)]
+
+    def test_negative_numerator_with_four_dividing_q(self):
+        assert gauss_G_closed(-1, 4) == gauss_G_closed(3, 4) == 0.5 - 0.5j
+        assert gauss_G0(-1, 2) == gauss_G0(3, 2)
 
     def test_vector_oracle(self):
         # the DFT-of-histogram route is an independent evaluation order
@@ -84,3 +104,29 @@ class TestVectorBulk:
             gauss_G_closed(1, 0)
         with pytest.raises(DomainError):
             gauss_G0(1, -3)
+
+
+class TestClosedFormArray:
+    @pytest.mark.parametrize("double", [False, True])
+    def test_bitwise_equal_to_scalar(self, double):
+        # every q < 600 and every a in [0, 2q), at modulus q and at 2q
+        q = np.concatenate([np.full(2 * k, k) for k in range(1, 600)])
+        a = np.concatenate([np.arange(2 * k) for k in range(1, 600)])
+        m = 2 * q if double else q
+        got = gauss_G_closed_array(a, m)
+        ref = np.array([gauss_G_closed(x, y) for x, y in zip(a.tolist(), m.tolist())])
+        assert np.array_equal(got.real, ref.real) and np.array_equal(got.imag, ref.imag)
+
+    def test_broadcast_shape(self):
+        got = gauss_G_closed_array(np.arange(8)[:, None], np.array([[4, 5, 6]]))
+        assert got.shape == (8, 3)
+        assert got.tolist() == [[gauss_G_closed(a, q) for q in (4, 5, 6)] for a in range(8)]
+
+    @pytest.mark.parametrize("q_max", [150, 300])
+    def test_gauss_check_rows_match_the_scalar_loop(self, q_max):
+        # both pass a block edge: the sum of 2q exceeds 2^14 at q = 128 and 2^16 at q = 256
+        assert run_gauss_check(q_max).rows == gauss_check_rows(q_max)
+
+    def test_domain_errors(self):
+        with pytest.raises(DomainError, match="^gauss_G_closed_array: q=0 must be positive"):
+            gauss_G_closed_array([1, 2], [3, 0])
