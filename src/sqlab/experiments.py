@@ -10,6 +10,7 @@ verification failures distinctly from usage errors.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from collections.abc import Sequence
@@ -126,115 +127,88 @@ def run_gauss_check(q_max: int = 150, tol: float = 1e-10) -> ExperimentReport:
 
 def run_hsum_identities(q_max: int = 60, tol: float = 1e-9) -> ExperimentReport:
     """The identity web tying H, H0, H1, the Jacobi-weighted variants and
-    the square-root counts r_q together."""
+    the square-root counts r_q together.  Each identity is one array
+    expression per modulus over the x it covers, read from one period of
+    ``hsums.h_vector``; the scalar ``count_sqrts`` is the independent route
+    to r_q.  For every even q = 2^b q', Hodd_quartershift_twist counts
+    every (x, j) and Hsum_quartershift_even_b every x in its cases, also
+    where b skips their check."""
     report = ExperimentReport(
         "hsum-identities",
         parameters={"q_max": q_max, "tol": tol},
         metadata={"oracle": "direct weighted DFT evaluation of each sum"},
         columns=["identity", "cases", "max_err"],
     )
+    names = ("H_eq_H1_odd_q", "H0_eq_sqrt_count", "H1_multiplicative", "H1_prime_power_difference",
+             "Hodd_antiperiodic", "Hodd_halfshift_twist", "Hodd_quartershift_twist",
+             "Hsum_fullshift", "Hsum_halfshift", "Hsum_quartershift_even_b")
+    cases, err = dict.fromkeys(names, 0), dict.fromkeys(names, 0.0)
 
-    def record(identity: str, cases: int, err: float) -> None:
-        report.add_row(identity, cases, err)
-        _require(f"hsum identity {identity} error", err, tol)
+    def mag(z: np.ndarray) -> np.ndarray:
+        return np.hypot(z.real, z.imag)
+
+    def check(identity: str, n: int, diffs: list[np.ndarray]) -> None:
+        """Add n cases, whose deviations are the diffs (none where skipped)."""
+        cases[identity] += n
+        for d in diffs:
+            err[identity] = np.max(mag(d), initial=err[identity])
+
+    def at(kind: str, q: int, x: np.ndarray) -> np.ndarray:
+        vals = hsums.h_vector(kind, q)
+        return vals[x % len(vals)]
+
+    def r(q: int, n: int) -> np.ndarray:
+        """r_q(-x) for x in [0, n), by one scalar count_sqrts call per residue."""
+        return np.array([count_sqrts(-x % q, q) for x in range(q)])[np.arange(n) % q]
 
     # H = H1 for odd q >= 3, and H0(q,x) = r_q(-x)
-    err, n = 0.0, 0
     for q in range(3, q_max + 1, 2):
-        for x in range(2 * q):
-            err = max(err, abs(hsums.h_sum("H", q, x) - hsums.h_sum("H1", q, x)))
-            n += 1
-    record("H_eq_H1_odd_q", n, err)
-    err, n = 0.0, 0
+        check("H_eq_H1_odd_q", 2 * q, [hsums.h_vector("H", q) - at("H1", q, np.arange(2 * q))])
     for q in range(1, q_max + 1):
-        for x in range(q):
-            err = max(err, abs(hsums.h_sum("H0", q, x) - count_sqrts(-x % q, q)))
-            n += 1
-    record("H0_eq_sqrt_count", n, err)
+        check("H0_eq_sqrt_count", q, [hsums.h_vector("H0", q) - r(q, q)])
 
     # multiplicativity |H1(q1 q2, x)| = |H1(q1,x)||H1(q2,x)|, coprime q1,q2
-    err, n = 0.0, 0
-    for q1 in range(2, 16):
-        for q2 in range(2, 16):
-            if math.gcd(q1, q2) != 1 or q1 * q2 > q_max:
-                continue
-            for x in range(q1 * q2):
-                lhs = abs(hsums.h_sum("H1", q1 * q2, x))
-                rhs = abs(hsums.h_sum("H1", q1, x)) * abs(hsums.h_sum("H1", q2, x))
-                err = max(err, abs(lhs - rhs))
-                n += 1
-    record("H1_multiplicative", n, err)
+    for q1, q2 in itertools.product(range(2, 16), repeat=2):
+        if math.gcd(q1, q2) == 1 and q1 * q2 <= q_max:
+            x = np.arange(q1 * q2)
+            lhs = mag(hsums.h_vector("H1", q1 * q2))
+            check("H1_multiplicative", len(x), [lhs - mag(at("H1", q1, x)) * mag(at("H1", q2, x))])
 
     # H1(p^k, x) = r_{p^k}(-x) - r_{p^{k-1}}(-x) for odd primes
-    err, n = 0.0, 0
-    for p in (3, 5, 7, 11, 13):
-        for k in range(1, 5):
-            q = p**k
-            if q > 4 * q_max:
-                continue
-            for x in range(q):
-                lhs = hsums.h_sum("H1", q, x)
-                rhs = count_sqrts(-x % q, q) - count_sqrts(-x % (q // p), q // p)
-                err = max(err, abs(lhs - rhs))
-                n += 1
-    record("H1_prime_power_difference", n, err)
+    for p, k in itertools.product((3, 5, 7, 11, 13), range(1, 5)):
+        if (q := p**k) <= 4 * q_max:
+            diff = hsums.h_vector("H1", q) - (r(q, q) - r(q // p, q))
+            check("H1_prime_power_difference", q, [diff])
 
-    # periodicity and quarter/half-period twists of the residue pieces
-    err_p, err_h, err_q4, n = 0.0, 0.0, 0.0, 0
+    # twists of the residue pieces H_j and the shifts with Htilde (b >= 1 here)
+    js = (1, 3, 5, 7)
+    tw4, tw8 = (np.array([[np.exp(2j * np.pi * j / m)] for j in js]) for m in (4, 8))
+    e1, e3 = np.exp(-2j * np.pi / 8), np.exp(-2j * np.pi * 3 / 8)
+    e18, e38, e58, e78 = (np.exp(2j * np.pi * t / 8) for t in (1, 3, 5, 7))
     for q in range(2, q_max + 1, 2):
-        b = factorize(q).two_exponent
-        for x in range(0, 2 * q, 3):
-            for j in (1, 3, 5, 7):
-                kind = f"Hj{j}"
-                base = hsums.h_sum(kind, q, x)
-                err_p = max(err_p, abs(hsums.h_sum(kind, q, x + q) + base))
-                if b >= 1:
-                    tw = np.exp(2j * np.pi * j / 4)
-                    err_h = max(err_h, abs(hsums.h_sum(kind, q, x + q // 2) - tw * base))
-                if b >= 2:
-                    tw = np.exp(2j * np.pi * j / 8)
-                    err_q4 = max(err_q4, abs(hsums.h_sum(kind, q, x + q // 4) - tw * base))
-                n += 1
-    record("Hodd_antiperiodic", n, err_p)
-    record("Hodd_halfshift_twist", n, err_h)
-    record("Hodd_quartershift_twist", n, err_q4)
+        fac = factorize(q)
+        b, sgn = fac.two_exponent, (-1) ** ((fac.odd_part - 1) // 2)
+        x = np.arange(0, 2 * q, 3)
+        hj = np.stack([hsums.h_vector(f"Hj{j}", q) for j in js])  # one period per row
+        base = hj[:, x]
+        check("Hodd_antiperiodic", base.size, [hj[:, (x + q) % (2 * q)] + base])
+        check("Hodd_halfshift_twist", base.size, [hj[:, (x + q // 2) % (2 * q)] - tw4 * base])
+        twist8 = hj[:, (x + q // 4) % (2 * q)] - tw8 * base
+        check("Hodd_quartershift_twist", base.size, [twist8] if b >= 2 else [])
+        h1, h3, h5, h7 = base
+        t = [at("Htilde", q, x + l * q // 4) for l in range(8)]
+        even, odd = (t[0] - t[4]) / 4, (t[2] - t[6]) / 4j
+        d1, d3 = (t[1] - t[5]) / 4, (t[3] - t[7]) / 4j
+        recon = e18 * h1 + (-1) ** b * sgn * e38 * h3 + (-1) ** b * e58 * h5 + sgn * e78 * h7
+        full = h1 + h3 + h5 + h7 - (t[0] - t[4]) / 2
+        check("Hsum_fullshift", len(x), [full, recon - at("H", q, x)])
+        check("Hsum_halfshift", len(x), [h1 + h5 - (even + odd), h3 + h7 - (even - odd)])
+        quarter = [h1 - h5 - e1 * (d1 + d3), h3 - h7 - e3 * (d1 - d3)]
+        check("Hsum_quartershift_even_b", len(x), quarter if b >= 2 and b % 2 == 0 else [])
 
-    # shifting identities combining the twists with the Jacobi-weighted sum
-    err1, err4, err8, n = 0.0, 0.0, 0.0, 0
-    for q in range(2, q_max + 1, 2):
-        b = factorize(q).two_exponent
-        qp = factorize(q).odd_part
-        for x in range(0, 2 * q, 3):
-            Ht = {l: hsums.h_sum("Htilde", q, x + l * q // 4) for l in range(0, 8)}
-            hj = {j: hsums.h_sum(f"Hj{j}", q, x) for j in (1, 3, 5, 7)}
-            lhs = hj[1] + hj[3] + hj[5] + hj[7]
-            err1 = max(err1, abs(lhs - (Ht[0] - Ht[4]) / 2))
-            if b >= 1:
-                even = (Ht[0] - Ht[4]) / 4
-                odd = (Ht[2] - Ht[6]) / 4j
-                err4 = max(err4, abs(hj[1] + hj[5] - (even + odd)))
-                err4 = max(err4, abs(hj[3] + hj[7] - (even - odd)))
-            if b >= 2 and b % 2 == 0:
-                d1 = (Ht[1] - Ht[5]) / 4
-                d3 = (Ht[3] - Ht[7]) / 4j
-                e1 = np.exp(-2j * np.pi / 8)
-                e3 = np.exp(-2j * np.pi * 3 / 8)
-                err8 = max(err8, abs(hj[1] - hj[5] - e1 * (d1 + d3)))
-                err8 = max(err8, abs(hj[3] - hj[7] - e3 * (d1 - d3)))
-            # reconstruction of H from the residue pieces
-            sgn = (-1) ** ((qp - 1) // 2)
-            e18, e38, e58, e78 = (np.exp(2j * np.pi * t / 8) for t in (1, 3, 5, 7))
-            recon = (
-                e18 * hj[1]
-                + (-1) ** b * sgn * e38 * hj[3]
-                + (-1) ** b * e58 * hj[5]
-                + sgn * e78 * hj[7]
-            )
-            err1 = max(err1, abs(recon - hsums.h_sum("H", q, x)))
-            n += 1
-    record("Hsum_fullshift", n, err1)
-    record("Hsum_halfshift", n, err4)
-    record("Hsum_quartershift_even_b", n, err8)
+    for identity in names:
+        report.add_row(identity, cases[identity], float(err[identity]))
+        _require(f"hsum identity {identity} error", err[identity], tol)
     return report
 
 

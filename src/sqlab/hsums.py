@@ -2,8 +2,10 @@
 average S_J(x) = sum_{q<=J} |H(q,x)|/q.
 
 All five kinds are trigonometric sums over a residue class of numerators a,
-so one period of values (in x) is a single inverse DFT of the weight vector.
-``h_vector`` exposes that; ``h_sum`` is the scalar entry point.
+so one period of values (in x), of length q for H0 and H1 and 2q for the
+others, is a single inverse DFT of the weight vector: ``h_vector``, with
+``h_sum`` the scalar entry point.  Htilde and the H_j weigh a by (a/q'), the
+product over p^k || q' of (r_p(a) - 1)^k with r_p a square-root-count table.
 
 S_J needs only |H(q,x)|, which is an integer that factors over the prime
 powers of q: with r_m(y) the number of square roots of y mod m, q > 1 and
@@ -26,61 +28,55 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import DomainError, factorize, is_prime, jacobi_array, sqrt_count_vector_bruteforce
+from .arith import DomainError, factorize, is_prime, sqrt_count_vector_bruteforce
 from .gauss import gauss_G0_vector, gauss_G_vector
 
 _KINDS = ("H", "H0", "H1", "Htilde") + tuple(f"Hj{j}" for j in range(8))
 
 
-def h_period(kind: str, q: int) -> int:
-    """Fundamental period (in x) of the given sum."""
-    return q if kind in ("H0", "H1") else 2 * q
-
-
-def _coprime_mask(n: int, q: int) -> np.ndarray:
-    a = np.arange(n, dtype=np.int64)
-    return np.gcd(a, q) == 1
-
-
 def h_weights(kind: str, q: int) -> np.ndarray:
-    """Weight vector w with h(q,x) = sum_a w[a] e(ax/P), P = h_period."""
+    """Weight vector w with h(q,x) = sum_a w[a] e(ax/P), P = len(w)."""
+    if kind not in _KINDS:
+        raise DomainError(f"h_weights: unknown kind {kind!r}")
     if q < 1:
         raise DomainError(f"h_weights: q={q} must be positive")
     if kind == "H":
         w = gauss_G0_vector(q)
-        w[~_coprime_mask(2 * q, q)] = 0
+        w[np.gcd(np.arange(2 * q), q) != 1] = 0
         w[0] = 0  # a runs over [1, 2q-1]
         return w
     if kind == "H0":
         return gauss_G_vector(q)
     if kind == "H1":
         w = gauss_G_vector(q)
-        w[~_coprime_mask(q, q)] = 0  # a = q, i.e. index 0, stays only when q = 1
+        w[np.gcd(np.arange(q), q) != 1] = 0  # a = q, i.e. index 0, stays only when q = 1
         return w
-    if kind == "Htilde" or (kind.startswith("Hj") and kind[2:].isdigit()):
-        # jacobi(a, q') is 0 when gcd(a, q') > 1, so no coprimality mask
-        qp = factorize(q).odd_part
-        a = np.arange(1, 2 * q)
-        if kind != "Htilde":
-            a = a[a % 8 == int(kind[2:])]
-        w = np.zeros(2 * q, dtype=np.complex128)
-        w[a] = (1.0 / math.sqrt(q)) * jacobi_array(a, qp)
-        return w
-    raise DomainError(f"h_weights: unknown kind {kind!r}")
+    # Htilde and H_j: (a/q') as a product of Legendre symbols, which vanish
+    # when gcd(a, q') > 1, so no coprimality mask
+    a = np.arange(2 * q, dtype=np.int64)
+    symbol = np.ones(2 * q, dtype=np.int64)
+    for p, k in factorize(q).factors:
+        if p != 2:
+            symbol *= (sqrt_count_vector_bruteforce(p)[a % p] - 1) ** k
+    symbol[0] = 0  # a runs over [1, 2q-1]
+    if kind != "Htilde":
+        symbol[a % 8 != int(kind[2:])] = 0
+    return ((1.0 / math.sqrt(q)) * symbol).astype(np.complex128)
 
 
 @lru_cache(maxsize=4096)
 def _h_vector_cached(kind: str, q: int) -> np.ndarray:
-    P = h_period(kind, q)
-    vals = P * np.fft.ifft(h_weights(kind, q))
+    # free the weights before the scaled table is allocated: holding them
+    # fragments the heap around the cached tables (H, q <= 4096: 455 MB, not 287)
+    vals = np.fft.ifft(h_weights(kind, q))
+    vals = len(vals) * vals
     vals.setflags(write=False)
     return vals
 
 
 def h_vector(kind: str, q: int) -> np.ndarray:
-    """One period of values: entry x is h(q,x), x in [0, h_period)."""
-    if kind not in _KINDS:
-        raise DomainError(f"h_vector: unknown kind {kind!r}")
+    """One period of values: entry x is h(q,x) for x in [0, P), P the
+    length of the weight vector."""
     return _h_vector_cached(kind, q)
 
 

@@ -1,8 +1,9 @@
 """Reference routes that only the tests use: the prime sieve, brute-force
 square-root counts, the per-pair gauss-check rows, the per-numerator H
-weights, the support sets and divisor enumeration of H(q,x), the low-pass
-sum S_J from FFT tables, the direct shift average, the maximal and truncated
-maximal averages, and the sparse-domination comparison.
+weights, the per-point hsum-identities rows, the support sets and divisor
+enumeration of H(q,x), the low-pass sum S_J from FFT tables, the direct
+shift average, the maximal and truncated maximal averages, and the
+sparse-domination comparison.
 
 The library computes none of these; the tests check the library against
 them.
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sqlab.arith import DomainError, factorize, jacobi
+from sqlab.arith import DomainError, count_sqrts, factorize, jacobi
 from sqlab.gauss import gauss_G0, gauss_G0_vector, gauss_G_closed, gauss_G_vector
-from sqlab.hsums import h_vector
+from sqlab.hsums import h_sum, h_vector
 from sqlab.operators import IntervalZ, Signal, average_squares
 from sqlab.sparse import STOPPING_CONSTANT, StoppingTime, sparse_decompose, sparse_form
 
@@ -104,6 +105,110 @@ def h_weights_loop(kind: str, q: int) -> np.ndarray:
         if wanted and math.gcd(a, qp) == 1:
             w[a] = scale * jacobi(a, qp)
     return w
+
+
+def hsum_identity_rows(q_max: int) -> list[list]:
+    """The hsum-identities rows [identity, cases, max_err] by one scalar
+    h_sum call per point and identity."""
+    rows = []
+    # H = H1 for odd q >= 3, and H0(q,x) = r_q(-x)
+    err, n = 0.0, 0
+    for q in range(3, q_max + 1, 2):
+        for x in range(2 * q):
+            err = max(err, abs(h_sum("H", q, x) - h_sum("H1", q, x)))
+            n += 1
+    rows.append(["H_eq_H1_odd_q", n, err])
+    err, n = 0.0, 0
+    for q in range(1, q_max + 1):
+        for x in range(q):
+            err = max(err, abs(h_sum("H0", q, x) - count_sqrts(-x % q, q)))
+            n += 1
+    rows.append(["H0_eq_sqrt_count", n, err])
+
+    # multiplicativity |H1(q1 q2, x)| = |H1(q1,x)||H1(q2,x)|, coprime q1,q2
+    err, n = 0.0, 0
+    for q1 in range(2, 16):
+        for q2 in range(2, 16):
+            if math.gcd(q1, q2) != 1 or q1 * q2 > q_max:
+                continue
+            for x in range(q1 * q2):
+                lhs = abs(h_sum("H1", q1 * q2, x))
+                rhs = abs(h_sum("H1", q1, x)) * abs(h_sum("H1", q2, x))
+                err = max(err, abs(lhs - rhs))
+                n += 1
+    rows.append(["H1_multiplicative", n, err])
+
+    # H1(p^k, x) = r_{p^k}(-x) - r_{p^{k-1}}(-x) for odd primes
+    err, n = 0.0, 0
+    for p in (3, 5, 7, 11, 13):
+        for k in range(1, 5):
+            q = p**k
+            if q > 4 * q_max:
+                continue
+            for x in range(q):
+                lhs = h_sum("H1", q, x)
+                rhs = count_sqrts(-x % q, q) - count_sqrts(-x % (q // p), q // p)
+                err = max(err, abs(lhs - rhs))
+                n += 1
+    rows.append(["H1_prime_power_difference", n, err])
+
+    # periodicity and quarter/half-period twists of the residue pieces
+    err_p, err_h, err_q4, n = 0.0, 0.0, 0.0, 0
+    for q in range(2, q_max + 1, 2):
+        b = factorize(q).two_exponent
+        for x in range(0, 2 * q, 3):
+            for j in (1, 3, 5, 7):
+                kind = f"Hj{j}"
+                base = h_sum(kind, q, x)
+                err_p = max(err_p, abs(h_sum(kind, q, x + q) + base))
+                if b >= 1:
+                    tw = np.exp(2j * np.pi * j / 4)
+                    err_h = max(err_h, abs(h_sum(kind, q, x + q // 2) - tw * base))
+                if b >= 2:
+                    tw = np.exp(2j * np.pi * j / 8)
+                    err_q4 = max(err_q4, abs(h_sum(kind, q, x + q // 4) - tw * base))
+                n += 1
+    rows.append(["Hodd_antiperiodic", n, err_p])
+    rows.append(["Hodd_halfshift_twist", n, err_h])
+    rows.append(["Hodd_quartershift_twist", n, err_q4])
+
+    # shifting identities combining the twists with the Jacobi-weighted sum
+    err1, err4, err8, n = 0.0, 0.0, 0.0, 0
+    for q in range(2, q_max + 1, 2):
+        b = factorize(q).two_exponent
+        qp = factorize(q).odd_part
+        for x in range(0, 2 * q, 3):
+            Ht = {l: h_sum("Htilde", q, x + l * q // 4) for l in range(0, 8)}
+            hj = {j: h_sum(f"Hj{j}", q, x) for j in (1, 3, 5, 7)}
+            lhs = hj[1] + hj[3] + hj[5] + hj[7]
+            err1 = max(err1, abs(lhs - (Ht[0] - Ht[4]) / 2))
+            if b >= 1:
+                even = (Ht[0] - Ht[4]) / 4
+                odd = (Ht[2] - Ht[6]) / 4j
+                err4 = max(err4, abs(hj[1] + hj[5] - (even + odd)))
+                err4 = max(err4, abs(hj[3] + hj[7] - (even - odd)))
+            if b >= 2 and b % 2 == 0:
+                d1 = (Ht[1] - Ht[5]) / 4
+                d3 = (Ht[3] - Ht[7]) / 4j
+                e1 = np.exp(-2j * np.pi / 8)
+                e3 = np.exp(-2j * np.pi * 3 / 8)
+                err8 = max(err8, abs(hj[1] - hj[5] - e1 * (d1 + d3)))
+                err8 = max(err8, abs(hj[3] - hj[7] - e3 * (d1 - d3)))
+            # reconstruction of H from the residue pieces
+            sgn = (-1) ** ((qp - 1) // 2)
+            e18, e38, e58, e78 = (np.exp(2j * np.pi * t / 8) for t in (1, 3, 5, 7))
+            recon = (
+                e18 * hj[1]
+                + (-1) ** b * sgn * e38 * hj[3]
+                + (-1) ** b * e58 * hj[5]
+                + sgn * e78 * hj[7]
+            )
+            err1 = max(err1, abs(recon - h_sum("H", q, x)))
+            n += 1
+    rows.append(["Hsum_fullshift", n, err1])
+    rows.append(["Hsum_halfshift", n, err4])
+    rows.append(["Hsum_quartershift_even_b", n, err8])
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlab.arith import count_sqrts, epsilon, factorize
+from sqlab.arith import DomainError, count_sqrts, epsilon, factorize
+from sqlab.experiments import run_hsum_identities
 from sqlab.hsums import (
     _KINDS,
     abs_h_on_points,
     accumulate_S,
-    h_period,
     h_sum,
     h_vector,
     h_weights,
 )
 
-from oracles import accumulate_S_fft, divisor_set, h_weights_loop, support_verdict
+from oracles import accumulate_S_fft, divisor_set, h_weights_loop, hsum_identity_rows, support_verdict
 
 
 def log_average_S(x: int, J: int, support_filtered: bool = False) -> float:
@@ -84,7 +84,7 @@ class TestBasicIdentities:
     def test_periodicity(self):
         for kind in ("H", "H0", "H1", "Htilde"):
             for q in (4, 9, 12):
-                P = h_period(kind, q)
+                P = len(h_vector(kind, q))
                 for x in (0, 1, 5):
                     assert abs(h_sum(kind, q, x + P) - h_sum(kind, q, x)) < 1e-12
 
@@ -202,7 +202,23 @@ class TestLowPass:
         assert abs(vals[2] - vals[3]) < 1e-12
 
 
+class TestIdentityRunner:
+    @pytest.mark.parametrize("q_max", [1, 2, 3, 12, 60, 100])
+    def test_rows_match_per_point_oracle(self, q_max):
+        got, want = run_hsum_identities(q_max=q_max).rows, hsum_identity_rows(q_max)
+        assert [row[:2] for row in got] == [row[:2] for row in want]
+        for (name, _, err), (_, _, oracle_err) in zip(got, want):
+            assert abs(err - oracle_err) <= 1e-15, name
+
+
 class TestErrors:
     def test_unknown_kind(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DomainError, match="unknown kind 'Hx'"):
             h_sum("Hx", 3, 0)
+
+    @pytest.mark.parametrize("kind", ["Hj9", "Hj08", "Hj", "h"])
+    def test_every_entry_point_refuses_unknown_kinds(self, kind):
+        # a residue j outside 0..7, or written with a leading zero, names no kind
+        for call in (lambda: h_weights(kind, 5), lambda: h_vector(kind, 5), lambda: h_sum(kind, 5, 0)):
+            with pytest.raises(DomainError, match=f"unknown kind '{kind}'"):
+                call()
