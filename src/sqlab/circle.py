@@ -1,6 +1,9 @@
 """Circle-method side of the square-integer average: the Weyl multiplier,
 the oscillatory profile gamma_N, Dirichlet rational approximation, smooth
-bumps, and the arc decomposition a_N + c_N with its further splits.
+bumps, and the multiplier pieces the library runs (the Weyl grid, the
+narrow low part b_N1, single arc levels); the rest of the arc
+decomposition, a_N + c_N and its splits, is built from these in
+tests/oracles.py.
 
 Every arc piece is sampled on a dyadic grid j/L by one arc enumerator,
 ``_accumulate_arcs_grid``.  Its phase offsets theta = (2jq - aL)/(qL) are
@@ -265,44 +268,26 @@ def sample_multiplier(
     J: int | None,
     L: int,
 ) -> MultiplierGrid:
-    """Sample one of the multiplier pieces on the dyadic grid j/L.
+    """Sample a piece of the high/low split on the dyadic grid j/L: the
+    Weyl multiplier ("weyl"; M and J unused), or its narrow low part
+    ("b_N1", M = J), the levels s <= log2 J with bumps eta_{q N^2/J}.
 
-    which is one of weyl | a_N | c_N | b_N1 | b_N2 | a_tilde.  L must be a
-    power of two with L >= 4 N^2 so downstream periodized convolution stays
-    clean.
+    L must be a power of two with L >= 4 N^2 so downstream periodized
+    convolution stays clean.  The other arc pieces (a_N, c_N, b_N2,
+    a_tilde) are built from arc_level_grid in tests/oracles.py.
     """
     if L & (L - 1) or L < 4 * N * N:
         raise ContractError(f"sample_multiplier: L={L} must be a power of two >= 4N^2")
-    if which not in ("weyl", "a_N", "c_N", "b_N1", "b_N2", "a_tilde"):
-        raise DomainError(f"sample_multiplier: unknown piece {which!r}")
     if which == "weyl":
         return MultiplierGrid(L, weyl_multiplier_grid(N, L))
-    if M is None or M & (M - 1) or M > N // 4:
-        raise ContractError(f"sample_multiplier: M={M} must be a power of two <= N/4")
-    m = M.bit_length() - 1
-
-    def band(lo: int, hi: int, width_scale: float | None) -> np.ndarray:
-        """Sum of the arc levels s = lo..hi."""
-        out = np.zeros(L, dtype=np.complex128)
-        for s in range(lo, hi + 1):
-            _accumulate_arcs_grid(out, N, s, L, width_scale)
-        return out
-
-    if which == "a_N":
-        return MultiplierGrid(L, band(1, m, None))
-    if which == "c_N":
-        return MultiplierGrid(L, weyl_multiplier_grid(N, L) - band(1, m, None))
-    if J is None or J & (J - 1) or J > M:
-        raise ContractError(f"sample_multiplier: J={J} must be a power of two <= M")
-    s0 = J.bit_length() - 1
-    if which == "b_N2" and M != J:  # the levels above J
-        return MultiplierGrid(L, band(s0 + 1, m, None))
-    narrow = band(1, s0, N * N / J)
-    if which == "a_tilde" or (which == "b_N1" and M == J):
-        return MultiplierGrid(L, narrow)
-    # b_N1 with M != J (maximal-variant split: bump differences for s <= s0)
-    # and b_N2 with M == J, where s0 = m
-    return MultiplierGrid(L, band(1, s0, None) - narrow)
+    if which != "b_N1":
+        raise DomainError(f"sample_multiplier: unknown piece {which!r}")
+    if J is None or J < 1 or J & (J - 1) or J > N // 4 or M != J:
+        raise ContractError(f"sample_multiplier: b_N1 needs M = J, a power of two <= N/4; got M={M}, J={J}")
+    out = np.zeros(L, dtype=np.complex128)
+    for s in range(1, J.bit_length()):
+        _accumulate_arcs_grid(out, N, s, L, N * N / J)
+    return MultiplierGrid(L, out)
 
 
 def arc_level_grid(N: int, s: int, L: int) -> np.ndarray:
@@ -311,7 +296,8 @@ def arc_level_grid(N: int, s: int, L: int) -> np.ndarray:
 
     Unlike sample_multiplier this imposes no lower bound on L; it is meant
     for periodic-circle operator norms where wraparound is part of the
-    model.
+    model.  The major arcs a_N are the sum of these levels over s <= log2 M;
+    the tests' oracles build a_N, c_N, b_N2 and a_tilde that way.
     """
     if N < 1 or s < 1 or L < 1:
         raise DomainError("arc_level_grid: N, s, L must be positive")

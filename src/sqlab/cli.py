@@ -12,6 +12,7 @@ holds every default.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import experiments
@@ -45,6 +46,17 @@ def _count(text: str) -> int:
     return v
 
 
+def _count_list(text: str) -> list[int]:
+    return [_count(p) for p in text.split(",")]
+
+
+def _tolerance(text: str) -> float:
+    v = float(text)
+    if not (math.isfinite(v) and v >= 0):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite non-negative tolerance")
+    return v
+
+
 def _float_list(text: str) -> list[float]:
     return [float(p) for p in text.split(",")]
 
@@ -54,7 +66,7 @@ def _int_list(text: str) -> list[int]:
 
 
 SEED = ("--seed", "seed", int)
-TOL = ("--tol", "tol", float)
+TOL = ("--tol", "tol", _tolerance)
 TRIALS = ("--trials", "trials", _count)
 EXPONENT = ("--p", "p", float)
 N_LIST = ("--n", "n_list", _dyadic_list)
@@ -91,7 +103,7 @@ COMMANDS = {
     ),
     "multifreq": (
         "multi-frequency maximal operator norms",
-        [("--s", "s_list", _int_list), ("--octaves", "n_octaves", _count), TRIALS, GRID, SEED],
+        [("--s", "s_list", _count_list), ("--octaves", "n_octaves", _count), TRIALS, GRID, SEED],
     ),
     "poly-average": (
         "improving ratios for polynomial averages",

@@ -1,7 +1,9 @@
 """Reference routes that only the tests use: the prime sieve, brute-force
 square-root counts, the per-pair gauss-check rows, the per-numerator H
 weights, the per-point hsum-identities rows, the support sets and divisor
-enumeration of H(q,x), the low-pass sum S_J from FFT tables, the direct
+enumeration of H(q,x), the low-pass sum S_J from FFT tables, the arc
+decomposition of the Weyl multiplier (the major arcs a_N, the minor arcs
+c_N, the narrow part a_tilde and the splits b_N1, b_N2 of a_N), the direct
 shift average, the maximal and truncated maximal averages, and the
 sparse-domination comparison.
 
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sqlab.arith import DomainError, count_sqrts, factorize, jacobi
+from sqlab.circle import MultiplierGrid, arc_level_grid, sample_multiplier
 from sqlab.gauss import gauss_G0, gauss_G0_vector, gauss_G_closed, gauss_G_vector
 from sqlab.hsums import h_sum, h_vector
 from sqlab.operators import IntervalZ, Signal, average_squares
@@ -338,6 +341,42 @@ def accumulate_S_fft(j_list, xs: np.ndarray) -> list[np.ndarray]:
             S += np.abs(h_vector("H", q)[np.mod(xs, 2 * q)]) / q
         out.append(S if J == j_list[-1] else S.copy())
     return out
+
+
+# ---------------------------------------------------------------------------
+# multiplier pieces
+# ---------------------------------------------------------------------------
+
+
+def multiplier_piece(which: str, N: int, M: int | None, J: int | None, L: int) -> MultiplierGrid:
+    """One piece of the arc decomposition of the Weyl multiplier on the
+    grid j/L, from the library's weyl and b_N1 grids and its single arc
+    levels: a_N(M) sums the levels s <= log2 M and c_N = weyl - a_N;
+    a_tilde = b_N1(J, J); b_N2 with M = J and b_N1 with M != J are both
+    a_N(J) - b_N1(J, J); b_N2 with M != J sums the levels log2 J < s <= log2 M."""
+
+    def levels(lo: int, hi: int) -> np.ndarray:
+        out = np.zeros(L, dtype=np.complex128)
+        for s in range(lo, hi + 1):
+            out += arc_level_grid(N, s, L)
+        return out
+
+    if which == "weyl" or (which == "b_N1" and M == J):
+        return sample_multiplier(which, N, M, J, L)
+    m = M.bit_length() - 1
+    if which == "a_N":
+        return MultiplierGrid(L, levels(1, m))
+    if which == "c_N":
+        return MultiplierGrid(L, sample_multiplier("weyl", N, None, None, L).values - levels(1, m))
+    s0 = J.bit_length() - 1
+    if which == "b_N2" and M != J:
+        return MultiplierGrid(L, levels(s0 + 1, m))
+    narrow = sample_multiplier("b_N1", N, J, J, L).values
+    if which == "a_tilde":
+        return MultiplierGrid(L, narrow)
+    if which in ("b_N1", "b_N2"):
+        return MultiplierGrid(L, levels(1, s0) - narrow)
+    raise DomainError(f"multiplier_piece: unknown piece {which!r}")
 
 
 # ---------------------------------------------------------------------------

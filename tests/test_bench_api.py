@@ -1,16 +1,22 @@
 """The benchmark under perfbench/ reaches into sqlab by import and by module
 attribute; every sqlab name it uses must still exist, so that removing one
-fails here and not silently inside a benchmark run.  Conversely, every
-public name sqlab defines must be used by sqlab itself, by the benchmark or
-by the CLI, so that a route only the tests use lives with the tests."""
+fails here and not silently inside a benchmark run.  Likewise every
+multiplier piece that sqlab or the benchmark names to sample_multiplier
+must be one it samples.  Conversely, every public name sqlab defines must
+be used by sqlab itself, by the benchmark or by the CLI, so that a route
+only the tests use lives with the tests."""
 
 import ast
 import importlib
 import inspect
 from pathlib import Path
 
+from sqlab.arith import DomainError
+from sqlab.circle import sample_multiplier
+
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_FILES = sorted(ROOT.glob("perfbench/*.py")) + sorted(ROOT.glob("perfbench/tests/*.py"))
+SRC = ROOT / "src" / "sqlab"
 
 
 def sqlab_references(source: str) -> tuple[set, set]:
@@ -46,10 +52,22 @@ def resolve(module: str, name: str | None):
         return getattr(mod, name, None)
 
 
+def refused_piece(which: str) -> bool:
+    """Whether sample_multiplier refuses to sample the piece named which,
+    tried on the smallest grid it takes at N = 8 (M = J = 2, L = 256)."""
+    try:
+        sample_multiplier(which, 8, 2, 2, 256)
+    except DomainError:
+        return True
+    return False
+
+
 def missing_names(source: str) -> list[str]:
-    """The sqlab names a source file uses that do not exist, and each
-    keyword it passes to a sqlab callable that takes no parameter of that
-    name, as "module.callable(keyword=)"."""
+    """The sqlab names a source file uses that do not exist, each keyword
+    it passes to a sqlab callable that takes no parameter of that name, as
+    "module.callable(keyword=)", and each piece name it passes as a string
+    literal to sample_multiplier that the function refuses, as
+    "sqlab.circle.sample_multiplier('name')"."""
     imports, attributes = sqlab_references(source)
     missing, modules, bound = [], {}, {}
     for module, name, local in imports:
@@ -67,6 +85,14 @@ def missing_names(source: str) -> list[str]:
         if not isinstance(node, ast.Call):
             continue
         func = node.func
+        which = node.args[0] if node.args else None
+        if (
+            getattr(func, "id", getattr(func, "attr", None)) == "sample_multiplier"
+            and isinstance(which, ast.Constant)
+            and isinstance(which.value, str)
+            and refused_piece(which.value)
+        ):
+            missing.append(f"sqlab.circle.sample_multiplier({which.value!r})")
         if isinstance(func, ast.Name) and func.id in bound:
             name, target = bound[func.id]
         elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in modules:
@@ -89,8 +115,13 @@ def test_benchmark_uses_only_existing_sqlab_names():
     assert not any(missing.values()), {k: v for k, v in missing.items() if v}
 
 
+def test_library_samples_only_pieces_it_defines():
+    missing = {path.name: missing_names(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert "operators.py" in missing and not any(missing.values()), {k: v for k, v in missing.items() if v}
+
+
 def test_scan_reports_what_is_missing():
-    # the scan must see both kinds of use, or the test above checks nothing
+    # the scan must see every kind of use, or the tests above check nothing
     source = (
         "from sqlab import circle, no_such_module, operators\n"
         "from sqlab.gauss import gauss_G0, no_such_sum\n"
@@ -99,9 +130,12 @@ def test_scan_reports_what_is_missing():
         'operators.average_squares(f, 2, method="dft")\n'
         'operators.average_squares(f, 2, route="dft")\n'
         "gauss_G0(1, q=3, modulus=3)\n"
+        'circle.sample_multiplier("b_N1", 64, 4, 4, 1 << 14)\n'
+        'circle.sample_multiplier("a_N", 64, 16, None, 1 << 14)\n'
     )
     assert sorted(missing_names(source)) == [
         "sqlab.circle.no_such_function",
+        "sqlab.circle.sample_multiplier('a_N')",
         "sqlab.gauss.gauss_G0(modulus=)",
         "sqlab.gauss.no_such_sum",
         "sqlab.no_such_module",
@@ -181,9 +215,6 @@ def test_tracer_scan_reports_what_is_missing():
         "no_such_layer.f",
         "operators.DomainError",
     ]
-
-
-SRC = ROOT / "src" / "sqlab"
 
 
 def public_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:

@@ -31,6 +31,8 @@ from sqlab.circle import (
 from sqlab.experiments import run_fjk_constant
 from sqlab.gauss import gauss_G0
 
+from oracles import multiplier_piece
+
 
 def gamma_N_series(xi: float, N: int, tol: float = 1e-14, max_terms: int = 600) -> complex:
     """Power-series oracle: int_0^1 e(c u^2 / 2) du = sum (i pi c)^k / (k! (2k+1)),
@@ -345,8 +347,8 @@ class TestArcs:
 
     def test_grid_matches_pointwise(self):
         N, M, L = 32, 8, 1 << 12
-        aN = sample_multiplier("a_N", N, M, None, L)
-        cN = sample_multiplier("c_N", N, M, None, L)
+        aN = multiplier_piece("a_N", N, M, None, L)
+        cN = multiplier_piece("c_N", N, M, None, L)
         wg = sample_multiplier("weyl", N, None, None, L)
         assert np.max(np.abs(aN.values + cN.values - wg.values)) < 1e-12
         for j in (3, 57, 1000, 4095):
@@ -356,7 +358,7 @@ class TestArcs:
     def test_pieces_are_hermitian_and_match_oracle(self, which, M, J):
         # exact integer phases: theta(-j) = -theta(j), so m[-j] = conj(m[j])
         N, L = 256, 1 << 18
-        m = sample_multiplier(which, N, M, J, L).values
+        m = multiplier_piece(which, N, M, J, L).values
         assert hermitian_defect(m) == 0.0
         for j in arc_points(L):
             assert abs(m[j] - piece_oracle(which, N, M, J, Fraction(j, L))) < 1e-12, j
@@ -385,30 +387,41 @@ class TestArcs:
     def test_split_grids_sum(self):
         N, M, J, L = 32, 8, 4, 1 << 12
         b1 = sample_multiplier("b_N1", N, J, J, L)
-        b2 = sample_multiplier("b_N2", N, J, J, L)
-        aJ = sample_multiplier("a_N", N, J, None, L)
+        b2 = multiplier_piece("b_N2", N, J, J, L)
+        aJ = multiplier_piece("a_N", N, J, None, L)
         assert np.max(np.abs(b1.values + b2.values - aJ.values)) < 1e-12
-        at = sample_multiplier("a_tilde", N, M, J, L)
-        bm1 = sample_multiplier("b_N1", N, M, J, L)
-        bm2 = sample_multiplier("b_N2", N, M, J, L)
-        aM = sample_multiplier("a_N", N, M, None, L)
+        at = multiplier_piece("a_tilde", N, M, J, L)
+        bm1 = multiplier_piece("b_N1", N, M, J, L)
+        bm2 = multiplier_piece("b_N2", N, M, J, L)
+        aM = multiplier_piece("a_N", N, M, None, L)
         assert np.max(np.abs(at.values + bm1.values + bm2.values - aM.values)) < 1e-12
 
     def test_level_grid_is_scale_term(self):
+        # the levels s <= log2 M sum to the major arcs a_N by definition
         N, L = 64, 1 << 14
         total = np.zeros(L, dtype=np.complex128)
         for s in (1, 2, 3, 4):
             total += arc_level_grid(N, s, L)
-        aM = sample_multiplier("a_N", N, 16, None, L)
-        assert np.max(np.abs(total - aM.values)) < 1e-12
+        for j in arc_points(L):
+            assert abs(total[j] - piece_oracle("a_N", N, 16, None, Fraction(j, L))) < 1e-12, j
 
     def test_contract_errors(self):
         with pytest.raises(ContractError):
             sample_multiplier("weyl", 64, None, None, 1 << 10)  # L < 4N^2
         with pytest.raises(ContractError):
-            sample_multiplier("a_N", 64, 32, None, 1 << 14)  # M > N/4
+            sample_multiplier("b_N1", 64, 32, 32, 1 << 14)  # J > N/4
         with pytest.raises(Exception):
             MultiplierGrid(12, np.zeros(12))  # not a power of two
+
+    @pytest.mark.parametrize("which", ["a_N", "c_N", "b_N2", "a_tilde"])
+    def test_pieces_only_the_tests_build_are_refused(self, which):
+        with pytest.raises(DomainError, match=which):
+            sample_multiplier(which, 64, 16, 4, 1 << 14)
+
+    @pytest.mark.parametrize("M, J", [(16, 4), (4, 16), (None, 4), (4, None)])
+    def test_narrow_part_needs_m_equal_to_j(self, M, J):
+        with pytest.raises(ContractError):
+            sample_multiplier("b_N1", 64, M, J, 1 << 14)
 
     @pytest.mark.parametrize("j, part", [(3, "real"), (13, "imag"), (0, "imag"), (8, "imag")])
     def test_grid_that_is_not_exactly_hermitian_refused(self, j, part):

@@ -17,6 +17,7 @@ from sqlab.arith import DomainError
 from sqlab.cli import COMMANDS, build_parser, main, runner
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+TOL_COMMANDS = [c for c, (_, flags) in COMMANDS.items() if any(flag == "--tol" for flag, _, _ in flags)]
 
 
 def _reject_constant(name):
@@ -121,6 +122,21 @@ class TestExitCodes:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("sqlab: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", TOL_COMMANDS)
+    def test_bad_tolerance_is_usage_error(self, command, tol, capsys):
+        # a tolerance no error can meet is bad input, not an invariant violation
+        assert main([command, "--tol", tol]) == 1
+        err = capsys.readouterr().err
+        assert err == f"sqlab: error: argument --tol: {tol} is not a finite non-negative tolerance\n"
+
+    @pytest.mark.parametrize("s", ["0", "-3", "2,-3"])
+    def test_multifreq_names_a_bad_level(self, s, capsys):
+        assert main(["multifreq", "--s", s, "--grid", "64", "--trials", "1"]) == 1
+        err = capsys.readouterr().err
+        bad = s.split(",")[-1]
+        assert err == f"sqlab: error: argument --s: {bad} is not a positive integer\n"
 
     @pytest.mark.parametrize("n", ["0", "-4"])
     def test_high_low_names_a_bad_n(self, n, capsys):
