@@ -5,10 +5,10 @@ narrow low part b_N1, single arc levels); the rest of the arc
 decomposition, a_N + c_N and its splits, is built from these in
 tests/oracles.py.
 
-Every arc piece is sampled on a dyadic grid j/L by one arc enumerator,
-``_accumulate_arcs_grid``.  Its phase offsets theta = (2jq - aL)/(qL) are
-reduced exactly in integers before the one division, so each sampled piece
-is exactly Hermitian.
+Every grid xi = j/L is computed on bins 0..L//2 (arc pieces by the one arc
+enumerator ``_accumulate_arcs_grid``) and completed by one mirror,
+``_mirror``, m[-j] = conj(m[j]): A_N has a real kernel, so the grids this
+module returns are exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -73,13 +73,22 @@ def weyl_multiplier(xi, N: int) -> complex:
 
 def weyl_multiplier_grid(N: int, L: int) -> np.ndarray:
     """Weyl multiplier at every xi = j/L, j in [0,L): conj(rfft)/N of the
-    histogram of k^2 mod L on bins 0..L//2, mirrored exactly Hermitian."""
+    histogram of k^2 mod L on bins 0..L//2, mirrored to the rest."""
     if N < 1 or L < 1:
         raise DomainError("weyl_multiplier_grid: N and L must be positive")
     k = np.arange(1, N + 1, dtype=np.int64)
     c = (k % L) * (k % L) % L  # k^2 mod L without overflow for L < 2^31
-    h = np.conj(np.fft.rfft(np.bincount(c, minlength=L))) / N
-    return np.concatenate((h, np.conj(h[1 : L - L // 2][::-1])))
+    out = np.empty(L, dtype=np.complex128)
+    h = np.conjugate(np.fft.rfft(np.bincount(c, minlength=L)), out=out[: L // 2 + 1])
+    h /= N
+    _mirror(out)
+    return out
+
+
+def _mirror(out: np.ndarray) -> None:
+    """Set bins L//2+1..L-1 of a length-L grid to out[-j] = conj(out[j])."""
+    L = len(out)
+    np.conjugate(out[1 : L - L // 2][::-1], out=out[L // 2 + 1 :])
 
 
 # ---------------------------------------------------------------------------
@@ -225,40 +234,28 @@ class MultiplierGrid:
 def _accumulate_arcs_grid(
     out: np.ndarray, N: int, s: int, L: int, width_scale: float | None
 ) -> None:
-    """Add the level-s arc contributions to a length-L grid (xi = j/L).
+    """Add the level-s arc contributions to bins 0..L//2 of a length-L grid
+    (xi = j/L); ``_mirror`` fills the bins above.
 
-    The offset theta = 2j/L - a/q = (2jq - aL)/(qL) is reduced to (-1, 1]
-    in integers before its one division, so theta at -j is exactly minus
-    theta at j, and the grid is exactly Hermitian: out[-j] = conj(out[j]).
-
-    All reduced a of one q are handled at once, one row per arc, and the
-    weights G0(a, q) = G(a, 2q) of every arc of the level come from one
-    array call.  The arcs of a level are disjoint, so each j gets at most
-    one arc's value, and a j repeated inside one arc (a window wider than L)
-    has one theta and is added once, as a fancy-index ``+=`` does.
+    There 2 xi lies in [0, 1], and a level-s arc is narrower than 1/(4q) in
+    xi, so only the reduced a/q in [0, 1] reach those bins, none by wrapping.
+    One q at a time, one row per a with weight G0(a, q) = G(a, 2q), and
+    theta = 2j/L - a/q = (2qj - aL)/(qL) divided once from integers.  The
+    arcs of a level are disjoint, so each j gets at most one arc's value.
     """
-    qs = range(1 << (s - 1), 1 << s)
-    numerators = [np.array([x for x in range(2 * q) if math.gcd(x, q) == 1], dtype=np.int64) for q in qs]
-    sizes = [len(a) for a in numerators]
-    g0s = gauss_G_closed_array(np.concatenate(numerators), np.repeat([2 * q for q in qs], sizes))
-    for q, a, g0 in zip(qs, numerators, np.split(g0s, np.cumsum(sizes)[:-1])):
+    for q in range(1 << (s - 1), 1 << s):
+        a = np.flatnonzero(np.gcd(np.arange(q + 1), q) == 1)
+        g0 = gauss_G_closed_array(a, 2 * q)
         scale = float(1 << (2 * s)) if width_scale is None else width_scale * q
         half_width = 0.5 / scale
         # points per arc: |2j/L - a/q| < half_width
         radius = int(math.floor(half_width * L / 2.0)) + 1
-        offs = np.arange(-radius, radius + 1, dtype=np.int64)
-        qL = q * L
-        j = (a * L // (2 * q))[:, None] + offs
-        j %= L
-        num = (2 * q * j - a[:, None] * L) % (2 * qL)
-        num[num > qL] -= 2 * qL
-        th = num / qL
-        mask = np.abs(th) < half_width
-        rows = np.nonzero(mask)[0]
-        if not len(rows):
-            continue
-        thm = th[mask]
-        out[j[mask]] += g0[rows] * eta(scale * thm) * gamma_N(thm, N)
+        j = (a * L // (2 * q))[:, None] + np.arange(-radius, radius + 1)
+        th = (2 * q * j - a[:, None] * L) / (q * L)
+        mask = (np.abs(th) < half_width) & (j >= 0) & (j <= L // 2)
+        if mask.any():
+            thm = th[mask]
+            out[j[mask]] += g0[mask.nonzero()[0]] * eta(scale * thm) * gamma_N(thm, N)
 
 
 def sample_multiplier(
@@ -287,6 +284,7 @@ def sample_multiplier(
     out = np.zeros(L, dtype=np.complex128)
     for s in range(1, J.bit_length()):
         _accumulate_arcs_grid(out, N, s, L, N * N / J)
+    _mirror(out)
     return MultiplierGrid(L, out)
 
 
@@ -305,6 +303,7 @@ def arc_level_grid(N: int, s: int, L: int) -> np.ndarray:
         raise ContractError(f"arc_level_grid: level s={s} needs 2^s <= N/4 = {N // 4}")
     out = np.zeros(L, dtype=np.complex128)
     _accumulate_arcs_grid(out, N, s, L, None)
+    _mirror(out)
     return out
 
 

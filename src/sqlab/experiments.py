@@ -521,21 +521,32 @@ def run_multifreq(
         metadata={"norm": "max over random complex f of ||sup_N |T_N f|||_2 / ||f||_2"},
         columns=["s", "n_scales", "max_ratio", "normalized"],
     )
+    # 16 bytes a point for each level grid, and 80 for the trials: f, f-hat,
+    # sup, one product and its ifft (72), or the last f, f-hat and sup while
+    # the next f is drawn; 64 KiB of small objects
+    _require_memory(f"multifreq at grid={grid}", (16 * n_octaves + 80) * grid + (1 << 16))
     for s in s_list:
         N0 = 1 << (s + 2)  # smallest N with 2^s <= N/4
         Ns = [N0 << t for t in range(n_octaves)]
-        grids = [circle.arc_level_grid(N, s, grid) for N in Ns]
-        rng = make_rng(seed)
-        worst = 0.0
-        for _ in range(trials):
-            f = rng.standard_normal(grid) + 1j * rng.standard_normal(grid)
-            fhat = np.fft.fft(f)
-            sup = np.zeros(grid)
-            for gvals in grids:
-                sup = np.maximum(sup, np.abs(np.fft.ifft(gvals * fhat)))
-            worst = max(worst, float(np.linalg.norm(sup) / np.linalg.norm(f)))
+        worst = _max_sup_ratio([circle.arc_level_grid(N, s, grid) for N in Ns], trials, seed)
         report.add_row(s, len(Ns), worst, worst / (s * 2.0 ** (-s / 2.0)))
     return report
+
+
+def _max_sup_ratio(grids: list[np.ndarray], trials: int, seed: int) -> float:
+    """max over random complex f of ||sup_g |ifft(g fft f)| ||_2 / ||f||_2;
+    its arrays, and the grids, are freed when it returns."""
+    grid = len(grids[0])
+    rng = make_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        f = rng.standard_normal(grid) + 1j * rng.standard_normal(grid)
+        fhat = np.fft.fft(f)
+        sup = np.zeros(grid)
+        for gvals in grids:
+            sup = np.maximum(sup, np.abs(np.fft.ifft(gvals * fhat)))
+        worst = max(worst, float(np.linalg.norm(sup) / np.linalg.norm(f)))
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ profile, Dirichlet approximation, and the arc decomposition."""
 
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -91,8 +92,9 @@ def dirichlet_exhaustive(xi, N: int) -> ReducedRational:
 def accumulate_arcs_loop(
     out: np.ndarray, N: int, s: int, L: int, width_scale: float | None
 ) -> None:
-    """Oracle for the arc enumerator: one arc (a, q) at a time, the same
-    exact integer phases and one fancy-index add per arc."""
+    """Oracle for the arc enumerator: one arc (a, q) at a time, every a in
+    [0, 2q) over the whole circle, theta reduced to (-1, 1] in integers, and
+    one fancy-index add per arc."""
     for q in range(1 << (s - 1), 1 << s):
         scale = float(1 << (2 * s)) if width_scale is None else width_scale * q
         half_width = 0.5 / scale
@@ -356,7 +358,7 @@ class TestArcs:
 
     @pytest.mark.parametrize("which,M,J", PIECES)
     def test_pieces_are_hermitian_and_match_oracle(self, which, M, J):
-        # exact integer phases: theta(-j) = -theta(j), so m[-j] = conj(m[j])
+        # bins 0..L//2 are computed and mirrored, so m[-j] = conj(m[j]) exactly
         N, L = 256, 1 << 18
         m = multiplier_piece(which, N, M, J, L).values
         assert hermitian_defect(m) == 0.0
@@ -374,15 +376,39 @@ class TestArcs:
     @pytest.mark.parametrize("N, s", [(16, 1), (16, 2), (64, 1), (64, 4), (256, 3), (1024, 6)])
     def test_batched_enumerator_matches_arc_loop(self, N, s):
         # dyadic and narrow bumps (J = 2^s, 4 * 2^s), from L = 1 up to 4N^2;
-        # below 4N^2 the windows wrap, and at L <= 4 a j repeats in one arc
+        # below 4N^2 the loop's windows wrap, and at L <= 4 a j repeats in one
+        # arc.  The enumerator adds to bins 0..L//2 alone, bitwise as the loop
+        # does, and the mirrored grids equal the loop's over the whole circle.
         rng = np.random.default_rng(N + s)
-        for L in (1, 2, 4, 64, N * N // 2, 4 * N * N):
+        for L in (1, 2, 3, 4, 64, N * N + 1, N * N // 2, 4 * N * N):
+            h = L // 2 + 1
             start = rng.standard_normal(L) + 1j * rng.standard_normal(L)
             for width_scale in (None, N * N / (1 << s), N * N / (4 << s)):
                 got, want = start.copy(), start.copy()
                 _accumulate_arcs_grid(got, N, s, L, width_scale)
                 accumulate_arcs_loop(want, N, s, L, width_scale)
-                assert np.array_equal(got, want), (L, width_scale)
+                assert np.array_equal(got[:h].view(np.int64), want[:h].view(np.int64)), (L, width_scale)
+                assert np.array_equal(got[h:], start[h:]), (L, width_scale)
+            want = np.zeros(L, dtype=np.complex128)
+            accumulate_arcs_loop(want, N, s, L, None)
+            assert np.array_equal(arc_level_grid(N, s, L).view(np.float64), want.view(np.float64)), L
+        J, L = 1 << s, 4 * N * N
+        want = np.zeros(L, dtype=np.complex128)
+        for level in range(1, s + 1):
+            accumulate_arcs_loop(want, N, level, L, N * N / J)
+        got = sample_multiplier("b_N1", N, J, J, L).values
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+    def test_level_is_built_one_modulus_at_a_time(self):
+        # level 10 has 512 moduli and some 480,000 reduced a/q in [0, 2), but
+        # no array spans the level: a 64-point grid stays far under 1 MB
+        tracemalloc.start()
+        try:
+            arc_level_grid(1 << 12, 10, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_split_grids_sum(self):
         N, M, J, L = 32, 8, 4, 1 << 12

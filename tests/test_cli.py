@@ -116,6 +116,8 @@ class TestExitCodes:
             # a split with no squares to average
             ["high-low", "--n", "0"],
             ["high-low", "--n", "-4"],
+            # a grid larger than memory, far past what numpy could allocate
+            ["multifreq", "--grid", str(1 << 50)],
         ],
     )
     def test_bad_input_is_one_line_and_one(self, argv, capsys):
@@ -202,6 +204,18 @@ class TestExitCodes:
         # J = 64 = N/4 does not split: A_N f's arrays and the audit's
         count, peak = self._high_low_count_and_peak(monkeypatch, [64], 2)
         assert peak <= count
+
+    @pytest.mark.parametrize("s_list, octaves, trials", [((2,), 1, 1), ((1,), 3, 3), ((2, 3, 4, 5), 3, 2)])
+    def test_multifreq_preflight_bounds_the_traced_peak(self, monkeypatch, s_list, octaves, trials):
+        counts = []
+        monkeypatch.setattr(experiments, "_require_memory", lambda job, need: counts.append(need))
+        tracemalloc.start()
+        try:
+            experiments.run_multifreq(s_list, octaves, trials, 0, 1 << 15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= counts[0] <= 1.25 * peak
 
     @pytest.mark.parametrize(
         "j_list, x_max, adversarial",
