@@ -8,7 +8,14 @@ tests/oracles.py.
 Every grid xi = j/L is computed on bins 0..L//2 (arc pieces by the one arc
 enumerator ``_accumulate_arcs_grid``) and completed by one mirror,
 ``_mirror``, m[-j] = conj(m[j]): A_N has a real kernel, so the grids this
-module returns are exactly Hermitian.
+module returns are exactly Hermitian.  For even L the enumerator mirrors
+once more inside bins 0..L//2: the arcs at a/q and (q - a)/q are
+reflections of each other through bin L/4, so eta and gamma_N run on the
+rows a <= q/2 and each row q - a takes the conjugate of gamma_N.
+
+The Dirichlet approximant has a scalar route, ``dirichlet_approx``, and an
+array route over int64 grids, ``dirichlet_approx_array``; both walk the
+continued-fraction convergents with the same integer test.
 """
 
 from __future__ import annotations
@@ -99,7 +106,8 @@ def gamma_N(xi, N: int):
     """gamma_N(xi) = (1/N) int_0^N e(xi t^2/2) dt.
 
     Evaluated in closed form through the Fresnel integrals (absolute error
-    below 1e-12); accepts scalars or arrays.
+    below 1e-12) at |xi| and conjugated for negative xi; accepts scalars or
+    arrays.
     """
     if N < 1:
         raise DomainError(f"gamma_N: N={N} must be positive")
@@ -107,7 +115,9 @@ def gamma_N(xi, N: int):
     z = np.sqrt(2.0 * np.abs(c))
     s_z, c_z = fresnel(z)
     with np.errstate(invalid="ignore", divide="ignore"):
-        val = np.where(z > 0, (c_z + 1j * np.sign(c) * s_z) / np.where(z > 0, z, 1.0), 1.0 + 0j)
+        val = np.where(z > 0, (c_z + 1j * s_z) / np.where(z > 0, z, 1.0), 1.0 + 0j)
+    # gamma_N(-xi) = conj(gamma_N(xi)) bitwise, down to the sign of a zero
+    np.conjugate(val, out=val, where=np.signbit(c))
     if val.ndim == 0:
         return complex(val)
     return val
@@ -204,6 +214,46 @@ def dirichlet_approx(xi, N: int) -> ReducedRational:
     raise ArithmeticError("dirichlet_approx: no convergent satisfied the bound")
 
 
+def dirichlet_approx_array(num, den, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """``dirichlet_approx`` elementwise at xi = num/den over int64 arrays
+    broadcast together (den >= 1): the int64 arrays (a, q).
+
+    The same convergent walk and integer test, one step for all entries per
+    pass, each pass on the entries no convergent has satisfied yet.  Every
+    int64 product stays below 16 N (|num| + den), which must be under 2^63.
+    """
+    if N < 1:
+        raise DomainError(f"dirichlet_approx_array: N={N} must be positive")
+    num, den = np.broadcast_arrays(np.asarray(num, dtype=np.int64), np.asarray(den, dtype=np.int64))
+    if np.any(den < 1):
+        raise DomainError(f"dirichlet_approx_array: den={int(den[den < 1][0])} must be positive")
+    Q = 4 * N
+    if num.size and 4 * Q * (int(np.abs(num).max()) + int(den.max())) >= 1 << 63:
+        raise ContractError(f"dirichlet_approx_array: 16 N (|num| + den) overflows int64 at N={N}")
+    shape = num.shape
+    g = np.gcd(num, den).ravel()
+    tn, td = num.ravel() // g, den.ravel() // g
+    odd = td % 2 == 1  # t = 2 xi = tn/td in lowest terms
+    tn, td = np.where(odd, 2 * tn, tn), np.where(odd, td, td // 2)
+    a, q = np.empty(len(tn), dtype=np.int64), np.empty(len(tn), dtype=np.int64)
+    live = np.arange(len(tn))
+    n, d = tn, td
+    h0, h1 = np.ones_like(tn), np.zeros_like(tn)
+    k0, k1 = np.zeros_like(tn), np.ones_like(tn)
+    while len(live):
+        a0 = n // d
+        n, d = d, n - a0 * d
+        h0, h1 = a0 * h0 + h1, h0
+        k0, k1 = a0 * k0 + k1, k0
+        if np.any(k0 > Q):
+            raise ArithmeticError("dirichlet_approx_array: no convergent satisfied the bound")
+        done = np.abs(tn * k0 - h0 * td) * Q <= td
+        a[live[done]], q[live[done]] = h0[done], k0[done]
+        keep = ~done
+        live, n, d, h0, h1, k0, k1, tn, td = (x[keep] for x in (live, n, d, h0, h1, k0, k1, tn, td))
+    return a.reshape(shape), q.reshape(shape)
+
+
 # ---------------------------------------------------------------------------
 # grid sampling
 # ---------------------------------------------------------------------------
@@ -242,20 +292,39 @@ def _accumulate_arcs_grid(
     One q at a time, one row per a with weight G0(a, q) = G(a, 2q), and
     theta = 2j/L - a/q = (2qj - aL)/(qL) divided once from integers.  The
     arcs of a level are disjoint, so each j gets at most one arc's value.
+
+    For even L the arc points pair up, (a, j) with (q - a, L/2 - j):
+    theta(q - a, L/2 - j) = -theta(a, j) in integers, eta is even and
+    gamma_N(-theta) = conj(gamma_N(theta)) bitwise.  So eta and gamma_N run
+    on the rows a <= q/2 alone, and row q - a adds G0(q - a, q) eta
+    conj(gamma_N) at bins L/2 - j.  The row a = 1 of q = 2 is its own
+    mirror: it runs on j <= L/4, and every point but j = L/4 is mirrored.
+    Odd L evaluates every row, as L/2 - j is not a bin there.
     """
+    h = L // 2
+    even = L % 2 == 0
     for q in range(1 << (s - 1), 1 << s):
-        a = np.flatnonzero(np.gcd(np.arange(q + 1), q) == 1)
+        a = np.flatnonzero(np.gcd(np.arange(q + 1), q) == 1)  # a[-1 - i] = q - a[i]
         g0 = gauss_G_closed_array(a, 2 * q)
+        rows = a[: (len(a) + 1) // 2] if even else a
         scale = float(1 << (2 * s)) if width_scale is None else width_scale * q
         half_width = 0.5 / scale
         # points per arc: |2j/L - a/q| < half_width
         radius = int(math.floor(half_width * L / 2.0)) + 1
-        j = (a * L // (2 * q))[:, None] + np.arange(-radius, radius + 1)
-        th = (2 * q * j - a[:, None] * L) / (q * L)
-        mask = (np.abs(th) < half_width) & (j >= 0) & (j <= L // 2)
+        j = (rows * L // (2 * q))[:, None] + np.arange(-radius, radius + 1)
+        th = (2 * q * j - rows[:, None] * L) / (q * L)
+        mask = (np.abs(th) < half_width) & (j >= 0) & (j <= h)
+        if even and q == 2:
+            mask &= 2 * j <= h
         if mask.any():
-            thm = th[mask]
-            out[j[mask]] += g0[mask.nonzero()[0]] * eta(scale * thm) * gamma_N(thm, N)
+            i = mask.nonzero()[0]
+            jm, thm = j[mask], th[mask]
+            w = eta(scale * thm)
+            gam = gamma_N(thm, N)
+            out[jm] += g0[i] * w * gam
+            if even:
+                m = 2 * jm < h if q == 2 else slice(None)
+                out[h - jm[m]] += g0[-1 - i[m]] * w[m] * np.conjugate(gam[m])
 
 
 def sample_multiplier(

@@ -15,7 +15,6 @@ import math
 import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 
 import numpy as np
 
@@ -267,42 +266,55 @@ def run_fjk_constant(
     over xi = j/grid, with a/q the Dirichlet approximant of 2 xi.
 
     The grid is cut into ``threads`` contiguous blocks, one pool task each
-    (1 <= threads <= os.cpu_count()), which find a/q and the offset
-    theta = (2jq - a grid)/(q grid) point by point; G0(a,q) = G(a,2q) and
-    gamma_N then run once each on the arrays of all grid points.
+    (1 <= threads <= os.cpu_count()), which find a/q for all their points
+    by one ``circle.dirichlet_approx_array`` call; the report does not
+    depend on threads.  The offset theta = (2jq - a grid)/(q grid) is one
+    int64-to-float64 division, exact since 4 N grid <= 2^53 is required,
+    and G0(a,q) = G(a,2q) and gamma_N run once each on the arrays of all
+    grid points.
     """
     cores = os.cpu_count() or 1
     if not 1 <= threads <= cores:
         raise DomainError(f"fjk-constant: threads={threads} must lie in [1, {cores}]")
     if grid < 1:
         raise DomainError(f"fjk-constant: grid={grid} must be positive")
+    for N in n_list:
+        if N < 1 or 4 * N * grid > 1 << 53:
+            raise DomainError(f"fjk-constant: N={N}, grid={grid} needs 1 <= N and 4 N grid <= 2^53")
+    # 192 bytes a grid point at the traced peak (a, q, theta and the
+    # temporaries of the Gauss weights and gamma_N; measured with
+    # tracemalloc), 32 a k <= N of the Weyl histogram, 64 KiB of small objects
+    need = 192 * grid + 32 * max(n_list, default=0) + (1 << 16)
+    _require_memory(f"fjk-constant at grid={grid}", need)
     report = ExperimentReport(
         "fjk-constant",
         parameters={"n_list": list(n_list), "grid": grid},
         metadata={"fit": "grid maximum of the normalized remainder"},
         columns=["N", "max_normalized", "argmax_xi_num", "argmax_q"],
     )
-    bounds = [grid * i // threads for i in range(threads + 1)]
     for N in n_list:
-
-        def block(lo: int, hi: int) -> list[tuple[int, int, float]]:
-            out = []
-            for j in range(lo, hi):
-                r = circle.dirichlet_approx(Fraction(j, grid), N)
-                # a Python-int true division is correctly rounded
-                out.append((r.a, r.q, (2 * j * r.q - r.a * grid) / (r.q * grid)))
-            return out
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            arcs = [x for part in pool.map(block, bounds[:-1], bounds[1:]) for x in part]
-        a, q, th = (np.array(v) for v in zip(*arcs))
-        main = gauss_G_closed_array(a, 2 * q) * circle.gamma_N(th, N)
-        d = circle.weyl_multiplier_grid(N, grid) - main
-        # hypot, not np.abs: it rounds as abs() of a complex scalar does
-        vals = np.hypot(d.real, d.imag) * N / np.sqrt(q)
-        j_best = np.argmax(vals)
-        report.add_row(N, vals[j_best], j_best, q[j_best])
+        report.add_row(N, *_fjk_max(N, grid, threads))
     return report
+
+
+def _fjk_max(N: int, grid: int, threads: int) -> tuple:
+    """(maximum, its j, its q) of the normalized remainder over xi = j/grid;
+    its arrays are freed when it returns."""
+    j = np.arange(grid)
+    bounds = [grid * i // threads for i in range(threads + 1)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parts = list(
+            pool.map(lambda lo, hi: circle.dirichlet_approx_array(j[lo:hi], grid, N), bounds[:-1], bounds[1:])
+        )
+    a, q = (np.concatenate(v) for v in zip(*parts))
+    del parts  # the blocks go before the Gauss and gamma_N temporaries come
+    th = (2 * j * q - a * grid) / (q * grid)
+    main = gauss_G_closed_array(a, 2 * q) * circle.gamma_N(th, N)
+    d = circle.weyl_multiplier_grid(N, grid) - main
+    # hypot, not np.abs: it rounds as abs() of a complex scalar does
+    vals = np.hypot(d.real, d.imag) * N / np.sqrt(q)
+    j_best = np.argmax(vals)
+    return vals[j_best], j_best, q[j_best]
 
 
 def run_gamma_decay(N: int = 1 << 8, points: int = 200, tol: float = 1e-9) -> ExperimentReport:

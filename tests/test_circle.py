@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sqlab import circle
 from sqlab.arith import DomainError
 from sqlab.circle import (
     ContractError,
@@ -21,6 +22,7 @@ from sqlab.circle import (
     _accumulate_arcs_grid,
     arc_level_grid,
     dirichlet_approx,
+    dirichlet_approx_array,
     eta,
     fjk_remainder,
     gamma_N,
@@ -257,6 +259,26 @@ class TestGamma:
         assert vals.shape == xs.shape
         assert np.allclose(vals, [gamma_N(float(x), 16) for x in xs])
 
+    def test_reflection_is_bitwise_conjugation(self):
+        # the arc enumerator mirrors rows through gamma_N(-t) = conj(gamma_N(t))
+        # and eta(-t) = eta(t); both must hold to the last bit, signed zeros
+        # included, from zero and subnormals through the bump edges to huge |t|
+        tiny = np.finfo(np.float64).smallest_subnormal
+        edges = np.array([0.25, 0.5, 1 / 128, 1 / 2048])  # eta's, and two arc half widths
+        near = (edges[:, None] + np.arange(-4, 5) * np.spacing(edges)[:, None]).ravel()
+        rng = np.random.default_rng(11)
+        t = np.concatenate([
+            [0.0, tiny, 7 * tiny, np.finfo(np.float64).tiny, 1e-300, 1e-160, 1e-20],
+            near,
+            rng.random(500) * 10.0 ** rng.integers(-16, 4, 500),
+            [1e6, 1e100, 1e300],
+        ])
+        t = np.concatenate([t, -t])
+        assert np.array_equal(eta(-t).view(np.int64), eta(t).view(np.int64))
+        for N in (1, 16, 1024, 4096):
+            want = np.conjugate(gamma_N(t, N)).view(np.int64)
+            assert np.array_equal(gamma_N(-t, N).view(np.int64), want), N
+
 
 class TestDirichlet:
     def test_examples(self):
@@ -302,6 +324,41 @@ class TestDirichlet:
         xi = Fraction(*jl)
         r = dirichlet_approx(xi, N)
         assert r == dirichlet_fraction(xi, N) == dirichlet_exhaustive(xi, N), (xi, N)
+
+    @given(
+        st.integers(min_value=0, max_value=10).flatmap(lambda e: st.integers(1, 1 << e)),
+        st.integers(min_value=0, max_value=24).flatmap(lambda e: st.one_of(st.just(1 << e), st.integers(1, 1 << e))),
+        st.lists(st.integers(-(1 << 25), 1 << 25), max_size=6),
+    )
+    @example(1, 1, [1, -3])
+    @example(5, 40, [7, -7])
+    @example(1, 8, [1, -1])
+    @settings(max_examples=60, deadline=None)
+    def test_array_route_matches_scalar_and_exhaustive(self, N, den, extra):
+        # xi = num/den over one array: j = 0, j = den/2 and random j of odd
+        # and even grids, den = 1 among them
+        num = np.array([0, den // 2, *extra])
+        a, q = dirichlet_approx_array(num, den, N)
+        assert a.dtype == q.dtype == np.int64 and a.shape == q.shape == num.shape
+        for x, r in zip(num.tolist(), zip(a.tolist(), q.tolist())):
+            xi = Fraction(x, den)
+            assert ReducedRational(*r) == dirichlet_approx(xi, N) == dirichlet_exhaustive(xi, N), (xi, N)
+
+    @pytest.mark.parametrize("grid", [1, 2, 511, 512, 1 << 13])
+    def test_array_route_on_whole_grids(self, grid):
+        for N in (1, 3, 256, 4096):
+            a, q = dirichlet_approx_array(np.arange(grid).reshape(-1, 1), grid, N)
+            want = [dirichlet_approx(Fraction(j, grid), N) for j in range(grid)]
+            assert a.shape == (grid, 1)
+            assert [ReducedRational(*r) for r in zip(a.ravel().tolist(), q.ravel().tolist())] == want, N
+
+    def test_array_route_refusals(self):
+        with pytest.raises(DomainError, match="N=0"):
+            dirichlet_approx_array([1], 4, 0)
+        with pytest.raises(DomainError, match="den=0"):
+            dirichlet_approx_array([1, 2], [4, 0], 8)
+        with pytest.raises(ContractError, match="overflows int64"):
+            dirichlet_approx_array([1], 1 << 50, 1 << 10)
 
     def test_boundary_examples(self):
         assert dirichlet_approx(Fraction(1, 8), 1) == ReducedRational(0, 1)
@@ -377,10 +434,11 @@ class TestArcs:
     def test_batched_enumerator_matches_arc_loop(self, N, s):
         # dyadic and narrow bumps (J = 2^s, 4 * 2^s), from L = 1 up to 4N^2;
         # below 4N^2 the loop's windows wrap, and at L <= 4 a j repeats in one
-        # arc.  The enumerator adds to bins 0..L//2 alone, bitwise as the loop
-        # does, and the mirrored grids equal the loop's over the whole circle.
+        # arc; odd L, L = 0 and 2 (mod 4).  The enumerator adds to bins
+        # 0..L//2 alone, bitwise as the loop does, and the mirrored grids
+        # equal the loop's over the whole circle.
         rng = np.random.default_rng(N + s)
-        for L in (1, 2, 3, 4, 64, N * N + 1, N * N // 2, 4 * N * N):
+        for L in (1, 2, 3, 4, 64, N * N + 1, N * N // 2, N * N // 2 + 2, 4 * N * N):
             h = L // 2 + 1
             start = rng.standard_normal(L) + 1j * rng.standard_normal(L)
             for width_scale in (None, N * N / (1 << s), N * N / (4 << s)):
@@ -409,6 +467,25 @@ class TestArcs:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_mirrored_rows_halve_the_gamma_points(self, monkeypatch):
+        # for even L, gamma_N runs on one point of each mirror pair: at most
+        # 0.55 times the bins 0..L//2 the level writes, which the test counts
+        # exactly, |2qj - aL| < qL / 2^(2s+1) over every reduced a/q in [0, 1]
+        points = []
+        monkeypatch.setattr(circle, "gamma_N", lambda xi, N: points.append(np.size(xi)) or gamma_N(xi, N))
+        L = 1 << 16
+        j = np.arange(L // 2 + 1)
+        for s in range(1, 7):
+            points.clear()
+            arc_level_grid(1024, s, L)
+            written = sum(
+                np.count_nonzero(np.abs(2 * q * j - a * L) << (2 * s + 1) < q * L)
+                for q in range(1 << (s - 1), 1 << s)
+                for a in range(q + 1)
+                if math.gcd(a, q) == 1
+            )
+            assert 0 < sum(points) <= 0.55 * written, s
 
     def test_split_grids_sum(self):
         N, M, J, L = 32, 8, 4, 1 << 12

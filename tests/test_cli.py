@@ -118,6 +118,9 @@ class TestExitCodes:
             ["high-low", "--n", "-4"],
             # a grid larger than memory, far past what numpy could allocate
             ["multifreq", "--grid", str(1 << 50)],
+            # 4 N grid = 2^55, past exact float64 offsets; and 2^46 grid points
+            ["fjk-constant", "--n", "4096", "--grid", str(1 << 41)],
+            ["fjk-constant", "--n", "16", "--grid", str(1 << 46)],
         ],
     )
     def test_bad_input_is_one_line_and_one(self, argv, capsys):
@@ -216,6 +219,24 @@ class TestExitCodes:
         finally:
             tracemalloc.stop()
         assert peak <= counts[0] <= 1.25 * peak
+
+    @pytest.mark.parametrize("n_list, threads", [((256,), 1), ((16, 1024, 4096), 2)])
+    def test_fjk_preflight_bounds_the_traced_peak(self, monkeypatch, n_list, threads):
+        counts = []
+        monkeypatch.setattr(experiments, "_require_memory", lambda job, need: counts.append(need))
+        tracemalloc.start()
+        try:
+            experiments.run_fjk_constant(n_list, 1 << 15, min(threads, os.cpu_count() or 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= counts[0] <= 1.25 * peak
+
+    def test_fjk_names_n_and_grid_past_exact_offsets(self, capsys):
+        assert main(["fjk-constant", "--n", "16,4096", "--grid", str(1 << 40)]) == 1
+        assert capsys.readouterr().err == (
+            f"sqlab: error: fjk-constant: N=4096, grid={1 << 40} needs 1 <= N and 4 N grid <= 2^53\n"
+        )
 
     @pytest.mark.parametrize(
         "j_list, x_max, adversarial",
