@@ -145,16 +145,6 @@ def epsilon(m: int) -> complex:
     return 1.0 + 0.0j if m % 4 == 1 else 1.0j
 
 
-def sqrt_count_vector_bruteforce(q: int) -> np.ndarray:
-    """Vector v with v[x] = #{l in [0,q): l*l = x (mod q)}, by enumeration."""
-    if q < 1:
-        raise DomainError(f"sqrt_count_vector_bruteforce: q={q} must be positive")
-    if q - 1 > math.isqrt(2**63 - 1):
-        raise DomainError(f"sqrt_count_vector_bruteforce: q={q}: (q-1)^2 overflows int64")
-    ell = np.arange(q, dtype=np.int64)
-    return np.bincount(ell * ell % q, minlength=q)
-
-
 def _count_sqrts_odd_prime_power(x: int, p: int, k: int) -> int:
     """r_{p^k}(x) for an odd prime p: the three-case formula."""
     x %= p**k
@@ -216,13 +206,11 @@ def count_sqrts(x: int, q: int) -> int:
 
 
 def sqrt_count_vector(q: int) -> np.ndarray:
-    """Vector of r_q(x) for x in [0,q): one enumerated table per prime
-    power p^k || q, combined by CRT indexing (fast path for bulk scans)."""
+    """Vector of r_q(x) for x in [0,q), by enumeration; refuses q whose
+    (q-1)^2 overflows int64 before it allocates."""
     if q < 1:
         raise DomainError(f"sqrt_count_vector: q={q} must be positive")
-    x = np.arange(q, dtype=np.int64)
-    out = np.ones(q, dtype=np.int64)
-    for p, k in factorize(q).factors:
-        pk = p**k
-        out *= sqrt_count_vector_bruteforce(pk)[x % pk]
-    return out
+    if q - 1 > math.isqrt(2**63 - 1):
+        raise DomainError(f"sqrt_count_vector: q={q}: (q-1)^2 overflows int64")
+    ell = np.arange(q, dtype=np.int64)
+    return np.bincount(ell * ell % q, minlength=q)

@@ -236,10 +236,10 @@ def run_lowpass_scan(
     # 8 bytes a point for the window, the candidates, xs, S and a copy of S
     # per J; 832 bytes per unit of max J for one period of
     # |H(q, .)| at q = max J, its square-root-count tables and the cached
-    # factorizations (measured); 4 MiB of Python objects, most of them the
-    # search for the adversarial candidates
+    # factorizations (measured); 1 MiB of Python objects, most of them the
+    # sieve for the adversarial candidates (0.44 MiB at its peak, any J)
     n = x_max + 1 + (hsums._ADVERSARIAL_COUNT + 1 if adversarial else 0)
-    need = 8 * n * (len(j_list) + 3) + 832 * max(j_list, default=0) + (1 << 22)
+    need = 8 * n * (len(j_list) + 3) + 832 * max(j_list, default=0) + (1 << 20)
     _require_memory(f"lowpass-scan at x_max={x_max}", need)
     xs = np.arange(0, x_max + 1, dtype=np.int64)
     if adversarial:
@@ -252,8 +252,7 @@ def run_lowpass_scan(
     for J, vals in zip(j_list, hsums.accumulate_S(j_list, xs)):
         i = int(np.argmax(vals))
         top = float(vals[i])
-        denom = math.log(J) ** 2 if J > 1 else 1.0
-        report.add_row(J, int(xs[i]), top, top / denom if J > 2 else top)
+        report.add_row(J, int(xs[i]), top, top / math.log(J) ** 2 if J > 1 else top)
     return report
 
 

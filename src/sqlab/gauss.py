@@ -9,9 +9,9 @@ Three routes evaluate them:
   ``jacobi_array`` call, so its values equal the scalar route's exactly;
   the bulk callers (gauss-check, fjk-constant, the arc enumerator) use it;
 * the FFT oracle ``gauss_G_vector`` / ``gauss_G0_vector``: the defining sums
-  for every numerator of one modulus at once, as one inverse DFT.  It is
-  the independent route the closed forms are checked against, and what
-  the H-sum tables are built from.
+  for every numerator of one modulus at once, as one inverse DFT of the
+  square-root-count table.  It is the independent route the closed forms
+  are checked against, and what the H-sum tables are built from.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .arith import DomainError, epsilon, jacobi, jacobi_array, sqrt_count_vector_bruteforce
+from .arith import DomainError, epsilon, jacobi, jacobi_array, sqrt_count_vector
 
 
 def gauss_G_closed(a: int, q: int) -> complex:
@@ -71,7 +71,7 @@ def gauss_G_vector(q: int) -> np.ndarray:
     G(a,q) = (1/q) sum_c v[c] e(ac/q) where v is the histogram of n^2 mod q,
     which is exactly an inverse DFT of v.
     """
-    v = sqrt_count_vector_bruteforce(q).astype(np.float64)
+    v = sqrt_count_vector(q).astype(np.float64)
     return np.fft.ifft(v)
 
 

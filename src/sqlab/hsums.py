@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import DomainError, factorize, is_prime, sqrt_count_vector_bruteforce
+from .arith import DomainError, factorize, is_prime, sqrt_count_vector
 from .gauss import gauss_G0_vector, gauss_G_vector
 
 _KINDS = ("H", "H0", "H1", "Htilde") + tuple(f"Hj{j}" for j in range(8))
@@ -57,17 +57,18 @@ def h_weights(kind: str, q: int) -> np.ndarray:
     symbol = np.ones(2 * q, dtype=np.int64)
     for p, k in factorize(q).factors:
         if p != 2:
-            symbol *= (sqrt_count_vector_bruteforce(p)[a % p] - 1) ** k
+            symbol *= (sqrt_count_vector(p)[a % p] - 1) ** k
     symbol[0] = 0  # a runs over [1, 2q-1]
     if kind != "Htilde":
         symbol[a % 8 != int(kind[2:])] = 0
     return ((1.0 / math.sqrt(q)) * symbol).astype(np.complex128)
 
 
-@lru_cache(maxsize=4096)
+# the working set of hsum-identities, the one library caller that reads a period twice
+@lru_cache(maxsize=64)
 def _h_vector_cached(kind: str, q: int) -> np.ndarray:
     # free the weights before the scaled table is allocated: holding them
-    # fragments the heap around the cached tables (H, q <= 4096: 455 MB, not 287)
+    # fragments the heap around the cached tables
     vals = np.fft.ifft(h_weights(kind, q))
     vals = len(vals) * vals
     vals.setflags(write=False)
@@ -92,7 +93,7 @@ def _sqrt_count_step(p: int, k: int) -> np.ndarray:
     for p = 2."""
     m = p**k * (2 if p == 2 else 1)
     y = -np.arange(m, dtype=np.int64)
-    return np.abs(sqrt_count_vector_bruteforce(m)[y % m] - sqrt_count_vector_bruteforce(m // p)[y % (m // p)])
+    return np.abs(sqrt_count_vector(m)[y % m] - sqrt_count_vector(m // p)[y % (m // p)])
 
 
 def abs_h_on_points(q: int, xs: np.ndarray) -> np.ndarray:
@@ -111,26 +112,18 @@ _ADVERSARIAL_COUNT = 4000
 
 
 def _adversarial_candidates(J: int) -> list[int]:
-    """0 and the _ADVERSARIAL_COUNT smallest x <= J^2 whose prime factors
-    are all at most min(max(J, 2), 61): highly divisible x, for which many
-    q have H(q,x) != 0.  For J >= 256 these are the 4000 smallest 61-smooth
-    numbers, all <= 16450, so a scan window [0, x_max] with x_max >= 16450
-    already holds every one of them."""
-    cap = J * J
-    primes = [p for p in range(2, min(max(J, 2), 64) + 1) if is_prime(p)]
-    out = {0, 1}
-    frontier = [1]
-    for p in primes:
-        nxt = []
-        for v in frontier:
-            w = v * p
-            while w <= cap:
-                nxt.append(w)
-                w *= p
-        frontier.extend(nxt)
-        frontier = sorted(set(frontier))[: _ADVERSARIAL_COUNT * 4]
-    out.update(frontier[:_ADVERSARIAL_COUNT])
-    return sorted(out)
+    """0 and the _ADVERSARIAL_COUNT smallest x in [1, min(J^2, 2^15)] whose
+    prime factors are all at most min(max(J, 2), 61): the x that dividing
+    out those primes leaves at 1.  Many q have H(q,x) != 0 at such x.  The
+    4000 smallest 61-smooth numbers are all <= 16450, so the cap drops none,
+    and a window [0, x_max] with x_max >= 16450 holds every one."""
+    rest = np.arange(min(J * J, 1 << 15) + 1, dtype=np.int64)
+    for p in filter(is_prime, range(2, min(max(J, 2), 64) + 1)):
+        pk = p
+        while pk < len(rest):
+            rest[::pk] //= p
+            pk *= p
+    return [0, *np.flatnonzero(rest == 1)[:_ADVERSARIAL_COUNT].tolist()]
 
 
 def _longest_run(xs: np.ndarray) -> tuple[int, int]:

@@ -1,11 +1,12 @@
 """Reference routes that only the tests use: the prime sieve, brute-force
-square-root counts, the per-pair gauss-check rows, the per-numerator H
-weights, the per-point hsum-identities rows, the support sets and divisor
-enumeration of H(q,x), the low-pass sum S_J from FFT tables, the arc
-decomposition of the Weyl multiplier (the major arcs a_N, the minor arcs
-c_N, the narrow part a_tilde and the splits b_N1, b_N2 of a_N), the direct
-shift average, the maximal and truncated maximal averages, and the
-sparse-domination comparison.
+square-root counts and their CRT assembly, the per-pair gauss-check rows,
+the per-numerator H weights, the per-point hsum-identities rows, the
+support sets and divisor enumeration of H(q,x), the smooth-number frontier
+of the adversarial low-pass candidates, the low-pass sum S_J from FFT
+tables, the arc decomposition of the Weyl multiplier (the major arcs a_N,
+the minor arcs c_N, the narrow part a_tilde and the splits b_N1, b_N2 of
+a_N), the direct shift average, the maximal and truncated maximal
+averages, and the sparse-domination comparison.
 
 The library computes none of these; the tests check the library against
 them.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sqlab.arith import DomainError, count_sqrts, factorize, jacobi
+from sqlab.arith import DomainError, count_sqrts, factorize, is_prime, jacobi, sqrt_count_vector
 from sqlab.circle import MultiplierGrid, arc_level_grid, sample_multiplier
 from sqlab.gauss import gauss_G0, gauss_G0_vector, gauss_G_closed, gauss_G_vector
 from sqlab.hsums import h_sum, h_vector
@@ -48,6 +49,17 @@ def count_sqrts_bruteforce(x: int, q: int) -> int:
         raise DomainError(f"count_sqrts_bruteforce: q={q} must be positive")
     x %= q
     return sum(1 for ell in range(q) if ell * ell % q == x)
+
+
+def sqrt_count_vector_crt(q: int) -> np.ndarray:
+    """arith.sqrt_count_vector by the former route: one enumerated table per
+    prime power p^k || q, combined by CRT indexing."""
+    x = np.arange(q, dtype=np.int64)
+    out = np.ones(q, dtype=np.int64)
+    for p, k in factorize(q).factors:
+        pk = p**k
+        out *= sqrt_count_vector(pk)[x % pk]
+    return out
 
 
 def is_qr(x: int, p: int) -> bool:
@@ -330,6 +342,28 @@ def divisor_set(x: int, J: int) -> DivisorSet:
     for c in cores:
         extend(c, 0)
     return DivisorSet(x, J, tuple(sorted(members)))
+
+
+def adversarial_candidates_frontier(J: int) -> list[int]:
+    """hsums._adversarial_candidates by the former route: the smooth numbers
+    x <= J^2 over the primes <= min(max(J, 2), 64), grown one prime at a
+    time as a sorted frontier cut to 16000 entries, then 0 and the 4000
+    smallest."""
+    cap = J * J
+    primes = [p for p in range(2, min(max(J, 2), 64) + 1) if is_prime(p)]
+    out = {0, 1}
+    frontier = [1]
+    for p in primes:
+        nxt = []
+        for v in frontier:
+            w = v * p
+            while w <= cap:
+                nxt.append(w)
+                w *= p
+        frontier.extend(nxt)
+        frontier = sorted(set(frontier))[:16000]
+    out.update(frontier[:4000])
+    return sorted(out)
 
 
 def accumulate_S_fft(j_list, xs: np.ndarray) -> list[np.ndarray]:

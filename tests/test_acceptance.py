@@ -38,7 +38,14 @@ from sqlab.operators import (
 )
 from sqlab.sparse import build_admissible_tau, check_admissible, sparse_decompose
 
-from oracles import count_sqrts_bruteforce, divisor_set, is_qr, support_verdict, verify_domination
+from oracles import (
+    count_sqrts_bruteforce,
+    divisor_set,
+    is_qr,
+    sqrt_count_vector_crt,
+    support_verdict,
+    verify_domination,
+)
 
 
 def _report(n: int, message: str) -> None:
@@ -70,9 +77,7 @@ def test_criterion_01_gauss_closed_forms():
 def test_criterion_02_square_root_counting():
     t0 = time.time()
     for q in range(1, 3001):
-        assert np.array_equal(
-            arith.sqrt_count_vector(q), arith.sqrt_count_vector_bruteforce(q)
-        )
+        assert np.array_equal(arith.sqrt_count_vector(q), sqrt_count_vector_crt(q))
     # prime-power case tables, odd p <= 50, k <= 6: the count of square roots
     # of p^j * u (u coprime) is 2 p^{j/2} for even j < k when u is a QR,
     # 0 for odd j < k or a non-residue, and p^{floor(k/2)} once j >= k

@@ -19,10 +19,9 @@ from sqlab.arith import (
     jacobi,
     jacobi_array,
     sqrt_count_vector,
-    sqrt_count_vector_bruteforce,
 )
 
-from oracles import count_sqrts_bruteforce, is_qr, primes_upto
+from oracles import count_sqrts_bruteforce, is_qr, primes_upto, sqrt_count_vector_crt
 
 SIEVE = frozenset(primes_upto(100_000))
 
@@ -160,20 +159,19 @@ class TestSqrtCounts:
         assert count_sqrts(1, 8) == 4
         assert count_sqrts(0, 1) == 1
 
-    def test_formula_vs_bruteforce_dense(self):
+    def test_enumeration_vs_crt_dense(self):
         for q in range(1, 400):
-            assert np.array_equal(
-                sqrt_count_vector(q), sqrt_count_vector_bruteforce(q)
-            ), f"q={q}"
+            got, want = sqrt_count_vector(q), sqrt_count_vector_crt(q)
+            assert got.dtype == want.dtype and np.array_equal(got, want), f"q={q}"
 
-    def test_bruteforce_refuses_int64_overflow_unallocated(self, monkeypatch):
+    def test_refuses_int64_overflow_unallocated(self, monkeypatch):
         # at q = isqrt(2^63 - 1) + 2, (q-1)^2 no longer fits in int64
         def allocate(*args, **kwargs):
             raise AssertionError("allocated before the domain check")
 
         monkeypatch.setattr(np, "arange", allocate)
         with pytest.raises(DomainError):
-            sqrt_count_vector_bruteforce(3_037_000_501)
+            sqrt_count_vector(3_037_000_501)
 
     def test_prime_power_cases(self):
         # odd prime power three-case structure, p=3, k=3 (q=27)  [DERIVED]
@@ -182,7 +180,7 @@ class TestSqrtCounts:
         assert brute == form
         # p = 2: the 2-adic case analysis at every residue, every k <= 14
         for k in range(1, 15):
-            brute = sqrt_count_vector_bruteforce(1 << k).tolist()
+            brute = sqrt_count_vector(1 << k).tolist()
             assert [count_sqrts_prime_power(x, 2, k) for x in range(1 << k)] == brute, k
 
     @given(st.integers(min_value=1, max_value=2000))

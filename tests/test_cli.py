@@ -4,6 +4,7 @@ import csv
 import inspect
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -306,6 +307,15 @@ class TestFlags:
         code, text = run(["lowpass-scan", "--j", "4", "--x-max", "50", flag], tmp_path)
         assert code == 0
         assert strict_loads(text)["parameters"]["adversarial"] is expected
+
+    def test_lowpass_normalises_every_j_above_one(self, tmp_path):
+        # S_1 = 0 is left as it is; from J = 2 on, max_S is divided by ln(J)^2
+        code, text = run(["lowpass-scan", "--j", "1,2,4", "--x-max", "50"], tmp_path)
+        assert code == 0
+        rows = strict_loads(text)["rows"]
+        assert rows[0][2] == rows[0][3] == 0.0
+        for J, _, top, normalised in rows[1:]:
+            assert top > 0 and normalised == top / math.log(J) ** 2
 
 
 class TestReportSchema:

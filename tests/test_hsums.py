@@ -2,16 +2,20 @@
 logarithmic low-pass sums."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqlab import hsums
 from sqlab.arith import DomainError, count_sqrts, epsilon, factorize
 from sqlab.experiments import run_hsum_identities
 from sqlab.hsums import (
+    _ADVERSARIAL_COUNT,
     _KINDS,
+    _adversarial_candidates,
     abs_h_on_points,
     accumulate_S,
     h_sum,
@@ -19,7 +23,14 @@ from sqlab.hsums import (
     h_weights,
 )
 
-from oracles import accumulate_S_fft, divisor_set, h_weights_loop, hsum_identity_rows, support_verdict
+from oracles import (
+    accumulate_S_fft,
+    adversarial_candidates_frontier,
+    divisor_set,
+    h_weights_loop,
+    hsum_identity_rows,
+    support_verdict,
+)
 
 
 def log_average_S(x: int, J: int, support_filtered: bool = False) -> float:
@@ -195,11 +206,42 @@ class TestLowPass:
         for new, old in zip(got, want):
             assert np.all(np.abs(new - old) <= 1e-13 * old)
 
+    @pytest.mark.parametrize("J_values", [range(1, 301), [1 << k for k in range(9, 15)]])
+    def test_adversarial_sieve_matches_frontier(self, J_values):
+        for J in J_values:
+            assert _adversarial_candidates(J) == adversarial_candidates_frontier(J), J
+
+    def test_sieve_cap_keeps_every_smooth_candidate(self):
+        # at J = 2^14 the frontier searches up to J^2 = 2^28 over the primes
+        # <= 61, and its 4000th 61-smooth number lies under the sieve's cap
+        smooth = adversarial_candidates_frontier(1 << 14)
+        assert len(smooth) == _ADVERSARIAL_COUNT + 1
+        assert smooth[-1] <= 1 << 15
+
     def test_abs_h_periodic_indexing(self):
         xs = np.array([0, 5, 12, 12 + 14, 5 + 28])
         vals = abs_h_on_points(7, xs)
         assert abs(vals[1] - vals[4]) < 1e-12
         assert abs(vals[2] - vals[3]) < 1e-12
+
+
+class TestTableCache:
+    def test_sweep_over_q_retains_a_bounded_working_set(self):
+        # a sweep of H over q <= 512 keeps at most 64 periods alive, 1 MiB
+        # at 2q complex entries each, not one period per q (4.2 MB); a first
+        # sweep loads the lazy imports and the factorizations
+        for _ in range(2):
+            hsums._h_vector_cached.cache_clear()
+            tracemalloc.start()
+            try:
+                for q in range(1, 513):
+                    h_sum("H", q, 0)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        info = hsums._h_vector_cached.cache_info()
+        assert info.currsize <= info.maxsize
+        assert held <= 64 * 2 * 512 * 16 + (1 << 16)
 
 
 class TestIdentityRunner:
