@@ -5,13 +5,13 @@ narrow low part b_N1, single arc levels); the rest of the arc
 decomposition, a_N + c_N and its splits, is built from these in
 tests/oracles.py.
 
-Every grid xi = j/L is computed on bins 0..L//2 (arc pieces by the one arc
-enumerator ``_accumulate_arcs_grid``) and completed by one mirror,
-``_mirror``, m[-j] = conj(m[j]): A_N has a real kernel, so the grids this
-module returns are exactly Hermitian.  For even L the enumerator mirrors
-once more inside bins 0..L//2: the arcs at a/q and (q - a)/q are
-reflections of each other through bin L/4, so eta and gamma_N run on the
-rows a <= q/2 and each row q - a takes the conjugate of gamma_N.
+Every grid xi = j/L is computed on bins 0..L//2, arc pieces by the one arc
+enumerator ``_accumulate_arcs_grid``; those bins carry it all, as A_N has a
+real kernel.  ``split_half_spectrum`` returns them; a full grid is completed
+by one mirror, ``_mirror``, m[-j] = conj(m[j]), exactly Hermitian.  For even
+L the enumerator mirrors once more inside them: the arcs at a/q and
+(q - a)/q reflect through bin L/4, so eta and gamma_N run on the rows
+a <= q/2 and each row q - a takes the conjugate of gamma_N.
 
 The Dirichlet approximant has a scalar route, ``dirichlet_approx``, and an
 array route over int64 grids, ``dirichlet_approx_array``; both walk the
@@ -79,23 +79,26 @@ def weyl_multiplier(xi, N: int) -> complex:
 
 
 def weyl_multiplier_grid(N: int, L: int) -> np.ndarray:
-    """Weyl multiplier at every xi = j/L, j in [0,L): conj(rfft)/N of the
-    histogram of k^2 mod L on bins 0..L//2, mirrored to the rest."""
+    """Weyl multiplier at every xi = j/L, j in [0,L): _weyl_half, mirrored."""
     if N < 1 or L < 1:
         raise DomainError("weyl_multiplier_grid: N and L must be positive")
+    return _mirror(_weyl_half(np.empty(L, dtype=np.complex128), N, L))
+
+
+def _weyl_half(out: np.ndarray, N: int, L: int) -> np.ndarray:
+    """out, bins 0..L//2 set to conj(rfft)/N of the histogram of k^2 mod L."""
     k = np.arange(1, N + 1, dtype=np.int64)
     c = (k % L) * (k % L) % L  # k^2 mod L without overflow for L < 2^31
-    out = np.empty(L, dtype=np.complex128)
     h = np.conjugate(np.fft.rfft(np.bincount(c, minlength=L)), out=out[: L // 2 + 1])
     h /= N
-    _mirror(out)
     return out
 
 
-def _mirror(out: np.ndarray) -> None:
-    """Set bins L//2+1..L-1 of a length-L grid to out[-j] = conj(out[j])."""
+def _mirror(out: np.ndarray) -> np.ndarray:
+    """out, its bins L//2+1..L-1 set to out[-j] = conj(out[j]) (L = len(out))."""
     L = len(out)
     np.conjugate(out[1 : L - L // 2][::-1], out=out[L // 2 + 1 :])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +287,8 @@ class MultiplierGrid:
 def _accumulate_arcs_grid(
     out: np.ndarray, N: int, s: int, L: int, width_scale: float | None
 ) -> None:
-    """Add the level-s arc contributions to bins 0..L//2 of a length-L grid
-    (xi = j/L); ``_mirror`` fills the bins above.
+    """Add the level-s arc contributions to bins 0..L//2 (xi = j/L) of out,
+    a half spectrum or a length-L grid that ``_mirror`` completes.
 
     There 2 xi lies in [0, 1], and a level-s arc is narrower than 1/(4q) in
     xi, so only the reduced a/q in [0, 1] reach those bins, none by wrapping.
@@ -327,34 +330,35 @@ def _accumulate_arcs_grid(
                 out[h - jm[m]] += g0[-1 - i[m]] * w[m] * np.conjugate(gam[m])
 
 
-def sample_multiplier(
-    which: str,
-    N: int,
-    M: int | None,
-    J: int | None,
-    L: int,
-) -> MultiplierGrid:
-    """Sample a piece of the high/low split on the dyadic grid j/L: the
-    Weyl multiplier ("weyl"; M and J unused), or its narrow low part
-    ("b_N1", M = J), the levels s <= log2 J with bumps eta_{q N^2/J}.
+def sample_multiplier(which: str, N: int, M: int | None, J: int | None, L: int) -> MultiplierGrid:
+    """split_half_spectrum(which, N, J, L) on the whole dyadic grid j/L,
+    mirrored to the bins above L//2; "b_N1" needs M = J.  The other arc
+    pieces (a_N, c_N, b_N2, a_tilde) are built from arc_level_grid in
+    tests/oracles.py."""
+    if which == "b_N1" and M != J:
+        raise ContractError(f"sample_multiplier: b_N1 needs M = J; got M={M}, J={J}")
+    return MultiplierGrid(L, _mirror(split_half_spectrum(which, N, J, L, size=L)))
 
+
+def split_half_spectrum(which: str, N: int, J: int | None, L: int, size: int | None = None) -> np.ndarray:
+    """Bins 0..L//2 (xi = j/L) of a piece of the high/low split: the Weyl
+    multiplier ("weyl"; J unused), or its narrow low part ("b_N1"), the
+    levels s <= log2 J with bumps eta_{q N^2/J}, J a power of two <= N/4.
     L must be a power of two with L >= 4 N^2 so downstream periodized
-    convolution stays clean.  The other arc pieces (a_N, c_N, b_N2,
-    a_tilde) are built from arc_level_grid in tests/oracles.py.
-    """
-    if L & (L - 1) or L < 4 * N * N:
-        raise ContractError(f"sample_multiplier: L={L} must be a power of two >= 4N^2")
+    convolution stays clean.  The bins fill a zeroed complex array of
+    L//2 + 1 entries, or of size entries (sample_multiplier's grid)."""
+    if which not in ("weyl", "b_N1"):
+        raise DomainError(f"split_half_spectrum: unknown piece {which!r}")
+    if N < 1 or L & (L - 1) or L < 4 * N * N:
+        raise ContractError(f"split_half_spectrum: need N >= 1 and L a power of two >= 4N^2; got N={N}, L={L}")
+    if which == "b_N1" and (J is None or J < 1 or J & (J - 1) or J > N // 4):
+        raise ContractError(f"split_half_spectrum: b_N1 needs J a power of two <= N/4; got J={J}")
+    out = np.zeros(L // 2 + 1 if size is None else size, dtype=np.complex128)
     if which == "weyl":
-        return MultiplierGrid(L, weyl_multiplier_grid(N, L))
-    if which != "b_N1":
-        raise DomainError(f"sample_multiplier: unknown piece {which!r}")
-    if J is None or J < 1 or J & (J - 1) or J > N // 4 or M != J:
-        raise ContractError(f"sample_multiplier: b_N1 needs M = J, a power of two <= N/4; got M={M}, J={J}")
-    out = np.zeros(L, dtype=np.complex128)
+        return _weyl_half(out, N, L)
     for s in range(1, J.bit_length()):
         _accumulate_arcs_grid(out, N, s, L, N * N / J)
-    _mirror(out)
-    return MultiplierGrid(L, out)
+    return out
 
 
 def arc_level_grid(N: int, s: int, L: int) -> np.ndarray:
@@ -372,8 +376,7 @@ def arc_level_grid(N: int, s: int, L: int) -> np.ndarray:
         raise ContractError(f"arc_level_grid: level s={s} needs 2^s <= N/4 = {N // 4}")
     out = np.zeros(L, dtype=np.complex128)
     _accumulate_arcs_grid(out, N, s, L, None)
-    _mirror(out)
-    return out
+    return _mirror(out)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,12 @@ def _require_memory(job: str, need: int) -> None:
         )
 
 
+def _average_squares_bytes(n: int, N: int) -> int:
+    """shift_average_bytes of A_N on a block of n samples (0 for N < 1,
+    which average_squares refuses)."""
+    return shift_average_bytes(n, np.arange(1, N + 1, dtype=np.int64) ** 2) if N >= 1 else 0
+
+
 def _require(quantity: str, value: float, bound: float) -> None:
     """Raise InvariantViolation, naming the quantity, its value and the
     bound, unless value <= bound (so NaN fails)."""
@@ -404,6 +410,15 @@ def run_improving_ratio(
         metadata={"fit": "max over random indicator trials; extremal exact"},
         columns=["N", "max_ratio", "const_ratio", "extremal_pairing", "extremal_lower"],
     )
+    # per N, with s = |I| = N^2: an indicator on 2I (16 bytes a point of
+    # I), and the larger of an average's arrays beside norm_p's absolute
+    # values and powers on I (16) and the extremal rows' arrays, the
+    # constant indicator's average (24) beside f0 and its gather on 2I
+    # (80); 64 KiB of small objects
+    for N in n_list:
+        s = N * N
+        need = 16 * s + max(_average_squares_bytes(2 * s, N) + 16 * s, 104 * s) + (1 << 16)
+        _require_memory(f"improving-ratio at N={N}", need)
     for N in n_list:
         worst = _max_ratio(lambda f: average_squares(f, N), N * N, p, trials, seed)
         I = IntervalZ(0, N * N - 1)
@@ -442,6 +457,14 @@ def run_orlicz_ratio(
         metadata={"psi": "x^(2/3) (1+|log x|)^(4/3)"},
         columns=["N", "max_ratio", "full_ratio", "extremal_ratio"],
     )
+    # per N, with s = |I| = N^2: the last trial's f on 2I and g on I and
+    # the constant pair (48 bytes a point of I), and the larger of an
+    # average's arrays and f0 with its gather on 2I (80); 64 KiB of small
+    # objects
+    for N in n_list:
+        s = N * N
+        need = 48 * s + max(_average_squares_bytes(2 * s, N), 80 * s) + (1 << 16)
+        _require_memory(f"orlicz-ratio at N={N}", need)
     for N in n_list:
         I = IntervalZ(0, N * N - 1)
         twoI = I.double()
@@ -486,6 +509,12 @@ def run_halfdim(
         metadata={"reference": "(log N)^8"},
         columns=["N", "eps", "superlevel_size", "eps3_size", "log8_ref"],
     )
+    # per N, with s = N^2 + 1 points: the indicator of G (8 bytes a point),
+    # A_N's arrays and the superlevel mask on A_N's 2s - 1 points; 64 KiB of
+    # small objects
+    for N in n_list:
+        s = N * N + 1
+        _require_memory(f"halfdim at N={N}", 8 * s + _average_squares_bytes(s, N) + 2 * s + (1 << 16))
     for N in n_list:
         if strategy == "squares":
             G = np.array([k * k for k in range(1, N + 1)], dtype=np.int64)
@@ -532,6 +561,8 @@ def run_multifreq(
         metadata={"norm": "max over random complex f of ||sup_N |T_N f|||_2 / ||f||_2"},
         columns=["s", "n_scales", "max_ratio", "normalized"],
     )
+    if grid < 1:
+        raise DomainError(f"multifreq: grid={grid} must be positive")
     # 16 bytes a point for each level grid, and 80 for the trials: f, f-hat,
     # sup, one product and its ifft (72), or the last f, f-hat and sup while
     # the next f is drawn; 64 KiB of small objects
@@ -590,8 +621,11 @@ def run_poly_average(
     for N in n_list:
         shifts = polynomial_shifts(coeffs, N)
         scale = max(1, int(np.abs(shifts).max()))
-        # the float64 indicator on 2I and the arrays of the average's route
-        need = 16 * scale + shift_average_bytes(2 * scale, shifts)
+        # the float64 indicator on 2I (16 bytes a point of I), the arrays of
+        # the average's route, and norm_p's absolute values and powers, of
+        # A f on I beside them or of f on 2I after them (16 or 32 bytes a
+        # point of I); 64 KiB of small objects
+        need = 32 * scale + shift_average_bytes(2 * scale, shifts) + (1 << 16)
         _require_memory(f"poly-average at N={N}", need)
         scales.append(scale)
     for N, scale in zip(n_list, scales):
@@ -630,6 +664,15 @@ def run_sparse_demo(
         metadata={"stopping_constant": C},
         columns=["quantity", "value"],
     )
+    # f on 2E and g on E (24 bytes a point of E), and the larger of A_N's
+    # arrays beside the witnesses and tau (16) and the stopping-time pass,
+    # measured with tracemalloc: one violation table (the gather of f on
+    # 3E and its prefix sums) beside the witnesses and tau, about 123, or
+    # the witnesses beside the two Python sets of witness points that
+    # SparseCollection.verify builds, up to 168; 64 KiB of small objects
+    N = max(2, int(math.isqrt(e_size)) // 2)
+    need = 24 * e_size + max(16 * e_size + _average_squares_bytes(2 * e_size, N), 176 * e_size) + (1 << 16)
+    _require_memory(f"sparse-demo at e_size={e_size}", need)
     E = IntervalZ(0, e_size - 1)
     twoE = E.double()
     rng = make_rng(seed)
@@ -638,7 +681,6 @@ def run_sparse_demo(
     coll = sparse_decompose(f, E, C)
     tau = build_admissible_tau(f, E, C)
     _require("inadmissible built stopping times", int(not check_admissible(tau, f, C)), 0)
-    N = max(2, int(math.isqrt(e_size)) // 2)
     af = average_squares(f, N)
     pairing = float(np.dot(af.on(E), g.on(E)))
     lam = sparse_form(coll, f, g, _SPARSE_R, _SPARSE_S)

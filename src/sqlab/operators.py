@@ -16,7 +16,8 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from .arith import DomainError
-from .circle import ContractError, MultiplierGrid, sample_multiplier
+from .circle import ContractError, MultiplierGrid, split_half_spectrum
+from .circle import sample_multiplier  # noqa: F401  re-exported: perfbench/tests/test_tracer.py reads it here
 
 
 @dataclass(frozen=True)
@@ -89,15 +90,6 @@ def _smooth_len(n: int) -> int:
     return next_fast_len(n, real=True)
 
 
-def _real_convolutions(x: np.ndarray, L: int, spectra: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """Length-L circular convolutions of the real block x (zero-padded)
-    with each kernel given by its half spectrum (rfft layout), one at a
-    time: one rfft of x, taken at the first, is shared by every kernel."""
-    xhat = np.fft.rfft(x, L)
-    for h in spectra:
-        yield np.fft.irfft(xhat * h, L)
-
-
 # above this many shifts, one transform costs less than the shifted adds
 _FFT_SHIFTS = 64
 
@@ -118,12 +110,14 @@ def _average_shifts(f: Signal, shifts: np.ndarray, method: str | None = None) ->
         acc = np.zeros(out_len)
         for i in (hi - shifts).tolist():
             acc[i : i + n] += f.samples
+        acc /= len(shifts)
     elif method == "dft":
         L = _smooth_len(out_len)
-        acc = next(_real_convolutions(f.samples, L, [np.fft.rfft(np.bincount(hi - shifts), L)]))
+        kernel = np.fft.rfft(np.bincount(hi - shifts), L)
+        acc = np.fft.irfft(np.fft.rfft(f.samples, L) * kernel, L)[:out_len] / len(shifts)
     else:
         raise DomainError(f"unknown averaging method {method!r}")
-    return Signal(f.offset - hi, acc[:out_len] / len(shifts))
+    return Signal(f.offset - hi, acc)
 
 
 def shift_average_bytes(n: int, shifts: np.ndarray) -> int:
@@ -202,21 +196,25 @@ def apply_multiplier(f: Signal, grid: MultiplierGrid) -> Signal:
     periodized convolution of the grid's length L (a power of two, at least
     twice f's length).  The grid is exactly Hermitian, so its bins 0..L/2
     act through one rfft/irfft pair, which equals the complex route
-    ifft(fft(f) m).  The output window of length L is centered, so that a
-    kernel near frequency 0 (spread over [-L/2, L/2)) does not wrap."""
+    ifft(fft(f) m).  The output window [f.offset - L/2, f.offset + L/2)
+    keeps a kernel near frequency 0 (spread over [-L/2, L/2)) from wrapping."""
     return next(_apply_multipliers(f, grid.L, [grid.values[: grid.L // 2 + 1]]))
 
 
 def _apply_multipliers(f: Signal, L: int, spectra: Iterable[np.ndarray]) -> Iterator[Signal]:
     """apply_multiplier for each half spectrum (bins 0..L/2 of a grid of
-    length L), one output at a time, sharing f's spectrum."""
+    length L), one output at a time, all from one rfft of f's block, taken
+    at the first next(), whose odd bins change sign once: (-1)^j moves each
+    output by L/2, onto its window, with no roll."""
     if L < 2 * len(f.samples):
         raise ContractError(f"apply_multiplier: grid L={L} too small for signal length {len(f)}")
     # analysis transform e(-x xi) (numpy fft): under it the A_N kernel
     # (1/N) sum_k delta_{-k^2} has symbol (1/N) sum_k e(k^2 xi), the Weyl
-    # sum; map, unlike a loop variable, keeps no output alive between steps
-    outs = _real_convolutions(f.samples, L, spectra)
-    return map(lambda out: Signal(f.offset - L // 2, np.roll(out, L // 2, axis=0)), outs)
+    # sum; no local keeps an output alive between steps
+    xhat = np.fft.rfft(f.samples, L)
+    xhat[1::2] *= -1
+    for h in spectra:
+        yield Signal(f.offset - L // 2, np.fft.irfft(xhat * h, L))
 
 
 def _split_grid_len(N: int, n: int) -> int:
@@ -230,20 +228,19 @@ def high_low_split(f: Signal, N: int, j_list: Sequence[int]) -> Iterator[tuple[i
     narrow major-arc multiplier of bumps of width J/(q N^2) at each a/(2q)
     with q < J, High its complement within the Weyl multiplier, so High +
     Low = A_N f up to FFT roundoff; for J >= N/4 no split is meaningful and
-    (0, A_N f) comes back.  All J share one Weyl grid and one spectrum of
-    f, of length L = _split_grid_len(N, len(f)), taken at the first J that
-    splits; each kernel is formed on bins 0..L/2 only.  A_N f is computed
-    once, at the first J that does not split.  Bad N or J raise
-    DomainError at the first next()."""
+    (0, A_N f) comes back.  All J share one Weyl half spectrum and one
+    spectrum of f (bins 0..L/2, L = _split_grid_len(N, len(f))), taken at
+    the first J that splits.  A_N f is computed once, at the first J that
+    does not split.  Bad N or J raise DomainError at the first next()."""
     if N < 1 or any(J < 1 or J & (J - 1) for J in j_list):
         raise DomainError(f"high_low_split: need N>=1 and J powers of two, got N={N} J={list(j_list)}")
     cut, L = max(1, N // 4), _split_grid_len(N, len(f.samples))
 
     def kernels() -> Iterator[np.ndarray]:
-        weyl = sample_multiplier("weyl", N, None, None, L).values[: L // 2 + 1].copy()
+        weyl = split_half_spectrum("weyl", N, None, L)
         for J in j_list:
             if J < cut:
-                low = sample_multiplier("b_N1", N, J, J, L).values[: L // 2 + 1].copy()
+                low = split_half_spectrum("b_N1", N, J, L)
                 yield weyl - low
                 yield low
 
@@ -259,10 +256,10 @@ def high_low_split(f: Signal, N: int, j_list: Sequence[int]) -> Iterator[tuple[i
 
 def high_low_split_bytes(N: int, n: int, j_list: Sequence[int]) -> int:
     """Peak bytes of high_low_split's arrays for a block of n samples, each
-    (High, Low) dropped before the next: when some J splits, 49 per point
-    of L (measured: the Weyl and Low kernels, f's spectrum, the High kernel
-    or output, the inverse transform, its rolled copy and finiteness mask);
+    (High, Low) dropped before the next: when some J splits, 48 per point
+    of L (measured: the Weyl and Low half spectra, f's spectrum, the High
+    kernel or output, one product of spectra and its inverse transform);
     else A_N f's route and a zero High."""
     if min(j_list) < max(1, N // 4):
-        return 49 * _split_grid_len(N, n)
+        return 48 * _split_grid_len(N, n)
     return shift_average_bytes(n, np.arange(1, N + 1, dtype=np.int64) ** 2) + 8 * (n + N * N)

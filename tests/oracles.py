@@ -5,8 +5,8 @@ support sets and divisor enumeration of H(q,x), the smooth-number frontier
 of the adversarial low-pass candidates, the low-pass sum S_J from FFT
 tables, the arc decomposition of the Weyl multiplier (the major arcs a_N,
 the minor arcs c_N, the narrow part a_tilde and the splits b_N1, b_N2 of
-a_N), the direct shift average, the maximal and truncated maximal
-averages, and the sparse-domination comparison.
+a_N), the rolled multiplier route, the direct shift average, the maximal
+and truncated maximal averages, and the sparse-domination comparison.
 
 The library computes none of these; the tests check the library against
 them.
@@ -416,6 +416,14 @@ def multiplier_piece(which: str, N: int, M: int | None, J: int | None, L: int) -
 # ---------------------------------------------------------------------------
 # averages, maximal averages and sparse domination
 # ---------------------------------------------------------------------------
+
+
+def apply_multipliers_rolled(f: Signal, L: int, spectra) -> list[Signal]:
+    """operators._apply_multipliers by its former route: one rfft of f's
+    block zero-padded to L, one irfft per half spectrum, and each output
+    rolled by L/2 onto the window from f.offset - L/2."""
+    xhat = np.fft.rfft(f.samples, L)
+    return [Signal(f.offset - L // 2, np.roll(np.fft.irfft(xhat * h, L), L // 2)) for h in spectra]
 
 
 def average_shifts_direct(f: Signal, shifts: np.ndarray) -> Signal:

@@ -28,6 +28,7 @@ from sqlab.circle import (
     gamma_N,
     gamma_N_quad,
     sample_multiplier,
+    split_half_spectrum,
     weyl_multiplier,
     weyl_multiplier_grid,
 )
@@ -508,9 +509,24 @@ class TestArcs:
         for j in arc_points(L):
             assert abs(total[j] - piece_oracle("a_N", N, 16, None, Fraction(j, L))) < 1e-12, j
 
+    @pytest.mark.parametrize(
+        "N, J, L", [(4, 1, 64), (16, 2, 1 << 10), (64, 4, 1 << 15), (64, 16, 1 << 14), (256, 8, 1 << 18)]
+    )
+    def test_half_spectra_are_the_sampled_grids_bins(self, N, J, L):
+        # the split's kernels, bit for bit the bins 0..L/2 of the full grids
+        h = L // 2 + 1
+        for which in ("weyl", "b_N1"):
+            half = split_half_spectrum(which, N, J, L)
+            full = sample_multiplier(which, N, J, J, L).values
+            assert half.shape == (h,) and np.array_equal(half.view(np.int64), full[:h].view(np.int64)), which
+
     def test_contract_errors(self):
         with pytest.raises(ContractError):
             sample_multiplier("weyl", 64, None, None, 1 << 10)  # L < 4N^2
+        with pytest.raises(ContractError):
+            split_half_spectrum("weyl", 0, None, 1 << 10)  # no squares to average
+        with pytest.raises(ContractError):
+            split_half_spectrum("b_N1", 64, 8, 3 << 14)  # L not a power of two
         with pytest.raises(ContractError):
             sample_multiplier("b_N1", 64, 32, 32, 1 << 14)  # J > N/4
         with pytest.raises(Exception):

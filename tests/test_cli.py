@@ -119,6 +119,9 @@ class TestExitCodes:
             ["high-low", "--n", "-4"],
             # a grid larger than memory, far past what numpy could allocate
             ["multifreq", "--grid", str(1 << 50)],
+            # a grid with no points, refused before the preflight counts it
+            ["multifreq", "--grid", "0"],
+            ["multifreq", "--grid", "-8"],
             # 4 N grid = 2^55, past exact float64 offsets; and 2^46 grid points
             ["fjk-constant", "--n", "4096", "--grid", str(1 << 41)],
             ["fjk-constant", "--n", "16", "--grid", str(1 << 46)],
@@ -144,6 +147,11 @@ class TestExitCodes:
         bad = s.split(",")[-1]
         assert err == f"sqlab: error: argument --s: {bad} is not a positive integer\n"
 
+    @pytest.mark.parametrize("grid", ["0", "-8"])
+    def test_multifreq_names_a_bad_grid(self, grid, capsys):
+        assert main(["multifreq", "--grid", grid, "--trials", "1"]) == 1
+        assert capsys.readouterr().err == f"sqlab: error: multifreq: grid={grid} must be positive\n"
+
     @pytest.mark.parametrize("n", ["0", "-4"])
     def test_high_low_names_a_bad_n(self, n, capsys):
         assert main(["high-low", "--n", n]) == 1
@@ -164,6 +172,54 @@ class TestExitCodes:
         assert main(argv + ["128"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("sqlab: error: poly-average at N=128 needs") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, job",
+        [
+            (["improving-ratio", "--n", "16,1024", "--trials", "1"], "improving-ratio at N=1024"),
+            (["orlicz-ratio", "--n", "16,1024", "--trials", "1"], "orlicz-ratio at N=1024"),
+            (["halfdim", "--n", "16,1024", "--eps", "0.5"], "halfdim at N=1024"),
+            (["sparse-demo", "--e-size", "65536"], "sparse-demo at e_size=65536"),
+        ],
+    )
+    def test_preflight_refuses_before_any_draw(self, monkeypatch, capsys, argv, job):
+        # 1 MiB of memory: the job is refused with one line before it draws
+        # a signal, also where an earlier N would have fit
+        drawn = []
+        make_rng = experiments.make_rng
+        monkeypatch.setattr(experiments, "make_rng", lambda seed: drawn.append(seed) or make_rng(seed))
+        memory = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(experiments.os, "sysconf", memory.__getitem__)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"sqlab: error: {job} needs ") and err.count("\n") == 1
+        assert drawn == []
+
+    @pytest.mark.parametrize(
+        "run, args",
+        [
+            (experiments.run_improving_ratio, ([64], 1.6, 2, 0)),
+            (experiments.run_improving_ratio, ([128], 1.6, 2, 0)),
+            (experiments.run_orlicz_ratio, ([64], 2, 0)),
+            (experiments.run_orlicz_ratio, ([128], 2, 0)),
+            (experiments.run_halfdim, ([64, 128], [0.25, 0.5], "random", 0)),
+            (experiments.run_sparse_demo, (1 << 13, 1.0, 8.0, 0)),
+            (experiments.run_sparse_demo, (4096, 0.1, 8.0, 0)),
+            (experiments.run_poly_average, ((0, 0, 1), [64], 1.6, 2, 0)),
+            (experiments.run_poly_average, ((0, 1, 1), [128], 1.6, 2, 0)),
+        ],
+    )
+    def test_preflight_bounds_the_traced_peak(self, monkeypatch, run, args):
+        # both routes of the average (direct at N <= 64, FFT above)
+        counts = []
+        monkeypatch.setattr(experiments, "_require_memory", lambda job, need: counts.append(need))
+        tracemalloc.start()
+        try:
+            run(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(counts)
 
     def test_high_low_preflight_refuses_before_allocating(self, monkeypatch, capsys):
         # the count is read off a refusal at one byte of memory; with one

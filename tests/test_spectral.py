@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqlab import experiments, operators
+from sqlab import circle, experiments, operators
 from sqlab.arith import DomainError
-from sqlab.circle import MultiplierGrid, sample_multiplier
+from sqlab.circle import MultiplierGrid, _mirror, sample_multiplier
 from sqlab.operators import (
     Signal,
+    _apply_multipliers,
     _average_shifts,
     _smooth_len,
     _split_grid_len,
@@ -19,7 +20,7 @@ from sqlab.operators import (
     high_low_split,
 )
 
-from oracles import average_shifts_direct
+from oracles import apply_multipliers_rolled, average_shifts_direct
 
 
 def apply_multiplier_complex(f: Signal, grid: MultiplierGrid) -> Signal:
@@ -154,6 +155,37 @@ class TestApplyMultiplier:
         grid = MultiplierGrid(L, (m + np.conj(np.roll(m[::-1], 1))) / 2)
         assert _close(apply_multiplier(f, grid), apply_multiplier_complex(f, grid), f, L)
 
+    @given(
+        offsets,
+        st.integers(min_value=1, max_value=3000),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(0, 1, 0, 1, 0)  # L = 2: the Nyquist bin is the only odd bin
+    @example(-7, 2, 0, 2, 3)
+    @settings(max_examples=60, deadline=None)
+    def test_same_outputs_as_rolled_route(self, offset, n, extra, kernels, seed):
+        # random blocks and random complex half spectra (DC and Nyquist bins
+        # real, so that apply_multiplier takes them as grids) on powers of
+        # two L from 2n to 16 times that, L = 2 to 2^17: the sign-flipped
+        # spectrum of f gives the rolled route's values (a zero may differ
+        # in sign, so equality is of values)
+        rng = np.random.default_rng(seed)
+        f = Signal(offset, rng.standard_normal(n) * (rng.random(n) < 0.5))
+        L = max(2, 1 << (2 * n - 1).bit_length()) << extra
+        spectra = [rng.standard_normal(L // 2 + 1) + 1j * rng.standard_normal(L // 2 + 1) for _ in range(kernels)]
+        for h in spectra:
+            h[[0, -1]] = h[[0, -1]].real
+        want = apply_multipliers_rolled(f, L, spectra)
+        got = list(_apply_multipliers(f, L, iter(spectra)))
+        for h, a, b in zip(spectra, got, want):
+            assert a.offset == b.offset and np.array_equal(a.samples, b.samples)
+            full = np.zeros(L, dtype=np.complex128)
+            full[: L // 2 + 1] = h
+            single = apply_multiplier(f, MultiplierGrid(L, _mirror(full)))
+            assert single.offset == b.offset and np.array_equal(single.samples, b.samples)
+
     @given(samples, offsets, st.sampled_from([8, 16, 32]))
     @settings(max_examples=20, deadline=None)
     def test_sampled_pieces_match_oracle(self, x, offset, N):
@@ -188,37 +220,63 @@ class TestHighLowSplit:
         assert np.array_equal(out[0][1].samples, out[3][1].samples)
         assert np.array_equal(out[0][2].samples, out[3][2].samples)
 
+    @pytest.mark.parametrize("N, j_list, n", [(16, [1, 2], 40), (64, [4, 16, 8], 300), (256, [2, 64], 1000)])
+    def test_kernels_are_the_former_grids_bins(self, monkeypatch, N, j_list, n):
+        # the kernels the split convolves with, bit for bit the bins 0..L/2
+        # of weyl - b_N1 and b_N1 as full grids, for each J that splits
+        seen = []
+        monkeypatch.setattr(
+            operators, "_apply_multipliers", lambda f, L, spectra: (seen.append(h) or h for h in spectra)
+        )
+        for _ in high_low_split(Signal(0, np.ones(n)), N, j_list):
+            pass
+        L = _split_grid_len(N, n)
+        weyl = sample_multiplier("weyl", N, None, None, L).values[: L // 2 + 1]
+        want = []
+        for J in j_list:
+            if J < N // 4:
+                low = sample_multiplier("b_N1", N, J, J, L).values[: L // 2 + 1]
+                want += [weyl - low, low]
+        assert len(seen) == len(want)
+        assert all(np.array_equal(a.view(np.int64), b.view(np.int64)) for a, b in zip(seen, want))
+
     def _count_work(self, monkeypatch, f):
-        """Record the rffts of f's block and the pieces sampled."""
-        rffts, pieces = [], []
-        rfft, sample = np.fft.rfft, operators.sample_multiplier
+        """Record the rffts of f's block, the half spectra built and the
+        full grids made (MultiplierGrid checks)."""
+        rffts, pieces, grids = [], [], []
+        rfft, half = np.fft.rfft, operators.split_half_spectrum
+        check = circle.MultiplierGrid.__post_init__
 
         def counting_rfft(a, *args, **kwargs):
             rffts.append(a is f.samples)
             return rfft(a, *args, **kwargs)
 
-        def counting_sample(which, *args):
+        def counting_half(which, *args):
             pieces.append(which)
-            return sample(which, *args)
+            return half(which, *args)
 
         monkeypatch.setattr(np.fft, "rfft", counting_rfft)
-        monkeypatch.setattr(operators, "sample_multiplier", counting_sample)
-        return rffts, pieces
+        monkeypatch.setattr(operators, "split_half_spectrum", counting_half)
+        monkeypatch.setattr(circle.MultiplierGrid, "__post_init__", lambda g: grids.append(g.L) or check(g))
+        return rffts, pieces, grids
 
     @pytest.mark.parametrize("j_list", [[4], [4, 8], [2, 4, 8, 2]])
     def test_one_spectrum_of_f_and_one_weyl_grid_per_call(self, monkeypatch, j_list):
+        # one rfft of f, one Weyl half spectrum and one b_N1 per splitting J,
+        # all on bins 0..L/2: no full grid is sampled or checked
         f = Signal(0, (np.random.default_rng(3).random(200) < 0.2).astype(float))
-        rffts, pieces = self._count_work(monkeypatch, f)
+        rffts, pieces, grids = self._count_work(monkeypatch, f)
         for _ in high_low_split(f, 64, j_list):
             pass
         assert sum(rffts) == 1
         assert pieces == ["weyl"] + ["b_N1"] * len(j_list)
+        assert grids == []
 
     def test_no_grid_when_no_J_splits(self, monkeypatch):
         f = Signal(0, np.ones(100))
-        _, pieces = self._count_work(monkeypatch, f)
+        rffts, pieces, grids = self._count_work(monkeypatch, f)
         assert [J for J, _, _ in high_low_split(f, 64, [16, 32, 16])] == [16, 32, 16]
-        assert pieces == []
+        assert pieces == [] and grids == [] and sum(rffts) == 0
 
     def test_one_average_per_trial_when_no_J_splits(self, monkeypatch):
         # at N = 64 neither J = 16 nor J = 32 splits: per trial, the runner's
