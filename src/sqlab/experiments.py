@@ -239,26 +239,24 @@ def run_lowpass_scan(
         metadata={"fit": "max over scan window, no constant asserted"},
         columns=["J", "argmax_x", "max_S", "max_S_per_log2"],
     )
-    # 8 bytes a point for the window, the candidates, xs, S and a copy of S
-    # per J; 832 bytes per unit of max J for one period of
-    # |H(q, .)| at q = max J, its square-root-count tables and the cached
-    # factorizations (measured); 1 MiB of Python objects, most of them the
-    # sieve for the adversarial candidates (0.44 MiB at its peak, any J)
-    n = x_max + 1 + (hsums._ADVERSARIAL_COUNT + 1 if adversarial else 0)
-    need = 8 * n * (len(j_list) + 3) + 832 * max(j_list, default=0) + (1 << 20)
-    _require_memory(f"lowpass-scan at x_max={x_max}", need)
-    xs = np.arange(0, x_max + 1, dtype=np.int64)
-    if adversarial:
-        # the candidates are sorted and distinct, and those up to x_max are in
-        # the window already (every one of them for J >= 256 and x_max >= 16450),
-        # so xs stays sorted and distinct
-        extra = np.asarray(hsums._adversarial_candidates(max(j_list)), dtype=np.int64)
-        if extra[-1] > x_max:
-            xs = np.concatenate([xs, extra[extra > x_max]])
-    for J, vals in zip(j_list, hsums.accumulate_S(j_list, xs)):
+    j_max = max(j_list, default=0)
+    # the candidates up to x_max are in the window already (every one of
+    # them for J >= 256 and x_max >= 16450)
+    extra = np.asarray(hsums._adversarial_candidates(j_max) if adversarial else [], dtype=np.int64)
+    extra = extra[extra > x_max]
+    # measured with tracemalloc: the sieve for the candidates above, 16
+    # bytes a sieved x; in the scan, 8 bytes a point of the window and of
+    # extra for S and a copy of S per J but the last, 416 per q <= max J for
+    # the cached factorizations, and 56 a point for one period of |H(q, .)|
+    # at q = max J with extra (the points, their residues, the gathered
+    # factors and the values); 64 KiB of small objects
+    sieve = 16 * (min(j_max * j_max, 1 << 15) + 1) if adversarial else 0
+    scan = 8 * (x_max + 1 + len(extra)) * len(j_list) + 416 * j_max + 56 * (2 * j_max + len(extra))
+    _require_memory(f"lowpass-scan at x_max={x_max}", max(sieve, scan) + (1 << 16))
+    for J, vals in zip(j_list, hsums.accumulate_S(j_list, x_max, extra)):
         i = int(np.argmax(vals))
-        top = float(vals[i])
-        report.add_row(J, int(xs[i]), top, top / math.log(J) ** 2 if J > 1 else top)
+        top, x = float(vals[i]), i if i <= x_max else int(extra[i - x_max - 1])
+        report.add_row(J, x, top, top / math.log(J) ** 2 if J > 1 else top)
     return report
 
 
@@ -413,11 +411,12 @@ def run_improving_ratio(
     # per N, with s = |I| = N^2: an indicator on 2I (16 bytes a point of
     # I), and the larger of an average's arrays beside norm_p's absolute
     # values and powers on I (16) and the extremal rows' arrays, the
-    # constant indicator's average (24) beside f0 and its gather on 2I
-    # (80); 64 KiB of small objects
+    # constant indicator's average (24) beside f0 (8) and norm_p's copy and
+    # absolute values or absolute values and powers on 2I (32); 64 KiB of
+    # small objects
     for N in n_list:
         s = N * N
-        need = 16 * s + max(_average_squares_bytes(2 * s, N) + 16 * s, 104 * s) + (1 << 16)
+        need = 16 * s + max(_average_squares_bytes(2 * s, N) + 16 * s, 64 * s) + (1 << 16)
         _require_memory(f"improving-ratio at N={N}", need)
     for N in n_list:
         worst = _max_ratio(lambda f: average_squares(f, N), N * N, p, trials, seed)
@@ -459,11 +458,11 @@ def run_orlicz_ratio(
     )
     # per N, with s = |I| = N^2: the last trial's f on 2I and g on I and
     # the constant pair (48 bytes a point of I), and the larger of an
-    # average's arrays and f0 with its gather on 2I (80); 64 KiB of small
-    # objects
+    # average's arrays and f0 (8) beside norm_p's copy and absolute values
+    # or absolute values and powers on 2I (32); 64 KiB of small objects
     for N in n_list:
         s = N * N
-        need = 48 * s + max(_average_squares_bytes(2 * s, N), 80 * s) + (1 << 16)
+        need = 48 * s + max(_average_squares_bytes(2 * s, N), 40 * s) + (1 << 16)
         _require_memory(f"orlicz-ratio at N={N}", need)
     for N in n_list:
         I = IntervalZ(0, N * N - 1)
@@ -666,12 +665,11 @@ def run_sparse_demo(
     )
     # f on 2E and g on E (24 bytes a point of E), and the larger of A_N's
     # arrays beside the witnesses and tau (16) and the stopping-time pass,
-    # measured with tracemalloc: one violation table (the gather of f on
-    # 3E and its prefix sums) beside the witnesses and tau, about 123, or
-    # the witnesses beside the two Python sets of witness points that
-    # SparseCollection.verify builds, up to 168; 64 KiB of small objects
+    # measured with tracemalloc at 72-73 for |E| >= 2^12 and counted as 76:
+    # one violation table (f on 3E and its prefix sums, the level's block
+    # ends and averages) beside the witnesses and tau; 64 KiB of small objects
     N = max(2, int(math.isqrt(e_size)) // 2)
-    need = 24 * e_size + max(16 * e_size + _average_squares_bytes(2 * e_size, N), 176 * e_size) + (1 << 16)
+    need = 24 * e_size + max(16 * e_size + _average_squares_bytes(2 * e_size, N), 76 * e_size) + (1 << 16)
     _require_memory(f"sparse-demo at e_size={e_size}", need)
     E = IntervalZ(0, e_size - 1)
     twoE = E.double()

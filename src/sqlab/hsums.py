@@ -16,8 +16,8 @@ q = 2^b * prod p^k,
 where T_2(x) = |r_{2^(b+1)}(-x) - r_{2^b}(-x)| for b >= 1 and 1 for b = 0;
 H(1,x) = 0.  ``abs_h_on_points`` evaluates this product from enumerated
 square-root-count tables, and ``accumulate_S`` adds one period of it, of
-length 2q, to the longest run of consecutive points at once, so the
-low-pass scan builds no complex table.
+length 2q, to the scan window [0, x_max] at once and evaluates it on the
+points past the window, so the low-pass scan builds no complex table.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def h_vector(kind: str, q: int) -> np.ndarray:
 
 
 def h_sum(kind: str, q: int, x: int) -> complex:
-    """Direct evaluation of the chosen sum at (q, x)."""
+    """The chosen sum at (q, x), read from the cached period of h_vector."""
     vals = h_vector(kind, q)
     return complex(vals[x % len(vals)])
 
@@ -126,36 +126,24 @@ def _adversarial_candidates(J: int) -> list[int]:
     return [0, *np.flatnonzero(rest == 1)[:_ADVERSARIAL_COUNT].tolist()]
 
 
-def _longest_run(xs: np.ndarray) -> tuple[int, int]:
-    """(lo, hi) of the longest slice with xs[lo:hi] = xs[lo] + arange(hi - lo)."""
-    # the order test keeps a step from 2^63 - 1 to -2^63, which wraps to 1, out of a run
-    step = (np.diff(xs) == 1) & (xs[1:] > xs[:-1])
-    edges = np.concatenate([[0], np.flatnonzero(~step) + 1, [len(xs)]])
-    i = int(np.argmax(np.diff(edges)))
-    return int(edges[i]), int(edges[i + 1])
-
-
-def accumulate_S(j_list: Sequence[int], xs: np.ndarray) -> list[np.ndarray]:
-    """S_J at each point of xs for each J of the increasing j_list, in
-    order: copies of one running sum over q, of which the last is the sum
-    itself.  Each |H(q,.)|/q is evaluated on one period of the longest run
-    of consecutive points, added to the run as an (m, 2q) view plus a
-    partial period, and on the points outside the run."""
-    xs = np.asarray(xs, dtype=np.int64)
-    lo, hi = _longest_run(xs)
-    outside = np.concatenate([xs[:lo], xs[hi:]])
-    x0 = int(xs[lo]) if len(xs) else 0
-    S, out = np.zeros(len(xs)), []
-    head, run, tail = S[:lo], S[lo:hi], S[hi:]
+def accumulate_S(j_list: Sequence[int], x_max: int, extra: np.ndarray) -> list[np.ndarray]:
+    """S_J on the window [0, x_max] (empty for x_max = -1) followed by the
+    points of extra, for each J of the increasing j_list, in order: copies
+    of one running sum over q, of which the last is the sum itself.  Each
+    |H(q,.)|/q is evaluated on one period of the window, added to it as an
+    (m, 2q) view plus a partial period, and on the points of extra."""
+    extra = np.asarray(extra, dtype=np.int64)
+    n = x_max + 1
+    S, out = np.zeros(n + len(extra)), []
+    window, tail = S[:n], S[n:]
     for prev, J in zip([0, *j_list], j_list):
         for q in range(prev + 1, J + 1):
-            P = min(2 * q, len(run))
-            vals = abs_h_on_points(q, np.concatenate([x0 + np.arange(P, dtype=np.int64), outside])) / q
-            m = len(run) // max(P, 1)
-            periods = run[: m * P].reshape(m, P)
+            P = min(2 * q, n)
+            vals = abs_h_on_points(q, np.concatenate([np.arange(P, dtype=np.int64), extra])) / q
+            m = n // max(P, 1)
+            periods = window[: m * P].reshape(m, P)
             periods += vals[:P]
-            run[m * P :] += vals[: len(run) - m * P]
-            head += vals[P : P + lo]
-            tail += vals[P + lo :]
+            window[m * P :] += vals[: n - m * P]
+            tail += vals[P:]
         out.append(S if J == j_list[-1] else S.copy())
     return out

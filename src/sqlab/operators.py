@@ -45,6 +45,7 @@ class Signal:
         return len(self.samples)
 
     def values_at(self, ns: np.ndarray) -> np.ndarray:
+        """f at arbitrary points, zero off the block (perfbench's gather)."""
         ns = np.asarray(ns, dtype=np.int64)
         i = ns - self.offset
         ok = (i >= 0) & (i < len(self.samples))
@@ -54,11 +55,16 @@ class Signal:
 
     def on(self, interval: IntervalZ) -> np.ndarray:
         """f at the points of an interval: a read-only view of the block
-        when the interval lies inside it, else values_at's gather."""
-        i = interval.a - self.offset
-        if i >= 0 and interval.b - self.offset < len(self.samples):
+        when the interval lies inside it, else a copy of the overlapping
+        slice padded with zeros."""
+        i, n = interval.a - self.offset, len(self.samples)
+        if i >= 0 and i + len(interval) <= n:
             return self.samples[i : i + len(interval)]
-        return self.values_at(np.arange(interval.a, interval.b + 1))
+        out = np.zeros(len(interval))
+        lo, hi = max(i, 0), min(i + len(interval), n)
+        if lo < hi:
+            out[lo - i : hi - i] = self.samples[lo:hi]
+        return out
 
     @classmethod
     def delta(cls, n: int = 0) -> "Signal":
@@ -176,6 +182,7 @@ def norm_p(f: Signal, p: float, interval: IntervalZ) -> float:
     return float(((1.0 / len(interval)) * np.sum(vals**p)) ** (1.0 / p))
 
 
+# kept only because perfbench/libops.py reads it; the library calls norm_p
 def average_on(f: Signal, interval: IntervalZ, p: float = 1.0) -> float:
     """<|f|^p>_I^{1/p} = (|I|^{-1} sum_{x in I} |f(x)|^p)^{1/p}."""
     return norm_p(f, p, interval)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import DomainError
-from .operators import IntervalZ, Signal, average_on
+from .operators import IntervalZ, Signal, norm_p
 
 STOPPING_CONSTANT = 8.0
 # every witness set fills at least this fraction of its interval
@@ -72,22 +72,24 @@ class SparseCollection:
     nodes: list[SparseNode] = field(default_factory=list)
 
     def verify(self) -> None:
-        """Check witness disjointness, containment, and density; raise
+        """Check witness containment (in the interval and in the root E),
+        density and disjointness, on one boolean mask over E; raise
         SparsityError on any failure."""
-        seen: set[int] = set()
+        E = self.root
+        seen = np.zeros(len(E), dtype=bool)
         for node in self.nodes:
             iv = node.interval
             w = node.witness
-            if len(w) and (w[0] < iv.a or w[-1] > iv.b):
-                raise SparsityError(f"witness escapes interval [{iv.a},{iv.b}]")
+            if len(w) and (w[0] < max(iv.a, E.a) or w[-1] > min(iv.b, E.b)):
+                raise SparsityError(f"witness escapes interval [{iv.a},{iv.b}] or root [{E.a},{E.b}]")
             if len(w) < _CARLESON_FRACTION * len(iv):
                 raise SparsityError(
                     f"witness density {len(w)}/{len(iv)} below {_CARLESON_FRACTION}"
                 )
-            pts = set(int(x) for x in w)
-            if seen & pts:
+            i = w - E.a
+            if seen[i].any():
                 raise SparsityError("witness sets intersect")
-            seen |= pts
+            seen[i] = True
 
 
 def _violations(f: Signal, E: IntervalZ, C: float) -> list[np.ndarray]:
@@ -97,12 +99,12 @@ def _violations(f: Signal, E: IntervalZ, C: float) -> list[np.ndarray]:
     E itself.
 
     Every tripled average comes from one prefix sum of |f| over 3E, scaled
-    as `average_on` scales it.
+    as `norm_p` scales it.
     """
     size = len(E)
     if size < 2 or size & (size - 1):
         raise DomainError(f"sparse: |E|={size} must be a power of two >= 2")
-    threshold = C * average_on(f, E.double())
+    threshold = C * norm_p(f, 1.0, E.double())
     lo = E.a - size  # 3E = [E.a - |E|, E.a + 2|E| - 1]
     prefix = np.concatenate([[0.0], np.cumsum(np.abs(f.on(IntervalZ(lo, lo + 3 * size - 1))))])
     table = []
@@ -215,6 +217,6 @@ def sparse_form(
     total = 0.0
     for node in coll.nodes:
         iv = node.interval
-        total += len(iv) * average_on(f, iv.double(), r) * average_on(g, iv, s)
+        total += len(iv) * norm_p(f, r, iv.double()) * norm_p(g, s, iv)
     return float(total)
 

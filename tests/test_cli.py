@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from sqlab import experiments
+from sqlab import arith, experiments
 from sqlab.arith import DomainError
 from sqlab.cli import COMMANDS, build_parser, main, runner
 
@@ -309,6 +309,32 @@ class TestExitCodes:
         finally:
             tracemalloc.stop()
         assert peak <= counts[0]
+
+    @pytest.mark.parametrize(
+        "run, args",
+        [
+            (experiments.run_improving_ratio, ([64], 1.6, 2, 0)),
+            (experiments.run_orlicz_ratio, ([64], 2, 0)),
+            (experiments.run_sparse_demo, (1 << 13, 1.0, 8.0, 0)),
+            (experiments.run_sparse_demo, (4096, 0.1, 8.0, 0)),
+            (experiments.run_lowpass_scan, ([64, 256, 1024], 30000, True)),
+            (experiments.run_lowpass_scan, ([4, 8, 16, 32], 200000, False)),
+        ],
+    )
+    def test_preflight_is_tight_where_no_fft_average_dominates(self, monkeypatch, run, args):
+        # N <= 64 takes the direct route of the average, whose count is
+        # exact, and the scans are mostly S; the factorizations are dropped,
+        # so that lowpass-scan's peak holds their cache, as in a fresh process
+        arith.factorize.cache_clear()
+        counts = []
+        monkeypatch.setattr(experiments, "_require_memory", lambda job, need: counts.append(need))
+        tracemalloc.start()
+        try:
+            run(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(counts) <= 1.25 * peak
 
     @pytest.mark.parametrize(
         "argv",

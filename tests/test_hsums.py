@@ -40,12 +40,12 @@ def log_average_S(x: int, J: int, support_filtered: bool = False) -> float:
     return math.fsum(abs(h_sum("H", q, x)) / q for q in qs)
 
 
-def scan_max_S(J: int, x_range: tuple[int, int]) -> tuple[int, float]:
-    """(argmax x, max S_J) over a window of x; ties break to the smallest x."""
-    xs = np.arange(x_range[0], x_range[1] + 1, dtype=np.int64)
-    (S,) = accumulate_S([J], xs)
+def scan_max_S(J: int, x_max: int) -> tuple[int, float]:
+    """(argmax x, max S_J) over the window [0, x_max]; ties break to the
+    smallest x."""
+    (S,) = accumulate_S([J], x_max, [])
     best = int(np.argmax(S))
-    return int(xs[best]), float(S[best])
+    return best, float(S[best])
 
 
 @st.composite
@@ -182,13 +182,13 @@ class TestLowPass:
 
     def test_scan_and_accumulate_consistency(self):
         xs = np.arange(0, 300)
-        running = dict(zip((16, 64), accumulate_S([16, 64], xs)))
-        (final,) = accumulate_S([64], xs)
+        running = dict(zip((16, 64), accumulate_S([16, 64], 299, [])))
+        (final,) = accumulate_S([64], 299, [])
         assert np.array_equal(final, running[64])
         for J in (16, 64):
             direct = np.array([log_average_S(int(x), J) for x in xs[:50]])
             assert np.allclose(running[J][:50], direct)
-        arg, top = scan_max_S(64, (0, 299))
+        arg, top = scan_max_S(64, 299)
         assert abs(top - float(final[:300].max())) < 1e-12
 
     def test_abs_h_factorisation_matches_fft_tables(self):
@@ -198,10 +198,17 @@ class TestLowPass:
             assert vals.dtype == np.int64
             assert np.max(np.abs(vals - np.abs(h_vector("H", q)))) < 1e-10, q
 
-    @given(point_sets(), st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True).map(sorted))
+    @given(
+        st.integers(-1, 300),
+        point_sets(),
+        st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True).map(sorted),
+    )
     @settings(max_examples=80, deadline=None)
-    def test_accumulate_matches_fft_tables(self, xs, j_list):
-        got, want = accumulate_S(j_list, xs), accumulate_S_fft(j_list, xs)
+    def test_accumulate_matches_fft_tables(self, x_max, extra, j_list):
+        # windows from empty (x_max = -1) to several periods of 2q, most of
+        # them not a whole number of periods, then the points of extra
+        got = accumulate_S(j_list, x_max, extra)
+        want = accumulate_S_fft(j_list, np.concatenate([np.arange(x_max + 1, dtype=np.int64), extra]))
         assert len(got) == len(want) == len(j_list)
         for new, old in zip(got, want):
             assert np.all(np.abs(new - old) <= 1e-13 * old)

@@ -35,16 +35,34 @@ class TestSignal:
         f = Signal(10, np.array([1.0, 2.0]))
         assert np.array_equal(f.values_at(np.array([9, 10, 11, 12])), [0, 1, 2, 0])
 
-    @given(st.integers(-50, 50), st.integers(1, 40), st.integers(-100, 100), st.integers(1, 60))
+    @given(
+        st.integers(-50, 50),
+        st.integers(1, 40),
+        st.sampled_from(["inside", "left end", "right end", "covering", "disjoint"]),
+        st.data(),
+    )
     @settings(max_examples=200, deadline=None)
-    def test_on_is_the_gather(self, offset, n, a, length):
-        # intervals inside the block, straddling either end and disjoint
+    def test_on_is_the_gather(self, offset, n, case, data):
         f = Signal(offset, np.arange(1.0, n + 1))
-        I = IntervalZ(a, a + length - 1)
-        got = f.on(I)
-        assert np.array_equal(got, f.values_at(np.arange(I.a, I.b + 1)))
-        if offset <= I.a and I.b < offset + n:
-            assert np.shares_memory(got, f.samples) and not got.flags.writeable
+        first, last = offset, offset + n - 1
+        before, after = st.integers(first - 30, first - 1), st.integers(last + 1, last + 30)
+        if case == "inside":
+            a = data.draw(st.integers(first, last))
+            b = data.draw(st.integers(a, last))
+        elif case == "left end":
+            a, b = data.draw(before), data.draw(st.integers(first, last))
+        elif case == "right end":
+            a, b = data.draw(st.integers(first, last)), data.draw(after)
+        elif case == "covering":
+            a, b = data.draw(before), data.draw(after)
+        else:
+            a = data.draw(st.one_of(before, after))
+            b = data.draw(st.integers(a, a + 30) if a > last else st.integers(a, first - 1))
+        got = f.on(IntervalZ(a, b))
+        assert np.array_equal(got, f.values_at(np.arange(a, b + 1)))
+        inside = case == "inside"
+        assert np.shares_memory(got, f.samples) == inside
+        assert got.flags.writeable != inside
 
     def test_fresh_array_is_frozen_in_place(self):
         fresh = np.arange(4.0)

@@ -241,6 +241,23 @@ class TestDecomposition:
         with pytest.raises(SparsityError):
             bad.verify()
 
+    @pytest.mark.parametrize("outside", [IntervalZ(-2, -1), IntervalZ(8, 9)])
+    def test_witness_outside_the_root_is_refused(self, outside):
+        # a dense node in its own interval but off E: left of E its witness
+        # would index the mask from the end
+        E = IntervalZ(0, 7)
+        bad = SparseCollection(root=E, nodes=[SparseNode(E, np.arange(8))])
+        bad.nodes.append(SparseNode(outside, np.arange(outside.a, outside.b + 1)))
+        with pytest.raises(SparsityError, match=rf"\[{outside.a},{outside.b}\]"):
+            bad.verify()
+
+    def test_intersecting_witnesses_are_refused(self):
+        E = IntervalZ(0, 7)
+        half = IntervalZ(0, 3)
+        bad = SparseCollection(root=E, nodes=[SparseNode(E, np.arange(8)), SparseNode(half, np.arange(4))])
+        with pytest.raises(SparsityError, match="intersect"):
+            bad.verify()
+
 
 class TestSparseForm:
     def test_single_interval_form(self):
