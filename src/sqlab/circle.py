@@ -16,16 +16,20 @@ a <= q/2 and each row q - a takes the conjugate of gamma_N.
 The Dirichlet approximant has a scalar route, ``dirichlet_approx``, and an
 array route over int64 grids, ``dirichlet_approx_array``; both walk the
 continued-fraction convergents with the same integer test.
+
+gamma_N divides the Fresnel integral E = C + iS by its argument; E is
+evaluated here in numpy, ``_fresnel``, from a Taylor table built on the
+first call and the asymptotic series, so the module needs no scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import fresnel
 
 from .arith import DomainError
 from .gauss import gauss_G0, gauss_G_closed_array
@@ -102,28 +106,135 @@ def _mirror(out: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# gamma_N
+# gamma_N and the Fresnel integral
 # ---------------------------------------------------------------------------
 
 def gamma_N(xi, N: int):
-    """gamma_N(xi) = (1/N) int_0^N e(xi t^2/2) dt.
-
-    Evaluated in closed form through the Fresnel integrals (absolute error
-    below 1e-12) at |xi| and conjugated for negative xi; accepts scalars or
-    arrays.
+    """gamma_N(xi) = (1/N) int_0^N e(xi t^2/2) dt = E(z)/z at z = N sqrt(2|xi|),
+    E = C + iS the Fresnel integral (``_fresnel``: within 2e-15 + 2e-16 z of
+    it), and gamma_N(0) = 1; conjugated for negative xi, so that
+    gamma_N(-xi) = conj(gamma_N(xi)) bitwise.  Accepts scalars or arrays.
     """
     if N < 1:
         raise DomainError(f"gamma_N: N={N} must be positive")
     c = np.asarray(xi, dtype=np.float64) * (N * N)
     z = np.sqrt(2.0 * np.abs(c))
-    s_z, c_z = fresnel(z)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        val = np.where(z > 0, (c_z + 1j * s_z) / np.where(z > 0, z, 1.0), 1.0 + 0j)
+    e = _fresnel(z)
+    val = np.divide(e, z, out=e, where=z > 0)
+    val[z == 0] = 1.0
     # gamma_N(-xi) = conj(gamma_N(xi)) bitwise, down to the sign of a zero
     np.conjugate(val, out=val, where=np.signbit(c))
     if val.ndim == 0:
         return complex(val)
     return val
+
+
+# E(z) = int_0^z e^{i pi t^2/2} dt for z >= 0: below _FRESNEL_FAR by Taylor
+# series of _FRESNEL_TERMS terms at the nodes k/_FRESNEL_STEP, above it by
+# the asymptotic series of the auxiliary functions f and g (Abramowitz &
+# Stegun 7.3), in blocks of _FRESNEL_BLOCK points
+_FRESNEL_STEP = 64
+_FRESNEL_FAR = 6.0
+_FRESNEL_TERMS = 13
+_FRESNEL_BLOCK = 4096
+# f(z) ~ (1/(pi z)) sum_m F[m] u^m and g(z) ~ (1/(pi^2 z^3)) sum_m G[m] u^m,
+# u = (pi z^2)^-2, with F[m] = (-1)^m (4m-1)!! and G[m] = (-1)^m (4m+1)!!
+_F_SERIES = tuple((-1) ** m * float(math.prod(range(1, 4 * m, 2))) for m in range(9))
+_G_SERIES = tuple((-1) ** m * float(math.prod(range(1, 4 * m + 2, 2))) for m in range(9))
+
+
+def _fresnel(z: np.ndarray) -> np.ndarray:
+    """E(z) = C(z) + iS(z) elementwise, complex, for z >= 0: E(inf) = (1+i)/2
+    and NaN gives NaN.  Within 1e-15 of E below 7; above, within 1e-16 z,
+    the rounding of z^2 in the phase.  Each block of _FRESNEL_BLOCK points
+    takes a bounded working set, one table row per Horner step."""
+    table = _fresnel_table()
+    out = np.empty(np.shape(z), dtype=np.complex128)
+    zs, outs = np.ravel(z), out.reshape(-1)
+    for lo in range(0, len(zs), _FRESNEL_BLOCK):
+        zb, ob = zs[lo : lo + _FRESNEL_BLOCK], outs[lo : lo + _FRESNEL_BLOCK]
+        near = zb < _FRESNEL_FAR
+        if near.all():  # a block on one side of the switch takes no masks
+            ob[:] = _fresnel_near(zb, table)
+        elif not near.any():
+            ob[:] = _fresnel_far(zb)
+        else:
+            ob[near] = _fresnel_near(zb[near], table)
+            far = ~near
+            ob[far] = _fresnel_far(zb[far])
+    return out
+
+
+@functools.cache
+def _fresnel_table() -> np.ndarray:
+    """Read-only complex rows n = 0..12 of E^(n)(z_k)/n! at z_k = k/64, k up
+    to 6 * 64, built on the first call.
+
+    y = E' = e^{i pi z^2/2} has Taylor coefficients b_m at z_k from
+    y' = i pi z y: b_1 = i pi z_k b_0 and (m+1) b_{m+1} = i pi (z_k b_m +
+    b_{m-1}), with b_0 = y(z_k) on the phase pi k^2/8192 reduced exactly to
+    [-pi, pi); row n >= 1 is b_{n-1}/n.  Row 0, E(z_k), is the fsum of the
+    series' integrals over the steps [z_i, z_{i+1}), i < k.
+    """
+    k = np.arange(int(_FRESNEL_FAR * _FRESNEL_STEP) + 1)
+    z = k / _FRESNEL_STEP
+    p = 2 * _FRESNEL_STEP**2
+    b = [np.exp(1j * math.pi * (((k * k + p) % (2 * p) - p) / p))]
+    b.append(1j * math.pi * z * b[0])
+    for m in range(1, _FRESNEL_TERMS - 2):
+        b.append(1j * math.pi * (z * b[m] + b[m - 1]) / (m + 1))
+    rows = [b[n - 1] / n for n in range(1, _FRESNEL_TERMS)]
+    step = np.zeros(len(k), dtype=np.complex128)
+    for row in reversed(rows):
+        step = (step + row) / _FRESNEL_STEP
+    re, im = step.real.tolist(), step.imag.tolist()
+    e0 = [complex(math.fsum(re[:i]), math.fsum(im[:i])) for i in range(len(k))]
+    table = np.array([e0, *rows])
+    table.setflags(write=False)
+    return table
+
+
+def _fresnel_near(z: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """E(z) for 0 <= z < _FRESNEL_FAR: the Taylor series at the nearest node,
+    by Horner in d = z - z_k, |d| <= 1/128."""
+    k = np.rint(z * _FRESNEL_STEP).astype(np.intp)
+    d = z - k / _FRESNEL_STEP
+    e = table[-1].take(k)
+    for row in table[-2::-1]:
+        e *= d
+        e += row.take(k)
+    return e
+
+
+def _fresnel_far(z: np.ndarray) -> np.ndarray:
+    """E(z) = (1+i)/2 - (g + if) e^{i pi z^2/2} for z >= _FRESNEL_FAR, where
+    nine terms of f and g reach float64 roundoff.  The phase takes z^2 mod
+    4 exactly from the rounded z^2; for z >= 2^54, an even integer, it is 0."""
+    r = 1.0 / z
+    v = r * r / math.pi  # 1/(pi z^2), so no power of z overflows
+    u = v * v
+    f = _horner(_F_SERIES, u)
+    f *= r / math.pi
+    g = _horner(_G_SERIES, u)
+    g *= v * r / math.pi
+    t = np.minimum(z, 2.0**54)
+    t *= t
+    t -= 4.0 * np.rint(0.25 * t)
+    t *= math.pi / 2
+    cos, sin = np.cos(t), np.sin(t)
+    e = np.empty(len(z), dtype=np.complex128)
+    e.real = 0.5 - (g * cos - f * sin)
+    e.imag = 0.5 - (g * sin + f * cos)
+    return e
+
+
+def _horner(coeffs: tuple, x: np.ndarray) -> np.ndarray:
+    """sum_m coeffs[m] x^m, in place on one array."""
+    acc = np.full_like(x, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= x
+        acc += c
+    return acc
 
 
 # panel budget of gamma_N_quad
@@ -303,11 +414,18 @@ def _accumulate_arcs_grid(
     conj(gamma_N) at bins L/2 - j.  The row a = 1 of q = 2 is its own
     mirror: it runs on j <= L/4, and every point but j = L/4 is mirrored.
     Odd L evaluates every row, as L/2 - j is not a bin there.
+
+    For odd q, G0(a, q) = 0 at every odd a (2q = 2 mod 4), so those rows
+    write nothing: odd L drops them, and even L, where q - a is even just
+    when a is odd, writes each pair once, at row a or at its mirror.  Adding
+    a zero would change no bit, as out holds no -0.0.
     """
     h = L // 2
     even = L % 2 == 0
     for q in range(1 << (s - 1), 1 << s):
         a = np.flatnonzero(np.gcd(np.arange(q + 1), q) == 1)  # a[-1 - i] = q - a[i]
+        if q % 2 and not even:
+            a = a[a % 2 == 0]  # G0(a, q) = 0 for odd q and odd a
         g0 = gauss_G_closed_array(a, 2 * q)
         rows = a[: (len(a) + 1) // 2] if even else a
         scale = float(1 << (2 * s)) if width_scale is None else width_scale * q
@@ -324,9 +442,16 @@ def _accumulate_arcs_grid(
             jm, thm = j[mask], th[mask]
             w = eta(scale * thm)
             gam = gamma_N(thm, N)
-            out[jm] += g0[i] * w * gam
-            if even:
+            if q % 2 and even:
+                # of the pair a, q - a of odd q one is odd, of weight 0: a
+                # point writes its own bin for even a, its mirror for odd a
+                d = rows[i] % 2 == 0
+                m = ~d
+            else:
+                d = slice(None)
                 m = 2 * jm < h if q == 2 else slice(None)
+            out[jm[d]] += g0[i[d]] * w[d] * gam[d]
+            if even:
                 out[h - jm[m]] += g0[-1 - i[m]] * w[m] * np.conjugate(gam[m])
 
 

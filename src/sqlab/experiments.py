@@ -17,6 +17,11 @@ from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+# numpy loads its fft and random modules on first use; loading them with the
+# runners keeps their one-time import out of any run's traced arrays, so the
+# memory preflights bound a run's peak from a fresh process on
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
 
 from . import circle, hsums
 from .arith import DomainError, count_sqrts, factorize

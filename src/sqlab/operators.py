@@ -13,7 +13,6 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .arith import DomainError
 from .circle import ContractError, MultiplierGrid, split_half_spectrum
@@ -91,9 +90,21 @@ class IntervalZ:
 
 
 def _smooth_len(n: int) -> int:
-    """Smallest 5-smooth integer >= n: a length whose FFT needs only
-    radix-2, 3 and 5 passes."""
-    return next_fast_len(n, real=True)
+    """Smallest 5-smooth integer >= n >= 1, a length whose FFT needs only
+    radix-2, 3 and 5 passes: over every 3^b 5^c below the power of two
+    >= n, the least 2^a 3^b 5^c >= n, in exact integers."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # 2^a p35 >= n for 2^a >= ceil(n / p35) = (n - 1) // p35 + 1
+            c = p35 << ((n - 1) // p35).bit_length()
+            if c < best:
+                best = c
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 # above this many shifts, one transform costs less than the shifted adds
@@ -127,15 +138,17 @@ def _average_shifts(f: Signal, shifts: np.ndarray, method: str | None = None) ->
 
 
 def shift_average_bytes(n: int, shifts: np.ndarray) -> int:
-    """Bytes of the arrays _average_shifts allocates for a block of n
-    samples on the route it chooses: the float64 output and, on the FFT
-    route, the padded input, two complex half spectra and the inverse
-    transform, all of the transform length L."""
+    """Peak bytes of the arrays _average_shifts allocates for a block of n
+    samples on the route it chooses, as traced: on the direct route the
+    float64 output, out_len samples; on the FFT route, of length L >=
+    out_len, the kernel's half spectrum, the product of spectra and its
+    inverse transform, 24 bytes a point of L (the output comes after the
+    product is freed)."""
     out_len = n + int(shifts.max()) - int(shifts.min()) + 1
     if len(shifts) <= _FFT_SHIFTS:
         return 8 * out_len
     L = _smooth_len(out_len)
-    return 8 * out_len + 8 * L + 2 * 16 * (L // 2 + 1) + 8 * L
+    return 2 * 16 * (L // 2 + 1) + 8 * L
 
 
 def average_squares(f: Signal, N: int, method: str | None = None) -> Signal:
@@ -266,7 +279,7 @@ def high_low_split_bytes(N: int, n: int, j_list: Sequence[int]) -> int:
     (High, Low) dropped before the next: when some J splits, 48 per point
     of L (measured: the Weyl and Low half spectra, f's spectrum, the High
     kernel or output, one product of spectra and its inverse transform);
-    else A_N f's route and a zero High."""
+    else A_N f's route, then its output and a zero High, n + N^2 samples each."""
     if min(j_list) < max(1, N // 4):
         return 48 * _split_grid_len(N, n)
-    return shift_average_bytes(n, np.arange(1, N + 1, dtype=np.int64) ** 2) + 8 * (n + N * N)
+    return shift_average_bytes(n, np.arange(1, N + 1, dtype=np.int64) ** 2) + 16 * (n + N * N)

@@ -5,8 +5,9 @@ support sets and divisor enumeration of H(q,x), the smooth-number frontier
 of the adversarial low-pass candidates, the low-pass sum S_J from FFT
 tables, the arc decomposition of the Weyl multiplier (the major arcs a_N,
 the minor arcs c_N, the narrow part a_tilde and the splits b_N1, b_N2 of
-a_N), the rolled multiplier route, the direct shift average, the maximal
-and truncated maximal averages, and the sparse-domination comparison.
+a_N) and the arc enumerator writing every row, the rolled multiplier
+route, the direct shift average, the maximal and truncated maximal
+averages, and the sparse-domination comparison.
 
 The library computes none of these; the tests check the library against
 them.
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from sqlab.arith import DomainError, count_sqrts, factorize, is_prime, jacobi, sqrt_count_vector
-from sqlab.circle import MultiplierGrid, arc_level_grid, sample_multiplier
-from sqlab.gauss import gauss_G0, gauss_G0_vector, gauss_G_closed, gauss_G_vector
+from sqlab.circle import MultiplierGrid, arc_level_grid, eta, gamma_N, sample_multiplier
+from sqlab.gauss import gauss_G0, gauss_G0_vector, gauss_G_closed, gauss_G_closed_array, gauss_G_vector
 from sqlab.hsums import h_sum, h_vector
 from sqlab.operators import IntervalZ, Signal, average_squares
 from sqlab.sparse import STOPPING_CONSTANT, StoppingTime, sparse_decompose, sparse_form
@@ -411,6 +412,35 @@ def multiplier_piece(which: str, N: int, M: int | None, J: int | None, L: int) -
     if which in ("b_N1", "b_N2"):
         return MultiplierGrid(L, levels(1, s0) - narrow)
     raise DomainError(f"multiplier_piece: unknown piece {which!r}")
+
+
+def accumulate_arcs_all_rows(out: np.ndarray, N: int, s: int, L: int, width_scale: float | None) -> None:
+    """The arc enumerator writing every row, the zero-weight rows of odd q
+    included: for even L eta and gamma_N run on the rows a <= q/2, and each
+    row adds to its bins and its mirror row q - a to the mirrored bins."""
+    h = L // 2
+    even = L % 2 == 0
+    for q in range(1 << (s - 1), 1 << s):
+        a = np.flatnonzero(np.gcd(np.arange(q + 1), q) == 1)  # a[-1 - i] = q - a[i]
+        g0 = gauss_G_closed_array(a, 2 * q)
+        rows = a[: (len(a) + 1) // 2] if even else a
+        scale = float(1 << (2 * s)) if width_scale is None else width_scale * q
+        half_width = 0.5 / scale
+        radius = int(math.floor(half_width * L / 2.0)) + 1
+        j = (rows * L // (2 * q))[:, None] + np.arange(-radius, radius + 1)
+        th = (2 * q * j - rows[:, None] * L) / (q * L)
+        mask = (np.abs(th) < half_width) & (j >= 0) & (j <= h)
+        if even and q == 2:
+            mask &= 2 * j <= h
+        if mask.any():
+            i = mask.nonzero()[0]
+            jm, thm = j[mask], th[mask]
+            w = eta(scale * thm)
+            gam = gamma_N(thm, N)
+            out[jm] += g0[i] * w * gam
+            if even:
+                m = 2 * jm < h if q == 2 else slice(None)
+                out[h - jm[m]] += g0[-1 - i[m]] * w[m] * np.conjugate(gam[m])
 
 
 # ---------------------------------------------------------------------------

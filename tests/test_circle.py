@@ -4,13 +4,16 @@ profile, Dirichlet approximation, and the arc decomposition."""
 import math
 import os
 import tracemalloc
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import fresnel
 
 from sqlab import circle
 from sqlab.arith import DomainError
@@ -33,9 +36,9 @@ from sqlab.circle import (
     weyl_multiplier_grid,
 )
 from sqlab.experiments import run_fjk_constant
-from sqlab.gauss import gauss_G0
+from sqlab.gauss import gauss_G0, gauss_G_closed_array
 
-from oracles import multiplier_piece
+from oracles import accumulate_arcs_all_rows, multiplier_piece
 
 
 def gamma_N_series(xi: float, N: int, tol: float = 1e-14, max_terms: int = 600) -> complex:
@@ -229,9 +232,91 @@ class TestWeyl:
         assert abs(weyl_multiplier(Fraction(num, 64), N)) <= 1.0 + 1e-12
 
 
+def fresnel_scipy(z: np.ndarray) -> np.ndarray:
+    """Oracle: C(z) + iS(z) from scipy.special.fresnel, the route circle's
+    own Fresnel integral replaced."""
+    s, c = fresnel(z)
+    return c + 1j * s
+
+
+def fresnel_tolerance(z):
+    """The agreement required of circle._fresnel: 2e-15, plus 2e-16 z for
+    the rounding of z^2 in the phase at large z."""
+    return 2e-15 + 2e-16 * np.asarray(z)
+
+
+class TestFresnel:
+    def test_matches_scipy_on_a_dense_grid(self):
+        # both routes and the switch at 6, each node k/64 of the table and
+        # the midpoints between nodes, where the Taylor offset is largest
+        nodes = np.arange(6 * 64 + 1) / 64
+        around = np.concatenate([nodes, nodes + 1 / 128, [6.0]])
+        ulps = around[:, None] + np.arange(-1, 2) * np.spacing(around)[:, None]
+        z = np.concatenate([
+            np.linspace(0.0, 10.0, 200_001),
+            np.geomspace(10.0, 1e5, 200_001),
+            np.abs(ulps.ravel()),
+        ])
+        assert np.all(np.abs(circle._fresnel(z) - fresnel_scipy(z)) <= fresnel_tolerance(z))
+
+    @given(st.floats(min_value=0.0, max_value=1e5))
+    @settings(max_examples=300, deadline=None)
+    @example(6.0).via("the switch to the asymptotic series")
+    @example(float(np.nextafter(6.0, 0.0))).via("the last point of the table")
+    @example(1e5)
+    def test_matches_scipy_at_drawn_points(self, z):
+        got, want = circle._fresnel(np.array([z])), fresnel_scipy(np.array([z]))
+        assert abs(got[0] - want[0]) <= fresnel_tolerance(z)
+
+    def test_matches_mpmath_at_30_digits(self):
+        rng = np.random.default_rng(23)
+        z = np.concatenate([rng.uniform(0.0, 7.0, 100), np.exp(rng.uniform(np.log(7.0), np.log(1e5), 100))])
+        got = circle._fresnel(z)
+        with mpmath.workdps(30):
+            want = [
+                complex(mpmath.fresnelc(mpmath.mpf(float(x))), mpmath.fresnels(mpmath.mpf(float(x)))) for x in z
+            ]
+        assert np.all(np.abs(got - np.array(want)) <= fresnel_tolerance(z))
+
+    def test_extremes_raise_no_warning(self):
+        # E(inf) = (1+i)/2 as scipy gives; NaN propagates; past 1e154 z^2
+        # overflows, past 1e77 (pi z^2)^2 does, and neither may be formed
+        z = np.array([np.inf, np.nan, 1e300, 1e200, 1e100, 2.0**54, 0.0, 6.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = circle._fresnel(z)
+            gam = gamma_N(np.array([np.inf, -np.inf, 1e300, -1e300]), 4096)
+        assert got[0] == 0.5 + 0.5j and np.isnan(got[1].real) and np.isnan(got[1].imag)
+        assert np.all(np.abs(got[2:6] - (0.5 + 0.5j)) < 1e-15) and got[6] == 0
+        want = fresnel_scipy(z[[0, 5, 7]])
+        assert np.all(np.abs(got[[0, 5, 7]] - want) <= fresnel_tolerance(z[[0, 5, 7]]))
+        assert np.array_equal(gam[:2], np.zeros(2)) and 0 < abs(gam[2]) < 1e-153
+        assert np.array_equal(gam[1::2].copy().view(np.int64), np.conjugate(gam[::2]).view(np.int64))
+
+    def test_scalar_and_shaped_inputs(self):
+        z = np.linspace(0.0, 12.0, 24).reshape(2, 3, 4)
+        got = circle._fresnel(z)
+        assert got.shape == z.shape and circle._fresnel(np.float64(3.0)).shape == ()
+        assert np.array_equal(got.ravel(), circle._fresnel(z.ravel()))
+
+    def test_working_memory_is_bounded(self):
+        # one block of points at a time, one table row per Horner step: the
+        # traced peak beyond the output stays under 1 MB at 2^18 points
+        z = np.random.default_rng(0).uniform(0.0, 12.0, 1 << 18)
+        circle._fresnel(z[:1])  # the table is built once, on the first call
+        tracemalloc.start()
+        try:
+            circle._fresnel(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 16 * len(z) < 1_000_000
+
+
 class TestGamma:
     def test_at_zero(self):
         assert gamma_N(0.0, 16) == 1.0 + 0j
+        assert np.array_equal(gamma_N(np.zeros(3), 16), np.ones(3, dtype=np.complex128))
 
     def test_closed_form_vs_quadrature(self):
         for xi in (0.0, 1e-7, 0.003, 0.21, -0.6, 2.5):
@@ -457,6 +542,31 @@ class TestArcs:
             accumulate_arcs_loop(want, N, level, L, N * N / J)
         got = sample_multiplier("b_N1", N, J, J, L).values
         assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+    def test_odd_moduli_have_zero_weight_at_odd_a(self):
+        # the premise of skipping rows: G(a, 2q) = 0 exactly, 2q = 2 mod 4
+        for q in range(1, 64, 2):
+            a = np.array([a for a in range(1, q + 1, 2) if math.gcd(a, q) == 1])
+            assert np.array_equal(gauss_G_closed_array(a, 2 * q), np.zeros(len(a))), q
+
+    @pytest.mark.parametrize("L", [1 << 12, 1 << 16, 3 * (1 << 12) + 1])
+    def test_zero_weight_rows_skipped_bitwise(self, L):
+        # skipping the zero-weight rows of odd q, and the mirrored writes of
+        # their partners, leaves every bit of the all-rows accumulation, on
+        # dyadic and narrow bumps, into a zero grid and over earlier levels
+        N = 256
+        for width_scale in (None, N * N / 64):
+            got = np.zeros(L, dtype=np.complex128)
+            want = np.zeros(L, dtype=np.complex128)
+            for s in range(1, 7):
+                _accumulate_arcs_grid(got, N, s, L, width_scale)
+                accumulate_arcs_all_rows(want, N, s, L, width_scale)
+                assert np.array_equal(got.view(np.float64), want.view(np.float64)), (s, width_scale)
+                one = np.zeros(L, dtype=np.complex128)
+                _accumulate_arcs_grid(one, N, s, L, width_scale)
+                ref = np.zeros(L, dtype=np.complex128)
+                accumulate_arcs_all_rows(ref, N, s, L, width_scale)
+                assert np.array_equal(one.view(np.float64), ref.view(np.float64)), (s, width_scale)
 
     def test_level_is_built_one_modulus_at_a_time(self):
         # level 10 has 512 moduli and some 480,000 reduced a/q in [0, 2), but

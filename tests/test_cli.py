@@ -310,6 +310,19 @@ class TestExitCodes:
             tracemalloc.stop()
         assert peak <= counts[0]
 
+    @pytest.mark.parametrize("N", [128, 256])
+    def test_improving_preflight_is_tight_on_the_fft_route(self, monkeypatch, N):
+        # N > 64 averages by FFT, counted at its traced peak
+        counts = []
+        monkeypatch.setattr(experiments, "_require_memory", lambda job, need: counts.append(need))
+        tracemalloc.start()
+        try:
+            experiments.run_improving_ratio([N], 1.6, 2, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= counts[0] <= 1.25 * peak
+
     @pytest.mark.parametrize(
         "run, args",
         [

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from sqlab import circle, experiments, operators
 from sqlab.arith import DomainError
@@ -93,6 +94,17 @@ def test_smooth_len_is_least_5_smooth_bound():
         assert L >= n and _is_smooth(L), n
         assert not any(_is_smooth(m) for m in range(n, L)), n
     assert _smooth_len(3 << 20) == 3 << 20  # n + N^2 at N = 2^10, n = 2N^2
+
+
+def test_smooth_len_is_scipys_next_fast_len():
+    # the integer search against the scipy route it replaced, at every
+    # n <= 2^17 and at the runners' window lengths c N^2 + d, c = 1, 2, 3
+    # for N up to 2^12, and far beyond them
+    assert all(_smooth_len(n) == next_fast_len(n, real=True) for n in range(1, (1 << 17) + 1))
+    N = 2 ** np.arange(3, 13)
+    lengths = [c * n * n + d for n in N.tolist() for c in (1, 2, 3) for d in (-1, 0, 1)]
+    lengths += [(1 << k) + d for k in range(17, 48) for d in (-1, 1)] + [10**9 + 7, 3**20 * 5**7 + 1]
+    assert [_smooth_len(n) for n in lengths] == [next_fast_len(n, real=True) for n in lengths]
 
 
 class TestAverageSquares:
