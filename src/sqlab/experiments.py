@@ -45,6 +45,7 @@ from .sparse import (
     check_admissible,
     sparse_decompose,
     sparse_form,
+    violation_table,
 )
 
 
@@ -669,21 +670,23 @@ def run_sparse_demo(
         columns=["quantity", "value"],
     )
     # f on 2E and g on E (24 bytes a point of E), and the larger of A_N's
-    # arrays beside the witnesses and tau (16) and the stopping-time pass,
-    # measured with tracemalloc at 72-73 for |E| >= 2^12 and counted as 76:
-    # one violation table (f on 3E and its prefix sums, the level's block
-    # ends and averages) beside the witnesses and tau; 64 KiB of small objects
+    # arrays beside the witnesses and tau (16) and the sparse form's pass,
+    # measured with tracemalloc at 66-69 for |E| >= 2^12 and counted as 72
+    # (A_N f and norm_p's |f| and powers on 2E beside the witnesses and tau;
+    # the violation table's pass stays at 56-61); 64 KiB of small objects
     N = max(2, int(math.isqrt(e_size)) // 2)
-    need = 24 * e_size + max(16 * e_size + _average_squares_bytes(2 * e_size, N), 76 * e_size) + (1 << 16)
+    need = 24 * e_size + max(16 * e_size + _average_squares_bytes(2 * e_size, N), 72 * e_size) + (1 << 16)
     _require_memory(f"sparse-demo at e_size={e_size}", need)
     E = IntervalZ(0, e_size - 1)
     twoE = E.double()
     rng = make_rng(seed)
     f = Signal(twoE.a, _random_indicator(rng, len(twoE), density))
     g = Signal(E.a, _random_indicator(rng, len(E), density))
-    coll = sparse_decompose(f, E, C)
-    tau = build_admissible_tau(f, E, C)
-    _require("inadmissible built stopping times", int(not check_admissible(tau, f, C)), 0)
+    table = violation_table(f, E, C)
+    coll = sparse_decompose(table)
+    tau = build_admissible_tau(table)
+    _require("inadmissible built stopping times", int(not check_admissible(tau, table)), 0)
+    del table  # its prefix sum over 3E is not kept beside A_N's arrays
     af = average_squares(f, N)
     pairing = float(np.dot(af.on(E), g.on(E)))
     lam = sparse_form(coll, f, g, _SPARSE_R, _SPARSE_S)

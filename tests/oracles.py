@@ -25,7 +25,7 @@ from sqlab.circle import MultiplierGrid, arc_level_grid, eta, gamma_N, sample_mu
 from sqlab.gauss import gauss_G0, gauss_G0_vector, gauss_G_closed, gauss_G_closed_array, gauss_G_vector
 from sqlab.hsums import h_sum, h_vector
 from sqlab.operators import IntervalZ, Signal, average_squares
-from sqlab.sparse import STOPPING_CONSTANT, StoppingTime, sparse_decompose, sparse_form
+from sqlab.sparse import STOPPING_CONSTANT, StoppingTime, sparse_decompose, sparse_form, violation_table
 
 # ---------------------------------------------------------------------------
 # arithmetic
@@ -531,7 +531,7 @@ def verify_domination(
     the empirical domination constant and should stay bounded as N and E
     grow.
     """
-    coll = sparse_decompose(f, E, C)
+    coll = sparse_decompose(violation_table(f, E, C))
     af = average_squares(Signal(f.offset, np.abs(np.asarray(f.samples))), N)
     pairing = float(np.dot(af.on(E), np.abs(g.on(E))))
     lam = sparse_form(coll, f, g, r, s)

@@ -14,12 +14,11 @@ import pytest
 
 from sqlab import arith, cli, gauss, hsums
 from sqlab.circle import (
-    MultiplierGrid,
     arc_level_grid,
     dirichlet_approx,
     gamma_N,
     gamma_N_quad,
-    sample_multiplier,
+    split_half_spectrum,
     weyl_multiplier_grid,
 )
 from sqlab.experiments import (
@@ -36,7 +35,7 @@ from sqlab.operators import (
     average_squares,
     bilinear_form,
 )
-from sqlab.sparse import build_admissible_tau, check_admissible, sparse_decompose
+from sqlab.sparse import build_admissible_tau, check_admissible, sparse_decompose, violation_table
 
 from oracles import (
     count_sqrts_bruteforce,
@@ -220,11 +219,11 @@ def test_criterion_08_high_low_decomposition():
     N, L = 1 << 10, 1 << 22
     I = IntervalZ(0, N * N - 1)
     II = I.double()
-    weyl = sample_multiplier("weyl", N, None, None, L)
-    grids = {}
+    weyl = split_half_spectrum("weyl", N, None, L)
+    halves = {}
     for J in (4, 8, 16, 32, 64):
-        low = sample_multiplier("b_N1", N, J, J, L)
-        grids[J] = (low, MultiplierGrid(L, weyl.values - low.values))
+        low = split_half_spectrum("b_N1", N, J, L)
+        halves[J] = (low, weyl - low)
     rng = np.random.default_rng(2024)
     worst_err, c_high, c_low = 0.0, 0.0, 0.0
     for _ in range(20):
@@ -232,9 +231,9 @@ def test_criterion_08_high_low_decomposition():
         af = average_squares(f, N, method="dft")
         f2 = math.sqrt(float(np.mean(f.on(II) ** 2)))
         f1 = average_on(f, II)
-        # one spectrum of f for all ten grids, each half spectrum taken lazily
-        parts = _apply_multipliers(f, L, (g.values[: L // 2 + 1] for pair in grids.values() for g in pair))
-        for J in grids:
+        # one spectrum of f for all ten half spectra
+        parts = _apply_multipliers(f, L, (h for pair in halves.values() for h in pair))
+        for J in halves:
             lo, hi = next(parts), next(parts)
             err = float(np.max(np.abs(lo.on(I) + hi.on(I) - af.on(I))))
             worst_err = max(worst_err, err)
@@ -281,15 +280,16 @@ def test_criterion_10_sparse_machinery():
         if fm.sum() == 0:
             fm[0] = 1.0
         f = Signal(0, fm)
-        coll = sparse_decompose(f, E)
+        table = violation_table(f, E)
+        coll = sparse_decompose(table)
         coll.verify()
         kids_mass = sum(
             len(n.interval) for n in coll.nodes if n.interval != E
         )
         for node in coll.nodes:
             assert len(node.witness) > len(node.interval) / 4
-        tau = build_admissible_tau(f, E)
-        assert check_admissible(tau, f)
+        tau = build_admissible_tau(table)
+        assert check_admissible(tau, table)
         assert kids_mass >= 0
     means = {}
     for size in (1 << 10, 1 << 12):
