@@ -253,15 +253,20 @@ def run_lowpass_scan(
     # measured with tracemalloc: the sieve for the candidates above, 16
     # bytes a sieved x; in the scan, 8 bytes a point of the window and of
     # extra for S and a copy of S per J but the last, 416 per q <= max J for
-    # the cached factorizations, and 56 a point for one period of |H(q, .)|
-    # at q = max J with extra (the points, their residues, the gathered
-    # factors and the values); 64 KiB of small objects
+    # the cached factorizations, 8 an entry of the factor tables, 72 per
+    # q <= max J for the last q = max J = 2^K (its int64 period of 2q
+    # points beside either the build of the table of 2^K, first needed
+    # there, or the period's quotient by q) and 16 a point of extra (its
+    # residues mod 2q and the values gathered there); 64 KiB of small objects
     sieve = 16 * (min(j_max * j_max, 1 << 15) + 1) if adversarial else 0
-    scan = 8 * (x_max + 1 + len(extra)) * len(j_list) + 416 * j_max + 56 * (2 * j_max + len(extra))
+    scan = 8 * (x_max + 1 + len(extra)) * len(j_list) + 416 * j_max + 8 * hsums.factor_table_entries(j_max)
+    scan += 72 * j_max + 16 * len(extra)
     _require_memory(f"lowpass-scan at x_max={x_max}", max(sieve, scan) + (1 << 16))
-    for J, vals in zip(j_list, hsums.accumulate_S(j_list, x_max, extra)):
+    tables = hsums.FactorTables()
+    for J, vals in zip(j_list, hsums.accumulate_S(j_list, x_max, extra, tables)):
         i = int(np.argmax(vals))
         top, x = float(vals[i]), i if i <= x_max else int(extra[i - x_max - 1])
+        _require(f"max_S at J={J} (bounded by U_J)", top, hsums.upper_bound_S(J, tables) * (1 + 1e-12))
         report.add_row(J, x, top, top / math.log(J) ** 2 if J > 1 else top)
     return report
 
@@ -415,11 +420,11 @@ def run_improving_ratio(
         columns=["N", "max_ratio", "const_ratio", "extremal_pairing", "extremal_lower"],
     )
     # per N, with s = |I| = N^2: an indicator on 2I (16 bytes a point of
-    # I), and the larger of an average's arrays beside norm_p's absolute
-    # values and powers on I (16) and the extremal rows' arrays, the
-    # constant indicator's average (24) beside f0 (8) and norm_p's copy and
-    # absolute values or absolute values and powers on 2I (32); 64 KiB of
-    # small objects
+    # I), and the larger of an average's arrays beside norm_p's padded copy
+    # of A f on I and its absolute values (16) and the extremal rows'
+    # arrays, the constant indicator's average (24) beside f0 (8) and
+    # norm_p's padded copy of f0 on 2I and its absolute values (32); the
+    # powers are raised in place; 64 KiB of small objects
     for N in n_list:
         s = N * N
         need = 16 * s + max(_average_squares_bytes(2 * s, N) + 16 * s, 64 * s) + (1 << 16)
@@ -464,8 +469,8 @@ def run_orlicz_ratio(
     )
     # per N, with s = |I| = N^2: the last trial's f on 2I and g on I and
     # the constant pair (48 bytes a point of I), and the larger of an
-    # average's arrays and f0 (8) beside norm_p's copy and absolute values
-    # or absolute values and powers on 2I (32); 64 KiB of small objects
+    # average's arrays and f0 (8) beside norm_p's padded copy of f0 on 2I
+    # and its absolute values (32); 64 KiB of small objects
     for N in n_list:
         s = N * N
         need = 48 * s + max(_average_squares_bytes(2 * s, N), 40 * s) + (1 << 16)
@@ -627,10 +632,10 @@ def run_poly_average(
         shifts = polynomial_shifts(coeffs, N)
         scale = max(1, int(np.abs(shifts).max()))
         # the float64 indicator on 2I (16 bytes a point of I), the arrays of
-        # the average's route, and norm_p's absolute values and powers, of
-        # A f on I beside them or of f on 2I after them (16 or 32 bytes a
-        # point of I); 64 KiB of small objects
-        need = 32 * scale + shift_average_bytes(2 * scale, shifts) + (1 << 16)
+        # the average's route, and norm_p's absolute values, raised to the
+        # power in place, of A f on I beside them or of f on 2I after them
+        # (8 or 16 bytes a point of I); 64 KiB of small objects
+        need = 24 * scale + shift_average_bytes(2 * scale, shifts) + (1 << 16)
         _require_memory(f"poly-average at N={N}", need)
         scales.append(scale)
     for N, scale in zip(n_list, scales):
@@ -670,12 +675,13 @@ def run_sparse_demo(
         columns=["quantity", "value"],
     )
     # f on 2E and g on E (24 bytes a point of E), and the larger of A_N's
-    # arrays beside the witnesses and tau (16) and the sparse form's pass,
-    # measured with tracemalloc at 66-69 for |E| >= 2^12 and counted as 72
-    # (A_N f and norm_p's |f| and powers on 2E beside the witnesses and tau;
-    # the violation table's pass stays at 56-61); 64 KiB of small objects
+    # arrays beside the witnesses and tau (16) and the violation table's
+    # pass, measured with tracemalloc at 58-60 for |E| >= 2^12 and counted
+    # as 62 (the sparse form's pass, A_N f and norm_p's |f| on 2E raised to
+    # the power in place beside the witnesses and tau, stays at 50-52);
+    # 64 KiB of small objects
     N = max(2, int(math.isqrt(e_size)) // 2)
-    need = 24 * e_size + max(16 * e_size + _average_squares_bytes(2 * e_size, N), 72 * e_size) + (1 << 16)
+    need = 24 * e_size + max(16 * e_size + _average_squares_bytes(2 * e_size, N), 62 * e_size) + (1 << 16)
     _require_memory(f"sparse-demo at e_size={e_size}", need)
     E = IntervalZ(0, e_size - 1)
     twoE = E.double()

@@ -14,10 +14,16 @@ q = 2^b * prod p^k,
     |H(q,x)| = T_2(x) * prod_{p odd} |r_{p^k}(-x) - r_{p^(k-1)}(-x)|,
 
 where T_2(x) = |r_{2^(b+1)}(-x) - r_{2^b}(-x)| for b >= 1 and 1 for b = 0;
-H(1,x) = 0.  ``abs_h_on_points`` evaluates this product from enumerated
-square-root-count tables, and ``accumulate_S`` adds one period of it, of
-length 2q, to the scan window [0, x_max] at once and evaluates it on the
-points past the window, so the low-pass scan builds no complex table.
+H(1,x) = 0.  One period of it, x in [0, 2q), is built in place: for odd p
+with k = 1 the factor is |(-x/p)|, so the multiples of p are zeroed; every
+other factor is a table whose length divides 2q, enumerated once per scan
+in a ``FactorTables`` and multiplied into the period reshaped to rows of
+that length.  ``accumulate_S`` adds the period to the scan window
+[0, x_max] at once and reads the points past the window from it, and
+``abs_h_on_points`` reads arbitrary points from it, so the low-pass scan
+builds no complex table and gathers no table per point.  ``upper_bound_S``
+bounds sup_x S_J(x) by a product over the primes p <= J of the maxima of
+the per-prime sums of those tables.
 """
 
 from __future__ import annotations
@@ -96,16 +102,49 @@ def _sqrt_count_step(p: int, k: int) -> np.ndarray:
     return np.abs(sqrt_count_vector(m)[y % m] - sqrt_count_vector(m // p)[y % (m // p)])
 
 
-def abs_h_on_points(q: int, xs: np.ndarray) -> np.ndarray:
-    """|H(q, x)| for an array of integers x, exactly, as int64: the product
-    over the prime powers of q of their square-root-count factors (the
-    empty product of q = 1 is replaced by H(1,x) = 0)."""
-    xs = np.asarray(xs, dtype=np.int64)
-    out = np.full(len(xs), int(q > 1), dtype=np.int64)
+class FactorTables(dict):
+    """The tables _sqrt_count_step(p, k), keyed by (p, k), each built on its
+    first lookup: the working set of one scan, dropped with it."""
+
+    def __missing__(self, key: tuple[int, int]) -> np.ndarray:
+        self[key] = step = _sqrt_count_step(*key)
+        return step
+
+
+def factor_table_entries(J: int) -> int:
+    """How many entries the factor tables of the q <= J hold: 2^(k+1) for
+    each 2^k <= J with k >= 1, and p^k for each odd p^k <= J with k >= 2."""
+    entries = sum(2 ** (k + 1) for k in range(1, J.bit_length()))
+    for p in filter(is_prime, range(3, math.isqrt(J) + 1, 2)):
+        pk = p * p
+        while pk <= J:
+            entries, pk = entries + pk, pk * p
+    return entries
+
+
+def _abs_h_period(q: int, tables: FactorTables) -> np.ndarray:
+    """|H(q, x)| for x in [0, 2q), as int64.  Each p^k || q multiplies in
+    its factor table, whose length divides 2q, as a row of the period
+    reshaped to that length; for odd p with k = 1 the factor |(-x/p)| is
+    0 on the multiples of p and 1 elsewhere, so those are zeroed and no
+    table is read."""
+    out = np.full(2 * q, int(q > 1), dtype=np.int64)
     for p, k in factorize(q).factors:
-        step = _sqrt_count_step(p, k)
-        out *= step[xs % len(step)]
+        if p != 2 and k == 1:
+            out[::p] = 0
+        else:
+            step = tables[p, k]
+            rows = out.reshape(-1, len(step))
+            rows *= step
     return out
+
+
+def abs_h_on_points(q: int, xs: np.ndarray) -> np.ndarray:
+    """|H(q, x)| for an array of integers x, exactly, as int64: read from
+    one period, the product over the prime powers of q of their
+    square-root-count factors (the empty product of q = 1 is replaced by
+    H(1,x) = 0)."""
+    return _abs_h_period(q, FactorTables())[np.asarray(xs, dtype=np.int64) % (2 * q)]
 
 
 _ADVERSARIAL_COUNT = 4000
@@ -126,24 +165,59 @@ def _adversarial_candidates(J: int) -> list[int]:
     return [0, *np.flatnonzero(rest == 1)[:_ADVERSARIAL_COUNT].tolist()]
 
 
-def accumulate_S(j_list: Sequence[int], x_max: int, extra: np.ndarray) -> list[np.ndarray]:
+def accumulate_S(j_list: Sequence[int], x_max: int, extra: np.ndarray, tables: FactorTables) -> list[np.ndarray]:
     """S_J on the window [0, x_max] (empty for x_max = -1) followed by the
     points of extra, for each J of the increasing j_list, in order: copies
     of one running sum over q, of which the last is the sum itself.  Each
-    |H(q,.)|/q is evaluated on one period of the window, added to it as an
-    (m, 2q) view plus a partial period, and on the points of extra."""
+    |H(q,.)|/q is built as one period of 2q values, added to the window as
+    an (m, 2q) view plus a partial period, and read at the points of extra
+    mod 2q.  The factor tables are looked up in tables, so each is built
+    once however many q read it."""
     extra = np.asarray(extra, dtype=np.int64)
     n = x_max + 1
     S, out = np.zeros(n + len(extra)), []
     window, tail = S[:n], S[n:]
     for prev, J in zip([0, *j_list], j_list):
         for q in range(prev + 1, J + 1):
+            vals = _abs_h_period(q, tables) / q
             P = min(2 * q, n)
-            vals = abs_h_on_points(q, np.concatenate([np.arange(P, dtype=np.int64), extra])) / q
             m = n // max(P, 1)
             periods = window[: m * P].reshape(m, P)
             periods += vals[:P]
             window[m * P :] += vals[: n - m * P]
-            tail += vals[P:]
+            tail += vals[extra % (2 * q)]
         out.append(S if J == j_list[-1] else S.copy())
     return out
+
+
+def upper_bound_S(J: int, tables: FactorTables) -> float:
+    """U_J = prod_{p <= J} max_x F_p(x) - 1 with F_p = sum_{k >= 0, p^k <= J}
+    t_{p,k}/p^k, t_{p,k} the factor table of p^k and t_{p,0} = 1.  Expanded,
+    the product of the F_p(x) holds |H(q,x)|/q for every q <= J among
+    nonnegative terms, and 1 for q = 1 where H(1,x) = 0, so
+    U_J >= sup_x S_J(x).  A p > sqrt(J) divides a q <= J at most once, so
+    its F_p is 1 + t_{p,1}/p, of maximum 1 + 1/p (t_{p,1} = |(-x/p)| for
+    odd p, and t_{2,1} = 1); the F_p of the primes p <= sqrt(J), which sieve
+    out the rest, are built on one period from the tables."""
+    root = math.isqrt(J)
+    prime = np.ones(J + 1, dtype=bool)
+    bound = 1.0
+    for p in range(2, root + 1):
+        if not prime[p]:
+            continue
+        prime[p * p :: p] = False
+        K, pk = 1, p
+        while pk * p <= J:
+            K, pk = K + 1, pk * p
+        F = np.ones(2 * pk if p == 2 else pk)
+        for k in range(1, K + 1):
+            if p != 2 and k == 1:
+                F.reshape(-1, p)[:, 1:] += 1 / p
+            else:
+                step = tables[p, k]
+                rows = F.reshape(-1, len(step))
+                rows += step / p**k
+        bound *= float(F.max())
+    for p in (root + 1 + np.flatnonzero(prime[root + 1 :])).tolist():
+        bound *= 1 + 1 / p
+    return bound - 1

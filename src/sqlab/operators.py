@@ -192,7 +192,8 @@ def norm_p(f: Signal, p: float, interval: IntervalZ) -> float:
         return float(np.max(vals))
     if p <= 0:
         raise DomainError(f"norm_p: p={p} must be positive")
-    return float(((1.0 / len(interval)) * np.sum(vals**p)) ** (1.0 / p))
+    np.power(vals, p, out=vals)
+    return float(((1.0 / len(interval)) * np.sum(vals)) ** (1.0 / p))
 
 
 # kept only because perfbench/libops.py reads it; the library calls norm_p

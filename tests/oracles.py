@@ -2,7 +2,8 @@
 square-root counts and their CRT assembly, the per-pair gauss-check rows,
 the per-numerator H weights, the per-point hsum-identities rows, the
 support sets and divisor enumeration of H(q,x), the smooth-number frontier
-of the adversarial low-pass candidates, the low-pass sum S_J from FFT
+of the adversarial low-pass candidates, |H(q,x)| by per-factor gathers,
+the bound U_J from every prime's tables, the low-pass sum S_J from FFT
 tables, the arc decomposition of the Weyl multiplier (the major arcs a_N,
 the minor arcs c_N, the narrow part a_tilde and the splits b_N1, b_N2 of
 a_N) and the arc enumerator writing every row, the rolled multiplier
@@ -23,7 +24,7 @@ import numpy as np
 from sqlab.arith import DomainError, count_sqrts, factorize, is_prime, jacobi, sqrt_count_vector
 from sqlab.circle import MultiplierGrid, arc_level_grid, eta, gamma_N, sample_multiplier
 from sqlab.gauss import gauss_G0, gauss_G0_vector, gauss_G_closed, gauss_G_closed_array, gauss_G_vector
-from sqlab.hsums import h_sum, h_vector
+from sqlab.hsums import _sqrt_count_step, h_sum, h_vector
 from sqlab.operators import IntervalZ, Signal, average_squares
 from sqlab.sparse import STOPPING_CONSTANT, StoppingTime, sparse_decompose, sparse_form, violation_table
 
@@ -365,6 +366,31 @@ def adversarial_candidates_frontier(J: int) -> list[int]:
         frontier = sorted(set(frontier))[:16000]
     out.update(frontier[:4000])
     return sorted(out)
+
+
+def abs_h_on_points_gather(q: int, xs: np.ndarray) -> np.ndarray:
+    """hsums.abs_h_on_points by the former route: each prime power of q
+    rebuilds its factor table, which is read at xs mod its length."""
+    xs = np.asarray(xs, dtype=np.int64)
+    out = np.full(len(xs), int(q > 1), dtype=np.int64)
+    for p, k in factorize(q).factors:
+        step = _sqrt_count_step(p, k)
+        out *= step[xs % len(step)]
+    return out
+
+
+def upper_bound_S_tables(J: int) -> float:
+    """hsums.upper_bound_S with every F_p, the large primes' too, built on
+    one period from freshly enumerated factor tables."""
+    bound = 1.0
+    for p in primes_upto(J):
+        ks = [k for k in range(1, J.bit_length()) if p**k <= J]
+        F = np.ones(2 * p ** ks[-1] if p == 2 else p ** ks[-1])
+        for k in ks:
+            step = _sqrt_count_step(p, k)
+            F += np.tile(step, len(F) // len(step)) / p**k
+        bound *= float(F.max())
+    return bound - 1
 
 
 def accumulate_S_fft(j_list, xs: np.ndarray) -> list[np.ndarray]:

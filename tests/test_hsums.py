@@ -3,6 +3,7 @@ logarithmic low-pass sums."""
 
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,25 +12,32 @@ from hypothesis import strategies as st
 
 from sqlab import hsums
 from sqlab.arith import DomainError, count_sqrts, epsilon, factorize
-from sqlab.experiments import run_hsum_identities
+from sqlab.experiments import InvariantViolation, run_hsum_identities, run_lowpass_scan
 from sqlab.hsums import (
     _ADVERSARIAL_COUNT,
     _KINDS,
+    FactorTables,
     _adversarial_candidates,
+    _sqrt_count_step,
     abs_h_on_points,
     accumulate_S,
+    factor_table_entries,
     h_sum,
     h_vector,
     h_weights,
+    upper_bound_S,
 )
 
 from oracles import (
+    abs_h_on_points_gather,
     accumulate_S_fft,
     adversarial_candidates_frontier,
     divisor_set,
     h_weights_loop,
     hsum_identity_rows,
+    primes_upto,
     support_verdict,
+    upper_bound_S_tables,
 )
 
 
@@ -43,7 +51,7 @@ def log_average_S(x: int, J: int, support_filtered: bool = False) -> float:
 def scan_max_S(J: int, x_max: int) -> tuple[int, float]:
     """(argmax x, max S_J) over the window [0, x_max]; ties break to the
     smallest x."""
-    (S,) = accumulate_S([J], x_max, [])
+    (S,) = accumulate_S([J], x_max, [], FactorTables())
     best = int(np.argmax(S))
     return best, float(S[best])
 
@@ -182,8 +190,8 @@ class TestLowPass:
 
     def test_scan_and_accumulate_consistency(self):
         xs = np.arange(0, 300)
-        running = dict(zip((16, 64), accumulate_S([16, 64], 299, [])))
-        (final,) = accumulate_S([64], 299, [])
+        running = dict(zip((16, 64), accumulate_S([16, 64], 299, [], FactorTables())))
+        (final,) = accumulate_S([64], 299, [], FactorTables())
         assert np.array_equal(final, running[64])
         for J in (16, 64):
             direct = np.array([log_average_S(int(x), J) for x in xs[:50]])
@@ -207,7 +215,7 @@ class TestLowPass:
     def test_accumulate_matches_fft_tables(self, x_max, extra, j_list):
         # windows from empty (x_max = -1) to several periods of 2q, most of
         # them not a whole number of periods, then the points of extra
-        got = accumulate_S(j_list, x_max, extra)
+        got = accumulate_S(j_list, x_max, extra, FactorTables())
         want = accumulate_S_fft(j_list, np.concatenate([np.arange(x_max + 1, dtype=np.int64), extra]))
         assert len(got) == len(want) == len(j_list)
         for new, old in zip(got, want):
@@ -230,6 +238,64 @@ class TestLowPass:
         vals = abs_h_on_points(7, xs)
         assert abs(vals[1] - vals[4]) < 1e-12
         assert abs(vals[2] - vals[3]) < 1e-12
+
+    @given(
+        st.one_of(
+            st.integers(1, 5000),
+            st.sampled_from([1 << b for b in range(13)]),
+            st.sampled_from([p * p for p in primes_upto(70)]),
+        ),
+        point_sets(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_period_route_matches_gather_oracle(self, q, xs):
+        got = abs_h_on_points(q, xs)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, abs_h_on_points_gather(q, xs))
+
+    def test_odd_prime_factor_is_nonzero_off_multiples(self):
+        # the period zeroes the multiples of p in place of reading this table
+        for p in primes_upto(4999)[1:]:
+            assert np.array_equal(_sqrt_count_step(p, 1), np.arange(p) % p != 0), p
+
+    def test_scan_builds_each_factor_table_once(self, monkeypatch):
+        # each table of p = 2 or k >= 2 reads two square-root-count vectors;
+        # a per-q rebuild of the tables would read about 19,000
+        calls = []
+        count = hsums.sqrt_count_vector
+        monkeypatch.setattr(hsums, "sqrt_count_vector", lambda m: calls.append(m) or count(m))
+        run_lowpass_scan([64, 256, 1024, 4096], 100000, True)
+        tables = {(p, k) for q in range(2, 4097) for p, k in factorize(q).factors if p == 2 or k >= 2}
+        assert len(calls) <= 2 * len(tables)
+        assert max(Counter(calls).values()) <= 2
+
+    @pytest.mark.parametrize("J, U", [(64, 5.178), (256, 7.082), (1024, 9.052), (4096, 11.034)])
+    def test_upper_bound_values(self, J, U):
+        assert abs(upper_bound_S(J, FactorTables()) - U) < 5e-4
+
+    def test_upper_bound_matches_every_prime_from_tables(self):
+        # the shortcut 1 + 1/p for p > sqrt(J) and the sieve of the primes
+        tables = FactorTables()
+        for J in [*range(1, 130), 1024, 4096]:
+            assert math.isclose(upper_bound_S(J, tables), upper_bound_S_tables(J), rel_tol=1e-14), J
+
+    @pytest.mark.parametrize("J", [1, 2, 3, 9, 100, 4096])
+    def test_table_entries_count_what_a_scan_builds(self, J):
+        tables = FactorTables()
+        accumulate_S([J], 0, [], tables)
+        assert sum(map(len, tables.values())) == factor_table_entries(J)
+
+    @pytest.mark.parametrize("J", range(1, 13))
+    def test_upper_bound_holds_over_a_full_period(self, J):
+        # S_J has period lcm(2q : q <= J), 55,440 at J = 12; U_2 = 1/2 is attained
+        period = 2 * math.lcm(*range(1, J + 1))
+        (S,) = accumulate_S([J], period - 1, [], FactorTables())
+        assert S.max() <= upper_bound_S(J, FactorTables()) * (1 + 1e-12)
+
+    def test_scan_requires_the_upper_bound(self, monkeypatch):
+        monkeypatch.setattr(hsums, "upper_bound_S", lambda J, tables: 0.0)
+        with pytest.raises(InvariantViolation, match="max_S at J=64"):
+            run_lowpass_scan([64], 100, False)
 
 
 class TestTableCache:
