@@ -8,8 +8,9 @@ tests/oracles.py.
 Every grid xi = j/L is computed on bins 0..L//2, arc pieces by the one arc
 enumerator ``_accumulate_arcs_grid``; those bins carry it all, as A_N has a
 real kernel.  ``split_half_spectrum`` returns them; a full grid is completed
-by one mirror, ``_mirror``, m[-j] = conj(m[j]), exactly Hermitian.  For even
-L the enumerator mirrors once more inside them: the arcs at a/q and
+by one mirror, ``_mirror``, m[-j] = conj(m[j]), exactly Hermitian.  Odd q
+has weight at its even a alone, so it runs only those rows.  For even q and
+even L the enumerator mirrors once more inside the bins: the arcs at a/q and
 (q - a)/q reflect through bin L/4, so eta and gamma_N run on the rows
 a <= q/2 and each row q - a takes the conjugate of gamma_N.
 
@@ -407,27 +408,25 @@ def _accumulate_arcs_grid(
     theta = 2j/L - a/q = (2qj - aL)/(qL) divided once from integers.  The
     arcs of a level are disjoint, so each j gets at most one arc's value.
 
-    For even L the arc points pair up, (a, j) with (q - a, L/2 - j):
-    theta(q - a, L/2 - j) = -theta(a, j) in integers, eta is even and
-    gamma_N(-theta) = conj(gamma_N(theta)) bitwise.  So eta and gamma_N run
-    on the rows a <= q/2 alone, and row q - a adds G0(q - a, q) eta
-    conj(gamma_N) at bins L/2 - j.  The row a = 1 of q = 2 is its own
-    mirror: it runs on j <= L/4, and every point but j = L/4 is mirrored.
-    Odd L evaluates every row, as L/2 - j is not a bin there.
+    For odd q, G0(a, q) = 0 at every odd a (2q = 2 mod 4), so only the even
+    a have rows; adding a zero would change no bit, as out holds no -0.0.
 
-    For odd q, G0(a, q) = 0 at every odd a (2q = 2 mod 4), so those rows
-    write nothing: odd L drops them, and even L, where q - a is even just
-    when a is odd, writes each pair once, at row a or at its mirror.  Adding
-    a zero would change no bit, as out holds no -0.0.
+    For even L and even q the arc points pair up, (a, j) with
+    (q - a, L/2 - j): theta(q - a, L/2 - j) = -theta(a, j) in integers, eta
+    is even and gamma_N(-theta) = conj(gamma_N(theta)) bitwise.  So eta and
+    gamma_N run on the rows a <= q/2 alone, and row q - a adds
+    G0(q - a, q) eta conj(gamma_N) at bins L/2 - j.  The row a = 1 of q = 2
+    is its own mirror: it runs on j <= L/4, and every point but j = L/4 is
+    mirrored.  Odd q needs no mirror: of each pair a, q - a one is odd.
     """
     h = L // 2
-    even = L % 2 == 0
     for q in range(1 << (s - 1), 1 << s):
         a = np.flatnonzero(np.gcd(np.arange(q + 1), q) == 1)  # a[-1 - i] = q - a[i]
-        if q % 2 and not even:
+        if q % 2:
             a = a[a % 2 == 0]  # G0(a, q) = 0 for odd q and odd a
         g0 = gauss_G_closed_array(a, 2 * q)
-        rows = a[: (len(a) + 1) // 2] if even else a
+        mirror = L % 2 == 0 and q % 2 == 0
+        rows = a[: (len(a) + 1) // 2] if mirror else a
         scale = float(1 << (2 * s)) if width_scale is None else width_scale * q
         half_width = 0.5 / scale
         # points per arc: |2j/L - a/q| < half_width
@@ -435,23 +434,16 @@ def _accumulate_arcs_grid(
         j = (rows * L // (2 * q))[:, None] + np.arange(-radius, radius + 1)
         th = (2 * q * j - rows[:, None] * L) / (q * L)
         mask = (np.abs(th) < half_width) & (j >= 0) & (j <= h)
-        if even and q == 2:
+        if mirror and q == 2:
             mask &= 2 * j <= h
         if mask.any():
             i = mask.nonzero()[0]
             jm, thm = j[mask], th[mask]
             w = eta(scale * thm)
             gam = gamma_N(thm, N)
-            if q % 2 and even:
-                # of the pair a, q - a of odd q one is odd, of weight 0: a
-                # point writes its own bin for even a, its mirror for odd a
-                d = rows[i] % 2 == 0
-                m = ~d
-            else:
-                d = slice(None)
+            out[jm] += g0[i] * w * gam
+            if mirror:
                 m = 2 * jm < h if q == 2 else slice(None)
-            out[jm[d]] += g0[i[d]] * w[d] * gam[d]
-            if even:
                 out[h - jm[m]] += g0[-1 - i[m]] * w[m] * np.conjugate(gam[m])
 
 

@@ -4,8 +4,8 @@ average S_J(x) = sum_{q<=J} |H(q,x)|/q.
 All five kinds are trigonometric sums over a residue class of numerators a,
 so one period of values (in x), of length q for H0 and H1 and 2q for the
 others, is a single inverse DFT of the weight vector: ``h_vector``, with
-``h_sum`` the scalar entry point.  Htilde and the H_j weigh a by (a/q'), the
-product over p^k || q' of (r_p(a) - 1)^k with r_p a square-root-count table.
+``h_sum`` the scalar entry point.  Htilde and the H_j weigh a by the Jacobi
+symbol (a/q'), q' the odd part of q, from one ``jacobi_array`` call.
 
 S_J needs only |H(q,x)|, which is an integer that factors over the prime
 powers of q: with r_m(y) the number of square roots of y mod m, q > 1 and
@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import DomainError, factorize, is_prime, sqrt_count_vector
+from .arith import DomainError, factorize, is_prime, jacobi_array, sqrt_count_vector
 from .gauss import gauss_G0_vector, gauss_G_vector
 
 _KINDS = ("H", "H0", "H1", "Htilde") + tuple(f"Hj{j}" for j in range(8))
@@ -57,13 +57,10 @@ def h_weights(kind: str, q: int) -> np.ndarray:
         w = gauss_G_vector(q)
         w[np.gcd(np.arange(q), q) != 1] = 0  # a = q, i.e. index 0, stays only when q = 1
         return w
-    # Htilde and H_j: (a/q') as a product of Legendre symbols, which vanish
-    # when gcd(a, q') > 1, so no coprimality mask
+    # Htilde and H_j: the Jacobi symbol (a/q') vanishes when gcd(a, q') > 1,
+    # so no coprimality mask
     a = np.arange(2 * q, dtype=np.int64)
-    symbol = np.ones(2 * q, dtype=np.int64)
-    for p, k in factorize(q).factors:
-        if p != 2:
-            symbol *= (sqrt_count_vector(p)[a % p] - 1) ** k
+    symbol = jacobi_array(a, factorize(q).odd_part)
     symbol[0] = 0  # a runs over [1, 2q-1]
     if kind != "Htilde":
         symbol[a % 8 != int(kind[2:])] = 0

@@ -549,7 +549,7 @@ class TestArcs:
             a = np.array([a for a in range(1, q + 1, 2) if math.gcd(a, q) == 1])
             assert np.array_equal(gauss_G_closed_array(a, 2 * q), np.zeros(len(a))), q
 
-    @pytest.mark.parametrize("L", [1 << 12, 1 << 16, 3 * (1 << 12) + 1])
+    @pytest.mark.parametrize("L", [1 << 12, (1 << 12) + 2, 1 << 16, 3 * (1 << 12) + 1])
     def test_zero_weight_rows_skipped_bitwise(self, L):
         # skipping the zero-weight rows of odd q, and the mirrored writes of
         # their partners, leaves every bit of the all-rows accumulation, on
@@ -567,6 +567,25 @@ class TestArcs:
                 ref = np.zeros(L, dtype=np.complex128)
                 accumulate_arcs_all_rows(ref, N, s, L, width_scale)
                 assert np.array_equal(one.view(np.float64), ref.view(np.float64)), (s, width_scale)
+
+    @pytest.mark.parametrize("L", [1 << 12, (1 << 12) + 2, 3 * (1 << 12) + 1])
+    def test_weights_are_taken_for_the_weighted_rows_alone(self, monkeypatch, L):
+        # on every grid, odd L and even L alike, odd q asks for G(a, 2q) at
+        # its even reduced a only and even q at every reduced a in [0, q]
+        calls = []
+
+        def record(a, m):
+            calls.append((m // 2, a.tolist()))
+            return gauss_G_closed_array(a, m)
+
+        monkeypatch.setattr(circle, "gauss_G_closed_array", record)
+        for s in range(1, 7):
+            calls.clear()
+            arc_level_grid(1024, s, L)
+            assert calls == [
+                (q, [a for a in range(q + 1) if math.gcd(a, q) == 1 and (q % 2 == 0 or a % 2 == 0)])
+                for q in range(1 << (s - 1), 1 << s)
+            ], s
 
     def test_level_is_built_one_modulus_at_a_time(self):
         # level 10 has 512 moduli and some 480,000 reduced a/q in [0, 2), but
