@@ -29,7 +29,7 @@ from .gauss import gauss_G0_vector, gauss_G_closed_array, gauss_G_vector
 from .operators import (
     IntervalZ,
     Signal,
-    average_polynomial,
+    _shift_averager,
     average_squares,
     bilinear_form,
     high_low_split,
@@ -384,12 +384,14 @@ def _check_exponent(p: float) -> None:
         raise ValueError(f"p={p} must be finite and exceed 1")
 
 
-def _max_ratio(average, scale: int, p: float, trials: int, seed: int) -> float:
-    """max <average(f)>_{I,p'} / <f>_{2I,p} over random indicators f on 2I,
-    with I = [0, scale)."""
+def _max_ratio(shifts: np.ndarray, scale: int, p: float, trials: int, seed: int) -> float:
+    """max <A f>_{I,p'} / <f>_{2I,p} over random indicators f on 2I, with
+    I = [0, scale) and A the average over the shifts, its route fixed and
+    its kernel built once for every trial."""
     pprime = p / (p - 1.0)
     I = IntervalZ(0, scale - 1)
     twoI = I.double()
+    average = _shift_averager(shifts, len(twoI))
     rng = make_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -430,7 +432,7 @@ def run_improving_ratio(
         need = 16 * s + max(_average_squares_bytes(2 * s, N) + 16 * s, 64 * s) + (1 << 16)
         _require_memory(f"improving-ratio at N={N}", need)
     for N in n_list:
-        worst = _max_ratio(lambda f: average_squares(f, N), N * N, p, trials, seed)
+        worst = _max_ratio(np.arange(1, N + 1, dtype=np.int64) ** 2, N * N, p, trials, seed)
         I = IntervalZ(0, N * N - 1)
         twoI = I.double()
         # constants contract: f = chi_{2I} has ratio <= 1
@@ -627,7 +629,7 @@ def run_poly_average(
         metadata={"fit": "max over random indicator trials"},
         columns=["N", "scale", "max_ratio"],
     )
-    scales = []
+    shift_sets = []
     for N in n_list:
         shifts = polynomial_shifts(coeffs, N)
         scale = max(1, int(np.abs(shifts).max()))
@@ -637,9 +639,9 @@ def run_poly_average(
         # (8 or 16 bytes a point of I); 64 KiB of small objects
         need = 24 * scale + shift_average_bytes(2 * scale, shifts) + (1 << 16)
         _require_memory(f"poly-average at N={N}", need)
-        scales.append(scale)
-    for N, scale in zip(n_list, scales):
-        worst = _max_ratio(lambda f: average_polynomial(f, N, coeffs), scale, p, trials, seed)
+        shift_sets.append((shifts, scale))
+    for N, (shifts, scale) in zip(n_list, shift_sets):
+        worst = _max_ratio(shifts, scale, p, trials, seed)
         report.add_row(N, scale, worst)
     return report
 
@@ -722,8 +724,9 @@ def run_high_low(
     )
     if N < 1:
         raise DomainError(f"high-low: N={N} must be positive")
-    # the split's arrays, f on 2I and A_N f (40 N^2 bytes), 64 KiB of small objects
-    need = high_low_split_bytes(N, 2 * N * N, j_list) + 40 * N * N + (1 << 16)
+    # the split's arrays, f on 2I and A_N f (40 N^2 bytes), the audit's sum
+    # of the parts on A_N f's window (24 N^2), 64 KiB of small objects
+    need = high_low_split_bytes(N, 2 * N * N, j_list) + 64 * N * N + (1 << 16)
     _require_memory(f"high-low at N={N}", need)
     I = IntervalZ(0, N * N - 1)
     twoI = I.double()
@@ -733,12 +736,16 @@ def run_high_low(
         f = Signal(twoI.a, _random_indicator(rng, len(twoI), 0.1))
         af = average_squares(f, N)
         window = IntervalZ(af.offset, af.offset + len(af) - 1)
+        f2, f1 = norm_p(f, 2.0, twoI), norm_p(f, 1.0, twoI)
         parts = high_low_split(f, N, j_list)
         for rows in table:
             J, high, low = next(parts)
-            err = float(np.max(np.abs(high.on(window) + low.on(window) - af.samples)))
-            hr = norm_p(high, 2.0, I) / norm_p(f, 2.0, twoI)
-            lr = norm_p(low, math.inf, I) / norm_p(f, 1.0, twoI)
+            diff = high.on(window) + low.on(window)
+            diff -= af.samples
+            err = float(np.max(np.abs(diff, out=diff)))
+            del diff
+            hr = norm_p(high, 2.0, I) / f2
+            lr = norm_p(low, math.inf, I) / f1
             del high, low  # free this J's parts before the next J's are made
             logJ = math.log(J) if J > 1 else 1.0
             rows.append((J, t, err, hr, logJ / math.sqrt(J), lr, J * logJ**2))

@@ -5,7 +5,7 @@ All five kinds are trigonometric sums over a residue class of numerators a,
 so one period of values (in x), of length q for H0 and H1 and 2q for the
 others, is a single inverse DFT of the weight vector: ``h_vector``, with
 ``h_sum`` the scalar entry point.  Htilde and the H_j weigh a by the Jacobi
-symbol (a/q'), q' the odd part of q, from one ``jacobi_array`` call.
+symbol (a/q'), q' the odd part of q, from one ``jacobi_array`` call per q.
 
 S_J needs only |H(q,x)|, which is an integer that factors over the prime
 powers of q: with r_m(y) the number of square roots of y mod m, q > 1 and
@@ -59,12 +59,21 @@ def h_weights(kind: str, q: int) -> np.ndarray:
         return w
     # Htilde and H_j: the Jacobi symbol (a/q') vanishes when gcd(a, q') > 1,
     # so no coprimality mask
-    a = np.arange(2 * q, dtype=np.int64)
-    symbol = jacobi_array(a, factorize(q).odd_part)
-    symbol[0] = 0  # a runs over [1, 2q-1]
+    symbol = _odd_symbol(q)
     if kind != "Htilde":
-        symbol[a % 8 != int(kind[2:])] = 0
+        symbol = np.where(np.arange(2 * q) % 8 == int(kind[2:]), symbol, 0)
     return ((1.0 / math.sqrt(q)) * symbol).astype(np.complex128)
+
+
+# hsum-identities builds H_1, H_3, H_5, H_7 and Htilde of one q in a row
+@lru_cache(maxsize=1)
+def _odd_symbol(q: int) -> np.ndarray:
+    """The Jacobi symbol (a/q') for a in [0, 2q), q' the odd part of q, with
+    a = 0 zeroed (a runs over [1, 2q-1]), read-only."""
+    symbol = jacobi_array(np.arange(2 * q, dtype=np.int64), factorize(q).odd_part)
+    symbol[0] = 0
+    symbol.setflags(write=False)
+    return symbol
 
 
 # the working set of hsum-identities, the one library caller that reads a period twice

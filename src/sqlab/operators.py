@@ -9,7 +9,7 @@ contiguous sample block.  All operators return new Signal instances.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,34 +111,43 @@ def _smooth_len(n: int) -> int:
 _FFT_SHIFTS = 64
 
 
-def _average_shifts(f: Signal, shifts: np.ndarray, method: str | None = None) -> Signal:
-    """(1/m) sum_{s in shifts} f(x + s) for a nonempty int64 array of m
-    shifts, on the n + max - min + 1 samples from f.offset - max.  direct
-    adds the shifted copies of f's block in order; dft convolves the block
-    with the histogram of max - shifts by real FFTs of the smallest 5-smooth
-    length >= that window, one more than the convolution's, so nothing
-    wraps.  None takes dft above _FFT_SHIFTS shifts."""
+def _shift_averager(shifts: np.ndarray, n: int, method: str | None = None) -> Callable[[Signal], Signal]:
+    """The map f -> (1/m) sum_{s in shifts} f(x + s) on blocks of n samples,
+    for a nonempty int64 array of m shifts, on the n + max - min + 1
+    samples from f.offset - max.  direct adds the shifted copies of f's
+    block in order; dft convolves the block with the histogram of max -
+    shifts by real FFTs of the smallest 5-smooth length >= that window, one
+    more than the convolution's, so nothing wraps, with the kernel's
+    spectrum taken once for every block the map is applied to.  None takes
+    dft above _FFT_SHIFTS shifts."""
     if method is None:
         method = "dft" if len(shifts) > _FFT_SHIFTS else "direct"
     hi, lo = int(shifts.max()), int(shifts.min())
-    n = len(f.samples)
     out_len = n + hi - lo + 1
-    if method == "direct":
-        acc = np.zeros(out_len)
-        for i in (hi - shifts).tolist():
-            acc[i : i + n] += f.samples
-        acc /= len(shifts)
-    elif method == "dft":
+    starts = (hi - shifts).tolist()
+    if method == "dft":
         L = _smooth_len(out_len)
         kernel = np.fft.rfft(np.bincount(hi - shifts), L)
-        acc = np.fft.irfft(np.fft.rfft(f.samples, L) * kernel, L)[:out_len] / len(shifts)
-    else:
+    elif method != "direct":
         raise DomainError(f"unknown averaging method {method!r}")
-    return Signal(f.offset - hi, acc)
+
+    def average(f: Signal) -> Signal:
+        if len(f.samples) != n:
+            raise ContractError(f"shift average: built for {n} samples, got {len(f.samples)}")
+        if method == "dft":
+            acc = np.fft.irfft(np.fft.rfft(f.samples, L) * kernel, L)[:out_len] / len(shifts)
+        else:
+            acc = np.zeros(out_len)
+            for i in starts:
+                acc[i : i + n] += f.samples
+            acc /= len(shifts)
+        return Signal(f.offset - hi, acc)
+
+    return average
 
 
 def shift_average_bytes(n: int, shifts: np.ndarray) -> int:
-    """Peak bytes of the arrays _average_shifts allocates for a block of n
+    """Peak bytes of the arrays _shift_averager allocates for a block of n
     samples on the route it chooses, as traced: on the direct route the
     float64 output, out_len samples; on the FFT route, of length L >=
     out_len, the kernel's half spectrum, the product of spectra and its
@@ -152,12 +161,12 @@ def shift_average_bytes(n: int, shifts: np.ndarray) -> int:
 
 
 def average_squares(f: Signal, N: int, method: str | None = None) -> Signal:
-    """A_N f(x) = (1/N) sum_{k=1}^{N} f(x + k^2): _average_shifts over the
+    """A_N f(x) = (1/N) sum_{k=1}^{N} f(x + k^2): _shift_averager over the
     shifts k^2, on n + N^2 samples from f.offset - N^2; method "direct" or
     "dft" fixes its route, None lets it choose."""
     if N < 1:
         raise DomainError(f"average_squares: N={N} must be positive")
-    return _average_shifts(f, np.arange(1, N + 1, dtype=np.int64) ** 2, method)
+    return _shift_averager(np.arange(1, N + 1, dtype=np.int64) ** 2, len(f.samples), method)(f)
 
 
 def polynomial_shifts(coeffs: Sequence[int], N: int) -> np.ndarray:
@@ -176,12 +185,6 @@ def polynomial_shifts(coeffs: Sequence[int], N: int) -> np.ndarray:
             raise DomainError(f"polynomial shift P({k}) = {v} does not fit in int64")
         shifts.append(v)
     return np.array(shifts, dtype=np.int64)
-
-
-def average_polynomial(f: Signal, N: int, coeffs: Sequence[int]) -> Signal:
-    """(1/N) sum_{k=1}^N f(x + P(k)): _average_shifts over the shifts
-    polynomial_shifts(coeffs, N), by the route it chooses."""
-    return _average_shifts(f, polynomial_shifts(coeffs, N))
 
 
 def norm_p(f: Signal, p: float, interval: IntervalZ) -> float:
@@ -226,16 +229,25 @@ def _apply_multipliers(f: Signal, L: int, spectra: Iterable[np.ndarray]) -> Iter
     """apply_multiplier for each half spectrum (bins 0..L/2 of a grid of
     length L), one output at a time, all from one rfft of f's block, taken
     at the first next(), whose odd bins change sign once: (-1)^j moves each
-    output by L/2, onto its window, with no roll."""
+    output by L/2, onto its window, with no roll.  f's spectrum is taken
+    once the first half spectrum is made, so a half spectrum built lazily
+    does not peak beside it, and each one is dropped before its inverse
+    transform, so one its iterable does not keep is freed then."""
     if L < 2 * len(f.samples):
         raise ContractError(f"apply_multiplier: grid L={L} too small for signal length {len(f)}")
     # analysis transform e(-x xi) (numpy fft): under it the A_N kernel
     # (1/N) sum_k delta_{-k^2} has symbol (1/N) sum_k e(k^2 xi), the Weyl
-    # sum; no local keeps an output alive between steps
-    xhat = np.fft.rfft(f.samples, L)
-    xhat[1::2] *= -1
+    # sum; no local keeps a spectrum, product or output alive between steps
+    xhat = None
     for h in spectra:
-        yield Signal(f.offset - L // 2, np.fft.irfft(xhat * h, L))
+        if xhat is None:
+            xhat = np.fft.rfft(f.samples, L)
+            xhat[1::2] *= -1
+        y = xhat * h
+        del h
+        y = np.fft.irfft(y, L)
+        yield Signal(f.offset - L // 2, y)
+        del y
 
 
 def _split_grid_len(N: int, n: int) -> int:
@@ -246,30 +258,35 @@ def _split_grid_len(N: int, n: int) -> int:
 
 def high_low_split(f: Signal, N: int, j_list: Sequence[int]) -> Iterator[tuple[int, Signal, Signal]]:
     """Yield (J, High, Low) for each J of j_list, in order: Low applies the
-    narrow major-arc multiplier of bumps of width J/(q N^2) at each a/(2q)
-    with q < J, High its complement within the Weyl multiplier, so High +
-    Low = A_N f up to FFT roundoff; for J >= N/4 no split is meaningful and
-    (0, A_N f) comes back.  All J share one Weyl half spectrum and one
-    spectrum of f (bins 0..L/2, L = _split_grid_len(N, len(f))), taken at
-    the first J that splits.  A_N f is computed once, at the first J that
-    does not split.  Bad N or J raise DomainError at the first next()."""
+    narrow major-arc multiplier b_N1 of bumps of width J/(q N^2) at each
+    a/(2q) with q < J, and High = W - Low, where W applies the Weyl
+    multiplier, so High is the complement of b_N1 within it and High + Low
+    = W, which is A_N f up to FFT roundoff; for J >= N/4 no split is
+    meaningful and (0, A_N f) comes back.  One spectrum of f and one
+    inverse transform of the Weyl half spectrum (bins 0..L/2, L =
+    _split_grid_len(N, len(f))) give W at the first J that splits; the
+    Weyl half is dropped then, and each splitting J inverts only its b_N1.
+    A_N f is computed once, at the first J that does not split.  Bad N or
+    J raise DomainError at the first next()."""
     if N < 1 or any(J < 1 or J & (J - 1) for J in j_list):
         raise DomainError(f"high_low_split: need N>=1 and J powers of two, got N={N} J={list(j_list)}")
     cut, L = max(1, N // 4), _split_grid_len(N, len(f.samples))
 
     def kernels() -> Iterator[np.ndarray]:
-        weyl = split_half_spectrum("weyl", N, None, L)
+        # no local keeps a half spectrum once _apply_multipliers has it
+        yield split_half_spectrum("weyl", N, None, L)
         for J in j_list:
             if J < cut:
-                low = split_half_spectrum("b_N1", N, J, L)
-                yield weyl - low
-                yield low
+                yield split_half_spectrum("b_N1", N, J, L)
 
     parts = _apply_multipliers(f, L, kernels())
-    af = None
+    w = af = None
     for J in j_list:
         if J < cut:
-            yield J, next(parts), next(parts)
+            w = next(parts).samples if w is None else w
+            low = next(parts)
+            yield J, Signal(low.offset, w - low.samples), low
+            del low  # the caller's drop frees this J's parts before the next J's
         else:
             af = average_squares(f, N) if af is None else af
             yield J, Signal(af.offset, np.zeros(len(af.samples))), af
@@ -277,10 +294,11 @@ def high_low_split(f: Signal, N: int, j_list: Sequence[int]) -> Iterator[tuple[i
 
 def high_low_split_bytes(N: int, n: int, j_list: Sequence[int]) -> int:
     """Peak bytes of high_low_split's arrays for a block of n samples, each
-    (High, Low) dropped before the next: when some J splits, 48 per point
-    of L (measured: the Weyl and Low half spectra, f's spectrum, the High
-    kernel or output, one product of spectra and its inverse transform);
-    else A_N f's route, then its output and a zero High, n + N^2 samples each."""
+    (High, Low) dropped before the next: when some J splits, 33 per point
+    of L (traced: f's spectrum, W, Low and High as it is made, whose
+    finiteness check takes a byte a point; the Weyl half spectrum's
+    working arrays, before f's spectrum is taken, peak at 32); else A_N
+    f's route, then its output and a zero High, n + N^2 samples each."""
     if min(j_list) < max(1, N // 4):
-        return 48 * _split_grid_len(N, n)
+        return 33 * _split_grid_len(N, n)
     return shift_average_bytes(n, np.arange(1, N + 1, dtype=np.int64) ** 2) + 16 * (n + N * N)

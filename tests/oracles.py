@@ -7,8 +7,9 @@ the bound U_J from every prime's tables, the low-pass sum S_J from FFT
 tables, the arc decomposition of the Weyl multiplier (the major arcs a_N,
 the minor arcs c_N, the narrow part a_tilde and the splits b_N1, b_N2 of
 a_N) and the arc enumerator writing every row, the rolled multiplier
-route, the direct shift average, the maximal and truncated maximal
-averages, and the sparse-domination comparison.
+route, the high/low split by two inverse transforms per J, the direct
+shift average and the polynomial average by it, the maximal and
+truncated maximal averages, and the sparse-domination comparison.
 
 The library computes none of these; the tests check the library against
 them.
@@ -22,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from sqlab.arith import DomainError, count_sqrts, factorize, is_prime, jacobi, sqrt_count_vector
-from sqlab.circle import MultiplierGrid, arc_level_grid, eta, gamma_N, sample_multiplier
+from sqlab.circle import MultiplierGrid, arc_level_grid, eta, gamma_N, sample_multiplier, split_half_spectrum
 from sqlab.gauss import gauss_G0, gauss_G0_vector, gauss_G_closed, gauss_G_closed_array, gauss_G_vector
 from sqlab.hsums import _sqrt_count_step, h_sum, h_vector
-from sqlab.operators import IntervalZ, Signal, average_squares
+from sqlab.operators import IntervalZ, Signal, _apply_multipliers, _split_grid_len, average_squares, polynomial_shifts
 from sqlab.sparse import STOPPING_CONSTANT, StoppingTime, sparse_decompose, sparse_form, violation_table
 
 # ---------------------------------------------------------------------------
@@ -482,9 +483,28 @@ def apply_multipliers_rolled(f: Signal, L: int, spectra) -> list[Signal]:
     return [Signal(f.offset - L // 2, np.roll(np.fft.irfft(xhat * h, L), L // 2)) for h in spectra]
 
 
+def high_low_split_two_transforms(f: Signal, N: int, j_list) -> list[tuple[int, Signal, Signal]]:
+    """operators.high_low_split by its former route: for each J that
+    splits, one inverse transform of the kernel weyl - b_N1 for High and
+    one of b_N1 for Low, all from one spectrum of f; (J, 0, A_N f) for
+    J >= N/4."""
+    cut, L = max(1, N // 4), _split_grid_len(N, len(f.samples))
+    weyl = split_half_spectrum("weyl", N, None, L)
+    out, af = [], None
+    for J in j_list:
+        if J < cut:
+            low = split_half_spectrum("b_N1", N, J, L)
+            high, low = _apply_multipliers(f, L, [weyl - low, low])
+            out.append((J, high, low))
+        else:
+            af = average_squares(f, N) if af is None else af
+            out.append((J, Signal(af.offset, np.zeros(len(af.samples))), af))
+    return out
+
+
 def average_shifts_direct(f: Signal, shifts: np.ndarray) -> Signal:
     """(1/m) sum_{s in shifts} f(x + s) by m shifted adds, on the window
-    of operators._average_shifts (the former polynomial-average loop)."""
+    of operators._shift_averager (the former polynomial-average loop)."""
     lo, hi = int(shifts.min()), int(shifts.max())
     n = len(f.samples)
     acc = np.zeros(n + hi - lo + 1)
@@ -492,6 +512,13 @@ def average_shifts_direct(f: Signal, shifts: np.ndarray) -> Signal:
         i = hi - int(sh)
         acc[i : i + n] += f.samples
     return Signal(f.offset - hi, acc / len(shifts))
+
+
+def average_polynomial(f: Signal, N: int, coeffs) -> Signal:
+    """(1/N) sum_{k=1}^N f(x + P(k)) by average_shifts_direct over the
+    shifts polynomial_shifts(coeffs, N) (the library's former entry point;
+    poly-average now builds one averager per N for all its trials)."""
+    return average_shifts_direct(f, polynomial_shifts(coeffs, N))
 
 
 def block(f: Signal) -> IntervalZ:

@@ -219,11 +219,8 @@ def test_criterion_08_high_low_decomposition():
     N, L = 1 << 10, 1 << 22
     I = IntervalZ(0, N * N - 1)
     II = I.double()
-    weyl = split_half_spectrum("weyl", N, None, L)
-    halves = {}
-    for J in (4, 8, 16, 32, 64):
-        low = split_half_spectrum("b_N1", N, J, L)
-        halves[J] = (low, weyl - low)
+    js = (4, 8, 16, 32, 64)
+    halves = [split_half_spectrum("weyl", N, None, L)] + [split_half_spectrum("b_N1", N, J, L) for J in js]
     rng = np.random.default_rng(2024)
     worst_err, c_high, c_low = 0.0, 0.0, 0.0
     for _ in range(20):
@@ -231,10 +228,12 @@ def test_criterion_08_high_low_decomposition():
         af = average_squares(f, N, method="dft")
         f2 = math.sqrt(float(np.mean(f.on(II) ** 2)))
         f1 = average_on(f, II)
-        # one spectrum of f for all ten half spectra
-        parts = _apply_multipliers(f, L, (h for pair in halves.values() for h in pair))
-        for J in halves:
-            lo, hi = next(parts), next(parts)
+        # one spectrum of f for all six half spectra: the Weyl part W once,
+        # then Low per J, with High = W - Low
+        parts = _apply_multipliers(f, L, halves)
+        weyl_part = next(parts)
+        for J, lo in zip(js, parts):
+            hi = Signal(lo.offset, weyl_part.samples - lo.samples)
             err = float(np.max(np.abs(lo.on(I) + hi.on(I) - af.on(I))))
             worst_err = max(worst_err, err)
             h2 = math.sqrt(float(np.mean(np.abs(hi.on(I)) ** 2)))

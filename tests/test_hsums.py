@@ -100,6 +100,17 @@ class TestBasicIdentities:
         for q in range(1, 300):
             assert np.array_equal(h_weights(kind, q), h_weights_loop(kind, q)), q
 
+    def test_one_jacobi_symbol_per_modulus(self, monkeypatch):
+        # Htilde and the eight H_j of one q share one jacobi_array call
+        moduli = []
+        jacobi_array = hsums.jacobi_array
+        monkeypatch.setattr(hsums, "jacobi_array", lambda a, n: moduli.append(n) or jacobi_array(a, n))
+        hsums._odd_symbol.cache_clear()
+        for q in range(1, 40):
+            for kind in _KINDS:
+                h_weights(kind, q)
+        assert moduli == [factorize(q).odd_part for q in range(1, 40)]
+
     def test_periodicity(self):
         for kind in ("H", "H0", "H1", "Htilde"):
             for q in (4, 9, 12):

@@ -9,11 +9,11 @@ from scipy.fft import next_fast_len
 
 from sqlab import circle, experiments, operators
 from sqlab.arith import DomainError
-from sqlab.circle import MultiplierGrid, _mirror, sample_multiplier
+from sqlab.circle import ContractError, MultiplierGrid, _mirror, sample_multiplier
 from sqlab.operators import (
     Signal,
     _apply_multipliers,
-    _average_shifts,
+    _shift_averager,
     _smooth_len,
     _split_grid_len,
     apply_multiplier,
@@ -21,7 +21,7 @@ from sqlab.operators import (
     high_low_split,
 )
 
-from oracles import apply_multipliers_rolled, average_shifts_direct
+from oracles import apply_multipliers_rolled, average_shifts_direct, high_low_split_two_transforms
 
 
 def apply_multiplier_complex(f: Signal, grid: MultiplierGrid) -> Signal:
@@ -145,7 +145,24 @@ class TestAverageSquares:
         L = _smooth_len(len(x) + int(shifts.max()) - int(shifts.min()) + 1)
         oracle = average_shifts_direct(f, shifts)
         for method in ("direct", "dft"):
-            assert _close(_average_shifts(f, shifts, method), oracle, f, L)
+            assert _close(_shift_averager(shifts, len(x), method)(f), oracle, f, L)
+
+    def test_one_kernel_spectrum_per_N(self, monkeypatch):
+        # improving-ratio at N = 128 (dft route): the 5 random trials share
+        # one kernel spectrum and take one rfft each of their f; the constant
+        # indicator's average takes two more, the extremal pair none
+        sizes = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda a, n=None, *r, **k: sizes.append(len(a)) or rfft(a, n, *r, **k))
+        experiments.run_improving_ratio([128], 1.6, 5, 0)
+        kernel, f = 128 * 128, 2 * 128 * 128  # the histogram of N^2 - k^2 and f on 2I
+        assert sorted(sizes) == [kernel] * 2 + [f] * 6
+
+    def test_averager_refuses_another_length(self):
+        average = _shift_averager(np.array([1, 4, 9]), 5)
+        assert len(average(Signal(0, np.ones(5)))) == 5 + 9 - 1 + 1
+        with pytest.raises(ContractError):
+            average(Signal(0, np.ones(6)))
 
 
 class TestApplyMultiplier:
@@ -234,23 +251,35 @@ class TestHighLowSplit:
 
     @pytest.mark.parametrize("N, j_list, n", [(16, [1, 2], 40), (64, [4, 16, 8], 300), (256, [2, 64], 1000)])
     def test_kernels_are_the_former_grids_bins(self, monkeypatch, N, j_list, n):
-        # the kernels the split convolves with, bit for bit the bins 0..L/2
-        # of weyl - b_N1 and b_N1 as full grids, for each J that splits
+        # the half spectra the split inverts, bit for bit the bins 0..L/2 of
+        # the full grids: weyl once, then b_N1 for each J that splits
         seen = []
         monkeypatch.setattr(
-            operators, "_apply_multipliers", lambda f, L, spectra: (seen.append(h) or h for h in spectra)
+            operators, "_apply_multipliers", lambda f, L, spectra: (seen.append(h) or Signal(0, h.real) for h in spectra)
         )
         for _ in high_low_split(Signal(0, np.ones(n)), N, j_list):
             pass
         L = _split_grid_len(N, n)
-        weyl = sample_multiplier("weyl", N, None, None, L).values[: L // 2 + 1]
-        want = []
-        for J in j_list:
-            if J < N // 4:
-                low = sample_multiplier("b_N1", N, J, J, L).values[: L // 2 + 1]
-                want += [weyl - low, low]
+        want = [sample_multiplier("weyl", N, None, None, L).values[: L // 2 + 1]]
+        want += [sample_multiplier("b_N1", N, J, J, L).values[: L // 2 + 1] for J in j_list if J < N // 4]
         assert len(seen) == len(want)
         assert all(np.array_equal(a.view(np.int64), b.view(np.int64)) for a, b in zip(seen, want))
+
+    @pytest.mark.parametrize(
+        "N, j_list, n", [(16, [1, 2, 1, 4], 40), (64, [4, 16, 8, 4, 32], 300), (256, [2, 64, 16, 2], 1000)]
+    )
+    def test_same_parts_as_two_transform_route(self, N, j_list, n):
+        # Low bit for bit as the route that inverted weyl - b_N1 beside b_N1,
+        # High = W - Low to roundoff; repeated and non-splitting J included
+        rng = np.random.default_rng(N)
+        f = Signal(-n // 3, (rng.random(n) < 0.2) * rng.standard_normal(n))
+        got = list(high_low_split(f, N, j_list))
+        want = high_low_split_two_transforms(f, N, j_list)
+        tol = 1e-12 * np.max(np.abs(f.samples))
+        for (J, high, low), (K, high0, low0) in zip(got, want, strict=True):
+            assert J == K and low.offset == low0.offset and high.offset == high0.offset
+            assert np.array_equal(low.samples.view(np.int64), low0.samples.view(np.int64))
+            assert np.max(np.abs(high.samples - high0.samples)) <= tol
 
     def _count_work(self, monkeypatch, f):
         """Record the rffts of f's block, the half spectra built and the
@@ -283,6 +312,22 @@ class TestHighLowSplit:
         assert sum(rffts) == 1
         assert pieces == ["weyl"] + ["b_N1"] * len(j_list)
         assert grids == []
+
+    @pytest.mark.parametrize("j_list", [[4], [4, 8], [2, 4, 8, 2], [16, 4, 32, 8]])
+    def test_k_plus_one_inverse_transforms(self, monkeypatch, j_list):
+        # one rfft of f, then W once and Low per J that splits: k + 1
+        # irffts of length L for k splitting J (A_N f, for J >= N/4, is
+        # direct at N = 64)
+        f = Signal(0, (np.random.default_rng(4).random(200) < 0.2).astype(float))
+        L = _split_grid_len(64, len(f))
+        rffts, irffts = [], []
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+        monkeypatch.setattr(np.fft, "rfft", lambda a, n=None, *r, **k: rffts.append(a is f.samples) or rfft(a, n, *r, **k))
+        monkeypatch.setattr(np.fft, "irfft", lambda a, n=None, *r, **k: irffts.append(n) or irfft(a, n, *r, **k))
+        for _ in high_low_split(f, 64, j_list):
+            pass
+        assert sum(rffts) == 1
+        assert irffts == [L] * (1 + sum(J < 16 for J in j_list))
 
     def test_no_grid_when_no_J_splits(self, monkeypatch):
         f = Signal(0, np.ones(100))
