@@ -87,16 +87,17 @@ def weyl_multiplier_grid(N: int, L: int) -> np.ndarray:
     """Weyl multiplier at every xi = j/L, j in [0,L): _weyl_half, mirrored."""
     if N < 1 or L < 1:
         raise DomainError("weyl_multiplier_grid: N and L must be positive")
-    return _mirror(_weyl_half(np.empty(L, dtype=np.complex128), N, L))
+    return _mirror(_weyl_half(N, L, L))
 
 
-def _weyl_half(out: np.ndarray, N: int, L: int) -> np.ndarray:
-    """out, bins 0..L//2 set to conj(rfft)/N of the histogram of k^2 mod L."""
+def _weyl_half(N: int, L: int, size: int | None = None) -> np.ndarray:
+    """conj(rfft)/N of the float64 histogram of k^2 mod L on bins 0..L//2:
+    the rfft's own buffer, or the head of a zeroed array of size entries."""
     k = np.arange(1, N + 1, dtype=np.int64)
     c = (k % L) * (k % L) % L  # k^2 mod L without overflow for L < 2^31
-    h = np.conjugate(np.fft.rfft(np.bincount(c, minlength=L)), out=out[: L // 2 + 1])
-    h /= N
-    return out
+    h = np.fft.rfft(np.bincount(c, np.ones(N), minlength=L))
+    h = np.divide(np.conjugate(h, out=h), N, out=h)
+    return h if size is None else np.pad(h, (0, size - len(h)))
 
 
 def _mirror(out: np.ndarray) -> np.ndarray:
@@ -462,17 +463,17 @@ def split_half_spectrum(which: str, N: int, J: int | None, L: int, size: int | N
     multiplier ("weyl"; J unused), or its narrow low part ("b_N1"), the
     levels s <= log2 J with bumps eta_{q N^2/J}, J a power of two <= N/4.
     L must be a power of two with L >= 4 N^2 so downstream periodized
-    convolution stays clean.  The bins fill a zeroed complex array of
-    L//2 + 1 entries, or of size entries (sample_multiplier's grid)."""
+    convolution stays clean.  The bins fill a complex array of L//2 + 1
+    entries, or a zeroed one of size entries (sample_multiplier's grid)."""
     if which not in ("weyl", "b_N1"):
         raise DomainError(f"split_half_spectrum: unknown piece {which!r}")
     if N < 1 or L & (L - 1) or L < 4 * N * N:
         raise ContractError(f"split_half_spectrum: need N >= 1 and L a power of two >= 4N^2; got N={N}, L={L}")
     if which == "b_N1" and (J is None or J < 1 or J & (J - 1) or J > N // 4):
         raise ContractError(f"split_half_spectrum: b_N1 needs J a power of two <= N/4; got J={J}")
-    out = np.zeros(L // 2 + 1 if size is None else size, dtype=np.complex128)
     if which == "weyl":
-        return _weyl_half(out, N, L)
+        return _weyl_half(N, L, size)
+    out = np.zeros(L // 2 + 1 if size is None else size, dtype=np.complex128)
     for s in range(1, J.bit_length()):
         _accumulate_arcs_grid(out, N, s, L, N * N / J)
     return out

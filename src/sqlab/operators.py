@@ -65,10 +65,6 @@ class Signal:
             out[lo - i : hi - i] = self.samples[lo:hi]
         return out
 
-    @classmethod
-    def delta(cls, n: int = 0) -> "Signal":
-        return cls(n, np.ones(1))
-
 
 @dataclass(frozen=True)
 class IntervalZ:
@@ -218,36 +214,25 @@ def bilinear_form(f: Signal, g: Signal) -> float:
 def apply_multiplier(f: Signal, grid: MultiplierGrid) -> Signal:
     """Apply a Fourier multiplier, sampled at frequencies j/L, to f by
     periodized convolution of the grid's length L (a power of two, at least
-    twice f's length).  The grid is exactly Hermitian, so its bins 0..L/2
-    act through one rfft/irfft pair, which equals the complex route
-    ifft(fft(f) m).  The output window [f.offset - L/2, f.offset + L/2)
-    keeps a kernel near frequency 0 (spread over [-L/2, L/2)) from wrapping."""
-    return next(_apply_multipliers(f, grid.L, [grid.values[: grid.L // 2 + 1]]))
+    twice f's length), on the window [f.offset - L/2, f.offset + L/2),
+    which keeps a kernel near frequency 0 from wrapping.  The grid is
+    exactly Hermitian, so f's spectrum times its bins 0..L/2, in place, and
+    one irfft equal the complex route ifft(fft(f) m)."""
+    xhat = _signed_spectrum(f, grid.L)
+    xhat *= grid.values[: grid.L // 2 + 1]
+    return Signal(f.offset - grid.L // 2, np.fft.irfft(xhat, grid.L))
 
 
-def _apply_multipliers(f: Signal, L: int, spectra: Iterable[np.ndarray]) -> Iterator[Signal]:
-    """apply_multiplier for each half spectrum (bins 0..L/2 of a grid of
-    length L), one output at a time, all from one rfft of f's block, taken
-    at the first next(), whose odd bins change sign once: (-1)^j moves each
-    output by L/2, onto its window, with no roll.  f's spectrum is taken
-    once the first half spectrum is made, so a half spectrum built lazily
-    does not peak beside it, and each one is dropped before its inverse
-    transform, so one its iterable does not keep is freed then."""
+def _signed_spectrum(f: Signal, L: int) -> np.ndarray:
+    """The rfft of f's block zero-padded to L, odd bins negated: (-1)^j
+    moves an inverse transform by L/2, onto the window from f.offset - L/2.
+    Under this analysis transform, e(-x xi), the A_N kernel (1/N) sum_k
+    delta_{-k^2} has symbol (1/N) sum_k e(k^2 xi), the Weyl sum."""
     if L < 2 * len(f.samples):
         raise ContractError(f"apply_multiplier: grid L={L} too small for signal length {len(f)}")
-    # analysis transform e(-x xi) (numpy fft): under it the A_N kernel
-    # (1/N) sum_k delta_{-k^2} has symbol (1/N) sum_k e(k^2 xi), the Weyl
-    # sum; no local keeps a spectrum, product or output alive between steps
-    xhat = None
-    for h in spectra:
-        if xhat is None:
-            xhat = np.fft.rfft(f.samples, L)
-            xhat[1::2] *= -1
-        y = xhat * h
-        del h
-        y = np.fft.irfft(y, L)
-        yield Signal(f.offset - L // 2, y)
-        del y
+    xhat = np.fft.rfft(f.samples, L)
+    xhat[1::2] *= -1
+    return xhat
 
 
 def _split_grid_len(N: int, n: int) -> int:
@@ -256,49 +241,64 @@ def _split_grid_len(N: int, n: int) -> int:
     return 1 << (max(4 * N * N, 2 * (n + N * N)) - 1).bit_length()
 
 
+def _support(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero bins of a half spectrum and its values there."""
+    bins = np.flatnonzero(h)
+    return bins, h[bins]
+
+
+def _weyl_part(f: Signal, N: int, js: Iterable[int], L: int) -> tuple[np.ndarray, dict]:
+    """W = irfft(f^ weyl) on A_N f's window, and f^ times b_N1 on its support
+    per J.  Each b_N1 is cut to its support as built, before the Weyl half
+    and f^ exist; f^ is gathered there first, then multiplied in place."""
+    sparse = {J: _support(split_half_spectrum("b_N1", N, J, L)) for J in js}
+    weyl = split_half_spectrum("weyl", N, None, L)
+    xhat = _signed_spectrum(f, L)
+    picks = {J: (bins, xhat[bins] * v) for J, (bins, v) in sparse.items()}
+    xhat *= weyl
+    del weyl
+    w = np.fft.irfft(xhat, L)
+    del xhat
+    return w[L // 2 - N * N : L // 2 + len(f.samples)].copy(), picks
+
+
 def high_low_split(f: Signal, N: int, j_list: Sequence[int]) -> Iterator[tuple[int, Signal, Signal]]:
-    """Yield (J, High, Low) for each J of j_list, in order: Low applies the
-    narrow major-arc multiplier b_N1 of bumps of width J/(q N^2) at each
-    a/(2q) with q < J, and High = W - Low, where W applies the Weyl
-    multiplier, so High is the complement of b_N1 within it and High + Low
-    = W, which is A_N f up to FFT roundoff; for J >= N/4 no split is
-    meaningful and (0, A_N f) comes back.  One spectrum of f and one
-    inverse transform of the Weyl half spectrum (bins 0..L/2, L =
-    _split_grid_len(N, len(f))) give W at the first J that splits; the
-    Weyl half is dropped then, and each splitting J inverts only its b_N1.
-    A_N f is computed once, at the first J that does not split.  Bad N or
-    J raise DomainError at the first next()."""
+    """Yield (J, High, Low) for each J of j_list, in order, on A_N f's
+    window [f.offset - N^2, f.offset + n): Low applies the narrow major-arc
+    multiplier b_N1 of bumps of width J/(q N^2) at each a/(2q), q < J, and
+    High = W - Low, W the Weyl multiplier's output, A_N f up to roundoff;
+    for J >= N/4 no split is meaningful and (0, A_N f) comes back.
+    _weyl_part makes W at the first J that splits (L = _split_grid_len),
+    and each such J inverts a zeroed half spectrum with its products put
+    in.  Bad N or J raise DomainError at the first next()."""
     if N < 1 or any(J < 1 or J & (J - 1) for J in j_list):
         raise DomainError(f"high_low_split: need N>=1 and J powers of two, got N={N} J={list(j_list)}")
-    cut, L = max(1, N // 4), _split_grid_len(N, len(f.samples))
-
-    def kernels() -> Iterator[np.ndarray]:
-        # no local keeps a half spectrum once _apply_multipliers has it
-        yield split_half_spectrum("weyl", N, None, L)
-        for J in j_list:
-            if J < cut:
-                yield split_half_spectrum("b_N1", N, J, L)
-
-    parts = _apply_multipliers(f, L, kernels())
+    cut, L, a = max(1, N // 4), _split_grid_len(N, len(f.samples)), f.offset - N * N
     w = af = None
     for J in j_list:
-        if J < cut:
-            w = next(parts).samples if w is None else w
-            low = next(parts)
-            yield J, Signal(low.offset, w - low.samples), low
-            del low  # the caller's drop frees this J's parts before the next J's
-        else:
+        if J >= cut:
             af = average_squares(f, N) if af is None else af
-            yield J, Signal(af.offset, np.zeros(len(af.samples))), af
+            yield J, Signal(a, np.zeros(len(af))), af
+            continue
+        if w is None:
+            w, picks = _weyl_part(f, N, dict.fromkeys(K for K in j_list if K < cut), L)
+        low = np.zeros(L // 2 + 1, dtype=np.complex128)  # Low's half spectrum
+        low[picks[J][0]] = picks[J][1]
+        low = np.fft.irfft(low, L)  # which is freed before the cut
+        low = low[L // 2 - N * N : L // 2 + len(f.samples)].copy()
+        yield J, Signal(a, w - low), Signal(a, low)
+        del low  # the caller's drop frees this J's parts before the next J's
 
 
 def high_low_split_bytes(N: int, n: int, j_list: Sequence[int]) -> int:
     """Peak bytes of high_low_split's arrays for a block of n samples, each
-    (High, Low) dropped before the next: when some J splits, 33 per point
-    of L (traced: f's spectrum, W, Low and High as it is made, whose
-    finiteness check takes a byte a point; the Weyl half spectrum's
-    working arrays, before f's spectrum is taken, peak at 32); else A_N
-    f's route, then its output and a zero High, n + N^2 samples each."""
-    if min(j_list) < max(1, N // 4):
-        return 33 * _split_grid_len(N, n)
-    return shift_average_bytes(n, np.arange(1, N + 1, dtype=np.int64) ** 2) + 16 * (n + N * N)
+    (High, Low) dropped before the next: if some J splits, a J's inverse
+    transform (traced; 16 bytes a point of L) beside W, A_N f if some J
+    does not split (n + N^2 samples each), and f's products with b_N1 (24
+    bytes a bin, at most J^2 (L/N^2 + 1) bins per J); else A_N f's route,
+    then A_N f and a zero High."""
+    cut, L, m = max(1, N // 4), _split_grid_len(N, n), n + N * N
+    if min(j_list) >= cut:
+        return shift_average_bytes(n, np.arange(1, N + 1, dtype=np.int64) ** 2) + 16 * m
+    picks = sum(J * J * (L // (N * N) + 1) for J in set(j_list) if J < cut)
+    return 16 * L + 8 * m * (1 + (max(j_list) >= cut)) + 24 * picks

@@ -4,10 +4,11 @@ the per-numerator H weights, the per-point hsum-identities rows, the
 support sets and divisor enumeration of H(q,x), the smooth-number frontier
 of the adversarial low-pass candidates, |H(q,x)| by per-factor gathers,
 the bound U_J from every prime's tables, the low-pass sum S_J from FFT
-tables, the arc decomposition of the Weyl multiplier (the major arcs a_N,
-the minor arcs c_N, the narrow part a_tilde and the splits b_N1, b_N2 of
-a_N) and the arc enumerator writing every row, the rolled multiplier
-route, the high/low split by two inverse transforms per J, the direct
+tables, the Weyl multiplier from an int64 histogram, its arc
+decomposition (the major arcs a_N, the minor arcs c_N, the narrow part
+a_tilde and the splits b_N1, b_N2 of a_N) and the arc enumerator writing
+every row, the multiplier route over dense half spectra and its rolled
+form, the high/low split by two inverse transforms per J, the direct
 shift average and the polynomial average by it, the maximal and
 truncated maximal averages, and the sparse-domination comparison.
 
@@ -23,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from sqlab.arith import DomainError, count_sqrts, factorize, is_prime, jacobi, sqrt_count_vector
-from sqlab.circle import MultiplierGrid, arc_level_grid, eta, gamma_N, sample_multiplier, split_half_spectrum
+from sqlab.circle import ContractError, MultiplierGrid, arc_level_grid, eta, gamma_N, sample_multiplier, split_half_spectrum
 from sqlab.gauss import gauss_G0, gauss_G0_vector, gauss_G_closed, gauss_G_closed_array, gauss_G_vector
 from sqlab.hsums import _sqrt_count_step, h_sum, h_vector
-from sqlab.operators import IntervalZ, Signal, _apply_multipliers, _split_grid_len, average_squares, polynomial_shifts
+from sqlab.operators import IntervalZ, Signal, _split_grid_len, average_squares, polynomial_shifts
 from sqlab.sparse import STOPPING_CONSTANT, StoppingTime, sparse_decompose, sparse_form, violation_table
 
 # ---------------------------------------------------------------------------
@@ -410,6 +411,15 @@ def accumulate_S_fft(j_list, xs: np.ndarray) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+def weyl_half_int64(N: int, L: int) -> np.ndarray:
+    """Bins 0..L//2 of the Weyl multiplier by circle._weyl_half's former
+    route: conj(rfft)/N of the int64 histogram of k^2 mod L, which the
+    rfft converts to float64."""
+    k = np.arange(1, N + 1, dtype=np.int64)
+    c = (k % L) * (k % L) % L
+    return np.conjugate(np.fft.rfft(np.bincount(c, minlength=L))) / N
+
+
 def multiplier_piece(which: str, N: int, M: int | None, J: int | None, L: int) -> MultiplierGrid:
     """One piece of the arc decomposition of the Weyl multiplier on the
     grid j/L, from the library's weyl and b_N1 grids and its single arc
@@ -475,8 +485,30 @@ def accumulate_arcs_all_rows(out: np.ndarray, N: int, s: int, L: int, width_scal
 # ---------------------------------------------------------------------------
 
 
+def apply_multipliers(f: Signal, L: int, spectra):
+    """operators.apply_multiplier for each half spectrum (bins 0..L/2 of a
+    grid of length L), one output at a time, all from one rfft of f's
+    block, taken at the first next(), whose odd bins change sign once:
+    (-1)^j moves each output by L/2, onto its window, with no roll (the
+    library's route before the high/low split took b_N1 by its support).
+    f's spectrum is taken once the first half spectrum is made, and each
+    one is dropped before its inverse transform."""
+    if L < 2 * len(f.samples):
+        raise ContractError(f"apply_multiplier: grid L={L} too small for signal length {len(f)}")
+    xhat = None
+    for h in spectra:
+        if xhat is None:
+            xhat = np.fft.rfft(f.samples, L)
+            xhat[1::2] *= -1
+        y = xhat * h
+        del h
+        y = np.fft.irfft(y, L)
+        yield Signal(f.offset - L // 2, y)
+        del y
+
+
 def apply_multipliers_rolled(f: Signal, L: int, spectra) -> list[Signal]:
-    """operators._apply_multipliers by its former route: one rfft of f's
+    """apply_multipliers by its former route: one rfft of f's
     block zero-padded to L, one irfft per half spectrum, and each output
     rolled by L/2 onto the window from f.offset - L/2."""
     xhat = np.fft.rfft(f.samples, L)
@@ -494,7 +526,7 @@ def high_low_split_two_transforms(f: Signal, N: int, j_list) -> list[tuple[int, 
     for J in j_list:
         if J < cut:
             low = split_half_spectrum("b_N1", N, J, L)
-            high, low = _apply_multipliers(f, L, [weyl - low, low])
+            high, low = apply_multipliers(f, L, [weyl - low, low])
             out.append((J, high, low))
         else:
             af = average_squares(f, N) if af is None else af

@@ -30,7 +30,6 @@ from sqlab.experiments import (
 from sqlab.operators import (
     IntervalZ,
     Signal,
-    _apply_multipliers,
     average_on,
     average_squares,
     bilinear_form,
@@ -38,6 +37,7 @@ from sqlab.operators import (
 from sqlab.sparse import build_admissible_tau, check_admissible, sparse_decompose, violation_table
 
 from oracles import (
+    apply_multipliers,
     count_sqrts_bruteforce,
     divisor_set,
     is_qr,
@@ -230,7 +230,7 @@ def test_criterion_08_high_low_decomposition():
         f1 = average_on(f, II)
         # one spectrum of f for all six half spectra: the Weyl part W once,
         # then Low per J, with High = W - Low
-        parts = _apply_multipliers(f, L, halves)
+        parts = apply_multipliers(f, L, halves)
         weyl_part = next(parts)
         for J, lo in zip(js, parts):
             hi = Signal(lo.offset, weyl_part.samples - lo.samples)

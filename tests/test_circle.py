@@ -38,7 +38,7 @@ from sqlab.circle import (
 from sqlab.experiments import run_fjk_constant
 from sqlab.gauss import gauss_G0, gauss_G_closed_array
 
-from oracles import accumulate_arcs_all_rows, multiplier_piece
+from oracles import accumulate_arcs_all_rows, multiplier_piece, weyl_half_int64
 
 
 def gamma_N_series(xi: float, N: int, tol: float = 1e-14, max_terms: int = 600) -> complex:
@@ -225,6 +225,29 @@ class TestWeyl:
             assert np.array_equal(g[1:], np.conj(g[:0:-1])) and g[0].imag == 0, L
             for j in range(L):
                 assert abs(g[j] - weyl_multiplier(Fraction(j, L), N)) < 1e-12, (L, j)
+
+    @given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=5000))
+    @example(24, 511)  # odd L
+    @example(100, 1000)  # L < N^2: the squares collide in the histogram
+    @example(64, 1 << 14)
+    @settings(max_examples=60, deadline=None)
+    def test_float_histogram_grid_is_the_int64_route(self, N, L):
+        # bins 0..L//2 bit for bit as the int64 histogram's, and the rest
+        # their mirror, at any L
+        want, h = weyl_half_int64(N, L), L // 2 + 1
+        g = weyl_multiplier_grid(N, L)
+        assert np.array_equal(g[:h].view(np.int64), want.view(np.int64))
+        assert np.array_equal(g[h:].view(np.int64), np.conj(want[1 : L - L // 2][::-1]).view(np.int64))
+
+    @pytest.mark.parametrize("N, L", [(1, 4), (4, 64), (16, 1 << 10), (64, 1 << 14), (100, 1 << 16), (256, 1 << 18)])
+    def test_float_histogram_split_pieces_are_the_int64_route(self, N, L):
+        # the split's Weyl half (the rfft's own buffer) and the sampled grid
+        want = weyl_half_int64(N, L)
+        half = split_half_spectrum("weyl", N, None, L)
+        assert half.shape == want.shape and np.array_equal(half.view(np.int64), want.view(np.int64))
+        full = sample_multiplier("weyl", N, None, None, L).values
+        assert np.array_equal(full.view(np.int64), weyl_multiplier_grid(N, L).view(np.int64))
+        assert np.array_equal(full[: L // 2 + 1].view(np.int64), want.view(np.int64))
 
     @given(st.integers(min_value=0, max_value=63), st.integers(min_value=1, max_value=40))
     @settings(max_examples=80, deadline=None)

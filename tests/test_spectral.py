@@ -11,8 +11,8 @@ from sqlab import circle, experiments, operators
 from sqlab.arith import DomainError
 from sqlab.circle import ContractError, MultiplierGrid, _mirror, sample_multiplier
 from sqlab.operators import (
+    IntervalZ,
     Signal,
-    _apply_multipliers,
     _shift_averager,
     _smooth_len,
     _split_grid_len,
@@ -21,7 +21,13 @@ from sqlab.operators import (
     high_low_split,
 )
 
-from oracles import apply_multipliers_rolled, average_shifts_direct, high_low_split_two_transforms
+from oracles import (
+    apply_multipliers,
+    apply_multipliers_rolled,
+    average_shifts_direct,
+    high_low_split_two_transforms,
+    weyl_half_int64,
+)
 
 
 def apply_multiplier_complex(f: Signal, grid: MultiplierGrid) -> Signal:
@@ -207,7 +213,7 @@ class TestApplyMultiplier:
         for h in spectra:
             h[[0, -1]] = h[[0, -1]].real
         want = apply_multipliers_rolled(f, L, spectra)
-        got = list(_apply_multipliers(f, L, iter(spectra)))
+        got = list(apply_multipliers(f, L, iter(spectra)))
         for h, a, b in zip(spectra, got, want):
             assert a.offset == b.offset and np.array_equal(a.samples, b.samples)
             full = np.zeros(L, dtype=np.complex128)
@@ -225,61 +231,99 @@ class TestApplyMultiplier:
             assert _close(apply_multiplier(f, grid), apply_multiplier_complex(f, grid), f, L)
 
 
+def _window(f: Signal, N: int) -> tuple[int, int]:
+    """A_N f's window: its offset f.offset - N^2 and its n + N^2 samples."""
+    return f.offset - N * N, len(f.samples) + N * N
+
+
+def _same_as_two_transform_route(f: Signal, N: int, j_list) -> None:
+    """high_low_split against the route that inverted weyl - b_N1 beside
+    b_N1 on the whole grid: the same J in order, every row on A_N f's
+    window, Low bit for bit there, High = W - Low to 1e-12 max|f|.  A zero
+    may differ in sign (the dense route multiplies f's spectrum by zeros,
+    which makes -0.0 where it is negative, and J = 1 has no bins at all),
+    so Low's equality is of values."""
+    got = list(high_low_split(f, N, j_list))
+    want = high_low_split_two_transforms(f, N, j_list)
+    offset, n = _window(f, N)
+    window = IntervalZ(offset, offset + n - 1)
+    tol = 1e-12 * np.max(np.abs(f.samples))
+    for (J, high, low), (K, high0, low0) in zip(got, want, strict=True):
+        assert J == K
+        assert high.offset == low.offset == offset and len(high) == len(low) == n
+        assert np.array_equal(low.samples, low0.on(window))
+        assert np.max(np.abs(high.samples - high0.on(window))) <= tol
+
+
 class TestHighLowSplit:
     def test_parts_match_oracle_on_their_own_grids(self):
-        # a trivial J (16 >= N/4) between two that split, and a repeated J
+        # a trivial J (16 >= N/4) between two that split, and a repeated J:
+        # every part on A_N f's window, as the complex route gives it there
         rng = np.random.default_rng(8)
         f = Signal(-20, (rng.random(300) < 0.2).astype(float))
         N, j_list = 64, [4, 16, 2, 4]
         L = _split_grid_len(N, len(f))
+        offset, n = _window(f, N)
+        window = IntervalZ(offset, offset + n - 1)
         weyl = sample_multiplier("weyl", N, None, None, L)
         out = list(high_low_split(f, N, j_list))
         assert [J for J, _, _ in out] == j_list
         for J, high, low in out:
+            assert high.offset == low.offset == offset and len(high) == len(low) == n
             if J >= N // 4:
                 af = average_squares(f, N)
                 assert np.array_equal(low.samples, af.samples) and low.offset == af.offset
-                assert high.offset == af.offset and not np.any(high.samples)
+                assert not np.any(high.samples)
                 continue
             low_grid = sample_multiplier("b_N1", N, J, J, L)
             high_grid = MultiplierGrid(L, weyl.values - low_grid.values)
-            assert _close(high, apply_multiplier_complex(f, high_grid), f, L)
-            assert _close(low, apply_multiplier_complex(f, low_grid), f, L)
+            for part, grid in ((high, high_grid), (low, low_grid)):
+                oracle = apply_multiplier_complex(f, grid)
+                assert _close(part, Signal(offset, oracle.on(window)), f, L)
         # the repeated J gives the same bytes both times
         assert np.array_equal(out[0][1].samples, out[3][1].samples)
         assert np.array_equal(out[0][2].samples, out[3][2].samples)
 
-    @pytest.mark.parametrize("N, j_list, n", [(16, [1, 2], 40), (64, [4, 16, 8], 300), (256, [2, 64], 1000)])
+    @pytest.mark.parametrize("N, j_list, n", [(16, [1, 2], 40), (64, [4, 16, 8, 4], 300), (256, [2, 64, 2], 1000)])
     def test_kernels_are_the_former_grids_bins(self, monkeypatch, N, j_list, n):
-        # the half spectra the split inverts, bit for bit the bins 0..L/2 of
-        # the full grids: weyl once, then b_N1 for each J that splits
-        seen = []
-        monkeypatch.setattr(
-            operators, "_apply_multipliers", lambda f, L, spectra: (seen.append(h) or Signal(0, h.real) for h in spectra)
-        )
+        # the (bins, values) the split keeps of each b_N1, scattered into
+        # zeros, bit for bit the bins 0..L/2 of the sampled grid
+        kept = []
+        support = operators._support
+        monkeypatch.setattr(operators, "_support", lambda h: kept.append(support(h)) or kept[-1])
         for _ in high_low_split(Signal(0, np.ones(n)), N, j_list):
             pass
         L = _split_grid_len(N, n)
-        want = [sample_multiplier("weyl", N, None, None, L).values[: L // 2 + 1]]
-        want += [sample_multiplier("b_N1", N, J, J, L).values[: L // 2 + 1] for J in j_list if J < N // 4]
-        assert len(seen) == len(want)
-        assert all(np.array_equal(a.view(np.int64), b.view(np.int64)) for a, b in zip(seen, want))
+        js = list(dict.fromkeys(J for J in j_list if J < N // 4))
+        assert len(kept) == len(js)
+        for J, (bins, values) in zip(js, kept):
+            dense = np.zeros(L // 2 + 1, dtype=np.complex128)
+            dense[bins] = values
+            want = sample_multiplier("b_N1", N, J, J, L).values[: L // 2 + 1]
+            assert np.array_equal(dense.view(np.int64), want.view(np.int64))
+            assert np.all(values != 0)
 
     @pytest.mark.parametrize(
         "N, j_list, n", [(16, [1, 2, 1, 4], 40), (64, [4, 16, 8, 4, 32], 300), (256, [2, 64, 16, 2], 1000)]
     )
     def test_same_parts_as_two_transform_route(self, N, j_list, n):
-        # Low bit for bit as the route that inverted weyl - b_N1 beside b_N1,
-        # High = W - Low to roundoff; repeated and non-splitting J included
+        # repeated and non-splitting J included
         rng = np.random.default_rng(N)
-        f = Signal(-n // 3, (rng.random(n) < 0.2) * rng.standard_normal(n))
-        got = list(high_low_split(f, N, j_list))
-        want = high_low_split_two_transforms(f, N, j_list)
-        tol = 1e-12 * np.max(np.abs(f.samples))
-        for (J, high, low), (K, high0, low0) in zip(got, want, strict=True):
-            assert J == K and low.offset == low0.offset and high.offset == high0.offset
-            assert np.array_equal(low.samples.view(np.int64), low0.samples.view(np.int64))
-            assert np.max(np.abs(high.samples - high0.samples)) <= tol
+        _same_as_two_transform_route(Signal(-n // 3, (rng.random(n) < 0.2) * rng.standard_normal(n)), N, j_list)
+
+    @given(
+        st.integers(min_value=1, max_value=256),
+        offsets,
+        st.integers(min_value=1, max_value=2000),
+        st.lists(st.sampled_from([1, 1, 2, 4, 8, 16, 32, 64, 128]), min_size=1, max_size=5),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(1, 0, 1, [1], 0)
+    @example(64, -5, 300, [1, 16, 1, 4], 1)  # J = 1, an unsplit J, repeats
+    @settings(max_examples=30, deadline=None)
+    def test_parts_on_the_window_match_two_transform_route(self, N, offset, n, j_list, seed):
+        rng = np.random.default_rng(seed)
+        _same_as_two_transform_route(Signal(offset, (rng.random(n) < 0.3) * rng.standard_normal(n)), N, j_list)
 
     def _count_work(self, monkeypatch, f):
         """Record the rffts of f's block, the half spectra built and the
@@ -301,16 +345,17 @@ class TestHighLowSplit:
         monkeypatch.setattr(circle.MultiplierGrid, "__post_init__", lambda g: grids.append(g.L) or check(g))
         return rffts, pieces, grids
 
-    @pytest.mark.parametrize("j_list", [[4], [4, 8], [2, 4, 8, 2]])
+    @pytest.mark.parametrize("j_list", [[4], [4, 8], [2, 4, 8, 2], [16, 4, 32, 4, 8]])
     def test_one_spectrum_of_f_and_one_weyl_grid_per_call(self, monkeypatch, j_list):
-        # one rfft of f, one Weyl half spectrum and one b_N1 per splitting J,
-        # all on bins 0..L/2: no full grid is sampled or checked
+        # one rfft of f, one b_N1 per distinct splitting J, then one Weyl
+        # half spectrum, all on bins 0..L/2: no full grid is sampled or
+        # checked
         f = Signal(0, (np.random.default_rng(3).random(200) < 0.2).astype(float))
         rffts, pieces, grids = self._count_work(monkeypatch, f)
         for _ in high_low_split(f, 64, j_list):
             pass
         assert sum(rffts) == 1
-        assert pieces == ["weyl"] + ["b_N1"] * len(j_list)
+        assert pieces == ["b_N1"] * len({J for J in j_list if J < 16}) + ["weyl"]
         assert grids == []
 
     @pytest.mark.parametrize("j_list", [[4], [4, 8], [2, 4, 8, 2], [16, 4, 32, 8]])
