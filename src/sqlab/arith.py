@@ -85,24 +85,6 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
-def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n >= 1."""
-    if n < 1 or n % 2 == 0:
-        raise DomainError(f"jacobi: n={n} must be a positive odd integer")
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
 # the bits at odd positions 1, 3, ..., 61: a power of two 2^k <= 2^62 meets
 # them exactly when k is odd
 _ODD_BITS = np.int64(0x2AAAAAAAAAAAAAAA)
@@ -110,9 +92,9 @@ _ODD_BITS = np.int64(0x2AAAAAAAAAAAAAAA)
 
 def jacobi_array(a, n) -> np.ndarray:
     """Jacobi symbol (a/n) elementwise over int64 arrays broadcast together,
-    every n odd and >= 1: the binary algorithm of ``jacobi``, one step for
-    all entries per pass, each pass on the entries whose a is still nonzero.
-    Bit 1 of t holds each entry's sign so far."""
+    every n odd and >= 1: the binary algorithm, one step for all entries per
+    pass, each pass on the entries whose a is still nonzero.  Bit 1 of t
+    holds each entry's sign so far."""
     a, n = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(n, dtype=np.int64))
     bad = (n < 1) | (n % 2 == 0)
     if bad.any():
@@ -136,13 +118,6 @@ def jacobi_array(a, n) -> np.ndarray:
         t ^= a & n  # reciprocity: a and n odd, a flip when both are 3 (mod 4)
         a, n = n % a, a
     return out.reshape(shape)
-
-
-def epsilon(m: int) -> complex:
-    """The fourth-root unit: 1 for m = 1 (mod 4), i for m = 3 (mod 4)."""
-    if m % 2 == 0:
-        raise DomainError(f"epsilon: m={m} must be odd")
-    return 1.0 + 0.0j if m % 4 == 1 else 1.0j
 
 
 def _count_sqrts_odd_prime_power(x: int, p: int, k: int) -> int:

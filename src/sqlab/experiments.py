@@ -90,20 +90,15 @@ def _require(quantity: str, value: float, bound: float) -> None:
 _GAUSS_CHECK_BLOCK = 1 << 14
 
 
-def _pair_q(i: int) -> int:
-    """The q of pair i when the pairs (a, q), a in [0, 2q), are listed in
-    order of q and then a: the largest q with q(q - 1) <= i."""
-    return (1 + math.isqrt(1 + 4 * i)) // 2
-
-
 def run_gauss_check(q_max: int = 150, tol: float = 1e-10) -> ExperimentReport:
     """Closed-form quadratic Gauss sums against direct summation, plus the
     |G0| = 0-or-q^{-1/2} dichotomy for reduced fractions.
 
     The pairs (a, q), a in [0, 2q), go through the array closed form in
-    blocks of _GAUSS_CHECK_BLOCK, listed in order of q; a q cut by a block
-    edge takes the larger of its two partial maxima.  The direct sums stay
-    one inverse DFT per q (and per block the q appears in).
+    blocks of whole moduli: as many consecutive q as fit in
+    _GAUSS_CHECK_BLOCK pairs, and at least one.  Each q takes its row from
+    one maximum per column over its pairs; the direct sums stay one inverse
+    DFT per q.
     """
     report = ExperimentReport(
         "gauss-check",
@@ -111,28 +106,27 @@ def run_gauss_check(q_max: int = 150, tol: float = 1e-10) -> ExperimentReport:
         metadata={"oracle": "full DFT of the squares histogram"},
         columns=["q", "max_err_G", "max_err_G0", "max_err_norm"],
     )
-    total = q_max * (q_max + 1)  # sum of 2q over q <= q_max
-    err = np.zeros((3, q_max))  # max_err_G, max_err_G0, max_err_norm per q
-    for lo in range(0, total, _GAUSS_CHECK_BLOCK):
-        hi = min(lo + _GAUSS_CHECK_BLOCK, total)
-        ks = range(_pair_q(lo), _pair_q(hi - 1) + 1)
-        pieces = [np.arange(max(lo - k * (k - 1), 0), min(hi - k * (k - 1), 2 * k)) for k in ks]
-        sizes = [len(p) for p in pieces]
-        a = np.concatenate(pieces)
+    lo = 1
+    while lo <= q_max:
+        hi = lo + 1  # the block is the moduli lo..hi-1, 2q pairs each
+        while hi <= q_max and hi * (hi + 1) - lo * (lo - 1) <= _GAUSS_CHECK_BLOCK:
+            hi += 1
+        ks = range(lo, hi)
+        sizes = [2 * k for k in ks]
+        a = np.concatenate([np.arange(n) for n in sizes])
         q = np.repeat(ks, sizes)
-        d = gauss_G_closed_array(a, q) - np.concatenate([gauss_G_vector(k)[p % k] for k, p in zip(ks, pieces)])
+        d = gauss_G_closed_array(a, q) - np.concatenate([np.tile(gauss_G_vector(k), 2) for k in ks])
         g0 = gauss_G_closed_array(a, 2 * q)
-        d0 = g0 - np.concatenate([gauss_G0_vector(k)[p] for k, p in zip(ks, pieces)])
+        d0 = g0 - np.concatenate([gauss_G0_vector(k) for k in ks])
         expected = np.where(a & q & 1, 0.0, np.repeat([k**-0.5 for k in ks], sizes))
         # hypot, not np.abs: it rounds as abs() of a complex scalar does
         norm = np.abs(np.hypot(g0.real, g0.imag) - expected)
         norm[(a == 0) | (np.gcd(a, q) != 1)] = 0.0
         e = np.stack([np.hypot(d.real, d.imag), np.hypot(d0.real, d0.imag), norm])
-        block = err[:, ks.start - 1 : ks.stop - 1]
-        np.maximum(block, np.maximum.reduceat(e, np.cumsum([0, *sizes[:-1]]), axis=1), out=block)
-    for q in range(1, q_max + 1):
-        report.add_row(q, *err[:, q - 1])
-        _require(f"gauss-check error at q={q}", err[:, q - 1].max(), tol)
+        for k, row in zip(ks, np.maximum.reduceat(e, np.cumsum([0, *sizes[:-1]]), axis=1).T):
+            report.add_row(k, *row)
+            _require(f"gauss-check error at q={k}", row.max(), tol)
+        lo = hi
     return report
 
 
@@ -297,8 +291,9 @@ def run_fjk_constant(
             raise DomainError(f"fjk-constant: N={N}, grid={grid} needs 1 <= N and 4 N grid <= 2^53")
     # 192 bytes a grid point at the traced peak (a, q, theta and the
     # temporaries of the Gauss weights and gamma_N; measured with
-    # tracemalloc), 32 a k <= N of the Weyl histogram, 64 KiB of small objects
-    need = 192 * grid + 32 * max(n_list, default=0) + (1 << 16)
+    # tracemalloc), 32 a k <= N of the Weyl histogram, gamma_N's Fresnel
+    # table if it is unbuilt, 64 KiB of small objects
+    need = 192 * grid + 32 * max(n_list, default=0) + circle._fresnel_table_bytes() + (1 << 16)
     _require_memory(f"fjk-constant at grid={grid}", need)
     report = ExperimentReport(
         "fjk-constant",
@@ -577,8 +572,10 @@ def run_multifreq(
         raise DomainError(f"multifreq: grid={grid} must be positive")
     # 16 bytes a point for each level grid, and 80 for the trials: f, f-hat,
     # sup, one product and its ifft (72), or the last f, f-hat and sup while
-    # the next f is drawn; 64 KiB of small objects
-    _require_memory(f"multifreq at grid={grid}", (16 * n_octaves + 80) * grid + (1 << 16))
+    # the next f is drawn; gamma_N's Fresnel table if it is unbuilt, 64 KiB
+    # of small objects
+    need = (16 * n_octaves + 80) * grid + circle._fresnel_table_bytes() + (1 << 16)
+    _require_memory(f"multifreq at grid={grid}", need)
     for s in s_list:
         N0 = 1 << (s + 2)  # smallest N with 2^s <= N/4
         Ns = [N0 << t for t in range(n_octaves)]
@@ -725,8 +722,9 @@ def run_high_low(
     if N < 1:
         raise DomainError(f"high-low: N={N} must be positive")
     # the split's arrays, f on 2I and A_N f (40 N^2 bytes), the audit's sum
-    # of the parts on A_N f's window (24 N^2), 64 KiB of small objects
-    need = high_low_split_bytes(N, 2 * N * N, j_list) + 64 * N * N + (1 << 16)
+    # of the parts on A_N f's window (24 N^2), gamma_N's Fresnel table if it
+    # is unbuilt, 64 KiB of small objects
+    need = high_low_split_bytes(N, 2 * N * N, j_list) + 64 * N * N + circle._fresnel_table_bytes() + (1 << 16)
     _require_memory(f"high-low at N={N}", need)
     I = IntervalZ(0, N * N - 1)
     twoI = I.double()

@@ -1,5 +1,6 @@
 """Reference routes that only the tests use: the prime sieve, brute-force
-square-root counts and their CRT assembly, the per-pair gauss-check rows,
+square-root counts and their CRT assembly, the scalar Jacobi symbol and
+the scalar closed forms of G and G0, the per-pair gauss-check rows,
 the per-numerator H weights, the per-point hsum-identities rows, the
 support sets and divisor enumeration of H(q,x), the smooth-number frontier
 of the adversarial low-pass candidates, |H(q,x)| by per-factor gathers,
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sqlab.arith import DomainError, count_sqrts, factorize, is_prime, jacobi, sqrt_count_vector
+from sqlab.arith import DomainError, count_sqrts, factorize, is_prime, sqrt_count_vector
 from sqlab.circle import ContractError, MultiplierGrid, arc_level_grid, eta, gamma_N, sample_multiplier, split_half_spectrum
-from sqlab.gauss import gauss_G0, gauss_G0_vector, gauss_G_closed, gauss_G_closed_array, gauss_G_vector
+from sqlab.gauss import gauss_G0_vector, gauss_G_closed_array, gauss_G_vector
 from sqlab.hsums import _sqrt_count_step, h_sum, h_vector
 from sqlab.operators import IntervalZ, Signal, _split_grid_len, average_squares, polynomial_shifts
 from sqlab.sparse import STOPPING_CONSTANT, StoppingTime, sparse_decompose, sparse_form, violation_table
@@ -73,9 +74,59 @@ def is_qr(x: int, p: int) -> bool:
     return pow(x % p, (p - 1) // 2, p) == 1
 
 
+def jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n >= 1."""
+    if n < 1 or n % 2 == 0:
+        raise DomainError(f"jacobi: n={n} must be a positive odd integer")
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def epsilon(m: int) -> complex:
+    """The fourth-root unit: 1 for m = 1 (mod 4), i for m = 3 (mod 4)."""
+    if m % 2 == 0:
+        raise DomainError(f"epsilon: m={m} must be odd")
+    return 1.0 + 0.0j if m % 4 == 1 else 1.0j
+
+
 # ---------------------------------------------------------------------------
 # Gauss sums
 # ---------------------------------------------------------------------------
+
+
+def gauss_G_closed(a: int, q: int) -> complex:
+    """Closed form for G(a,q); a is reduced mod q and non-coprime (a,q)
+    reduced first."""
+    if q < 1:
+        raise DomainError(f"gauss_G_closed: q={q} must be positive")
+    a %= q  # G(a,q) depends on a mod q only
+    g = math.gcd(a, q)
+    a, q = a // g, q // g  # gcd(0, q) = q, so a = 0 lands on G(0,1) = 1
+    if q % 4 == 2:
+        return 0.0 + 0.0j
+    if q % 2 == 1:
+        return epsilon(q) * jacobi(a, q) / math.sqrt(q)
+    # a odd, 4 | q
+    return (1 + 1j) / epsilon(a) * jacobi(q, a) / math.sqrt(q)
+
+
+def gauss_G0_scalar(a: int, q: int) -> complex:
+    """G0(a,q) = G(a,2q) by the scalar closed form, for any int a: the
+    per-point ingredient of the tests' oracles, which one array call per
+    point would slow down."""
+    if q < 1:
+        raise DomainError(f"gauss_G0_scalar: q={q} must be positive")
+    return gauss_G_closed(a, 2 * q)
 
 
 def gauss_check_rows(q_max: int) -> list[list]:
@@ -92,7 +143,7 @@ def gauss_check_rows(q_max: int) -> list[list]:
             if math.gcd(a, q) != 1:
                 continue
             expected = 0.0 if (a * q) % 2 == 1 else q**-0.5
-            err_norm = max(err_norm, abs(abs(gauss_G0(a, q)) - expected))
+            err_norm = max(err_norm, abs(abs(gauss_G0_scalar(a, q)) - expected))
         rows.append([q, err_g, err_g0, err_norm])
     return rows
 

@@ -40,7 +40,9 @@ from oracles import (
     apply_multipliers,
     count_sqrts_bruteforce,
     divisor_set,
+    gauss_G0_scalar,
     is_qr,
+    jacobi,
     sqrt_count_vector_crt,
     support_verdict,
     verify_domination,
@@ -57,16 +59,13 @@ def test_criterion_01_gauss_closed_forms():
     for q in range(1, 501):
         direct_G = gauss.gauss_G_vector(q)
         direct_G0 = gauss.gauss_G0_vector(q)
-        for a in range(0, 2 * q):
-            worst = max(
-                worst,
-                abs(gauss.gauss_G_closed(a % q, q) - direct_G[a % q]),
-                abs(gauss.gauss_G0(a, q) - direct_G0[a]),
-            )
-            # |G0| dichotomy: zero iff a*q odd (reduced a), else q^{-1/2}
-            if a and math.gcd(a, q) == 1:
-                expected = 0.0 if (a * q) % 2 == 1 else q**-0.5
-                assert abs(abs(direct_G0[a]) - expected) < 1e-10
+        a = np.arange(2 * q)
+        g = gauss.gauss_G_closed_array(a, [[q], [2 * q]])  # G(a,q) and G0(a,q) = G(a,2q)
+        worst = max(worst, np.abs(g[0] - direct_G[a % q]).max(), np.abs(g[1] - direct_G0).max())
+        # |G0| dichotomy: zero iff a*q odd (reduced a), else q^{-1/2}
+        reduced = (a > 0) & (np.gcd(a, q) == 1)
+        expected = np.where(a * q % 2 == 1, 0.0, q**-0.5)
+        assert np.all(np.abs(np.abs(direct_G0) - expected)[reduced] < 1e-10), q
     elapsed = time.time() - t0
     assert worst < 1e-10
     assert elapsed < 30
@@ -82,7 +81,7 @@ def test_criterion_02_square_root_counting():
     # 0 for odd j < k or a non-residue, and p^{floor(k/2)} once j >= k
     checked = 0
     for p in [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]:
-        nqr = next(u for u in range(2, p) if arith.jacobi(u, p) == -1)
+        nqr = next(u for u in range(2, p) if jacobi(u, p) == -1)
         for k in range(1, 7):
             pk = p**k
             for j in range(0, k + 2):
@@ -174,7 +173,7 @@ def _fjk_max_normalized(N: int, L: int, odd_only: bool) -> float:
         xi = j / L
         r = dirichlet_approx(xi, N)
         g = gamma_N(2 * xi - r.a / r.q, N)
-        rem = abs(m[j] - gauss.gauss_G0(r.a % (2 * r.q), r.q) * g)
+        rem = abs(m[j] - gauss_G0_scalar(r.a % (2 * r.q), r.q) * g)
         best = max(best, rem * N / math.sqrt(r.q))
     return best
 

@@ -13,15 +13,13 @@ from sqlab.arith import (
     Factorization,
     count_sqrts,
     count_sqrts_prime_power,
-    epsilon,
     factorize,
     is_prime,
-    jacobi,
     jacobi_array,
     sqrt_count_vector,
 )
 
-from oracles import count_sqrts_bruteforce, is_qr, primes_upto, sqrt_count_vector_crt
+from oracles import count_sqrts_bruteforce, epsilon, is_qr, jacobi, primes_upto, sqrt_count_vector_crt
 
 SIEVE = frozenset(primes_upto(100_000))
 

@@ -36,9 +36,9 @@ from sqlab.circle import (
     weyl_multiplier_grid,
 )
 from sqlab.experiments import run_fjk_constant
-from sqlab.gauss import gauss_G0, gauss_G_closed_array
+from sqlab.gauss import gauss_G_closed_array
 
-from oracles import accumulate_arcs_all_rows, multiplier_piece, weyl_half_int64
+from oracles import accumulate_arcs_all_rows, gauss_G0_scalar, multiplier_piece, weyl_half_int64
 
 
 def gamma_N_series(xi: float, N: int, tol: float = 1e-14, max_terms: int = 600) -> complex:
@@ -118,7 +118,7 @@ def accumulate_arcs_loop(
             if not np.any(mask):
                 continue
             jm, thm = j[mask], th[mask]
-            out[jm] += gauss_G0(a, q) * eta(scale * thm) * gamma_N(thm, N)
+            out[jm] += gauss_G0_scalar(a, q) * eta(scale * thm) * gamma_N(thm, N)
 
 
 def fjk_rows_oracle(n_list, grid: int) -> list[list]:
@@ -131,7 +131,7 @@ def fjk_rows_oracle(n_list, grid: int) -> list[list]:
         def one(j: int) -> tuple[float, int]:
             r = dirichlet_approx(Fraction(j, grid), N)
             th = float(2 * Fraction(j, grid) - r.value())
-            main = gauss_G0(r.a, r.q) * gamma_N(th, N)
+            main = gauss_G0_scalar(r.a, r.q) * gamma_N(th, N)
             return abs(weyl[j] - main) * N / math.sqrt(r.q), r.q
 
         vals = [one(j) for j in range(grid)]
@@ -161,7 +161,7 @@ def level_sum(xi: Fraction, N: int, s: int, width_scale: float | None = None) ->
         scale = float(1 << (2 * s)) if width_scale is None else width_scale * r.denominator
         th = (2 * xi - r + 1) % 2 - 1
         if abs(th) < 0.5 / scale:
-            total += gauss_G0(r.numerator, r.denominator) * eta(scale * float(th)) * gamma_N(float(th), N)
+            total += gauss_G0_scalar(r.numerator, r.denominator) * eta(scale * float(th)) * gamma_N(float(th), N)
     return total
 
 

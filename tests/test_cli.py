@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from sqlab import arith, experiments
+from sqlab import arith, circle, experiments
 from sqlab.arith import DomainError
 from sqlab.cli import COMMANDS, build_parser, main, runner
 
@@ -288,6 +288,32 @@ class TestExitCodes:
         finally:
             tracemalloc.stop()
         assert peak <= counts[0] <= 1.25 * peak
+
+    @pytest.mark.parametrize(
+        "run, args",
+        [
+            (experiments.run_high_low, (16, [1, 2], 1)),
+            (experiments.run_high_low, (32, [1, 2], 1)),
+            (experiments.run_fjk_constant, ([16], 64, 1)),
+            (experiments.run_fjk_constant, ([16], 512, 1)),
+            (experiments.run_multifreq, ([1], 1, 1, 0, 64)),
+            (experiments.run_multifreq, ([1], 1, 1, 0, 512)),
+        ],
+    )
+    def test_preflight_counts_an_unbuilt_fresnel_table(self, monkeypatch, run, args):
+        # the first gamma_N call builds the Fresnel table, a traced peak of
+        # about 284 KB, more than these small runs take beside it
+        circle._fresnel_table.cache_clear()
+        counts = []
+        monkeypatch.setattr(experiments, "_require_memory", lambda job, need: counts.append(need))
+        tracemalloc.start()
+        try:
+            run(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert circle._fresnel_table.cache_info().currsize == 1
+        assert peak <= counts[0]
 
     def test_fjk_names_n_and_grid_past_exact_offsets(self, capsys):
         assert main(["fjk-constant", "--n", "16,4096", "--grid", str(1 << 40)]) == 1

@@ -4,14 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqlab.arith import DomainError
 from sqlab.experiments import run_gauss_check
-from sqlab.gauss import gauss_G0, gauss_G0_vector, gauss_G_closed, gauss_G_closed_array, gauss_G_vector
+from sqlab.gauss import gauss_G0, gauss_G0_vector, gauss_G_closed_array, gauss_G_vector
 
-from oracles import gauss_check_rows
+from oracles import gauss_check_rows, gauss_G0_scalar, gauss_G_closed
 
 
 def gauss_G_direct(a: int, q: int) -> complex:
@@ -81,11 +81,9 @@ class TestKnownValues:
     def test_magnitude_classification(self):
         # |G0(a,q)| is 0 when a*q is odd, q^{-1/2} otherwise (reduced a)
         for q in range(1, 150):
-            for a in range(1, 2 * q, 1):
-                if math.gcd(a, q) != 1:
-                    continue
-                expected = 0.0 if (a * q) % 2 else q**-0.5
-                assert abs(abs(gauss_G0(a, q)) - expected) < 1e-12, (a, q)
+            a = np.array([x for x in range(1, 2 * q) if math.gcd(x, q) == 1])
+            expected = np.where(a * q % 2 == 1, 0.0, q**-0.5)
+            assert np.all(np.abs(np.abs(gauss_G_closed_array(a, 2 * q)) - expected) < 1e-12), q
 
 
 class TestVectorBulk:
@@ -102,7 +100,7 @@ class TestVectorBulk:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             gauss_G_closed(1, 0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^gauss_G0: q=-3 must be positive"):
             gauss_G0(1, -3)
 
 
@@ -117,6 +115,24 @@ class TestClosedFormArray:
         ref = np.array([gauss_G_closed(x, y) for x, y in zip(a.tolist(), m.tolist())])
         assert np.array_equal(got.real, ref.real) and np.array_equal(got.imag, ref.imag)
 
+    @given(
+        st.integers(min_value=1, max_value=2**15),
+        st.one_of(
+            st.integers(min_value=-(2**62), max_value=2**62),
+            st.integers(min_value=-(2**17), max_value=2**17),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(q=7, a=10**30)
+    @example(q=3, a=6)
+    @example(q=4, a=-1)
+    def test_g0_bitwise_equal_to_scalar(self, q, a):
+        # any int a, also a >= 2q and negative a (and past int64), down to
+        # the signs of zeros
+        got, ref = np.array([gauss_G0(a, q)]), np.array([gauss_G0_scalar(a, q)])
+        assert np.array_equal(got.real.view(np.int64), ref.real.view(np.int64))
+        assert np.array_equal(got.imag.view(np.int64), ref.imag.view(np.int64))
+
     def test_broadcast_shape(self):
         got = gauss_G_closed_array(np.arange(8)[:, None], np.array([[4, 5, 6]]))
         assert got.shape == (8, 3)
@@ -124,7 +140,7 @@ class TestClosedFormArray:
 
     @pytest.mark.parametrize("q_max", [150, 300])
     def test_gauss_check_rows_match_the_scalar_loop(self, q_max):
-        # both pass a block edge: the sum of 2q exceeds 2^14 at q = 128 and 2^16 at q = 256
+        # both span blocks of whole moduli: the first block ends at q = 127, the second at 180
         assert run_gauss_check(q_max).rows == gauss_check_rows(q_max)
 
     def test_domain_errors(self):

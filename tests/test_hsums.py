@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlab import hsums
-from sqlab.arith import DomainError, count_sqrts, epsilon, factorize
+from sqlab.arith import DomainError, count_sqrts, factorize
 from sqlab.experiments import InvariantViolation, run_hsum_identities, run_lowpass_scan
 from sqlab.hsums import (
     _ADVERSARIAL_COUNT,
@@ -33,6 +33,7 @@ from oracles import (
     accumulate_S_fft,
     adversarial_candidates_frontier,
     divisor_set,
+    epsilon,
     h_weights_loop,
     hsum_identity_rows,
     primes_upto,
