@@ -246,15 +246,20 @@ def run_lowpass_scan(
     extra = extra[extra > x_max]
     # measured with tracemalloc: the sieve for the candidates above, 16
     # bytes a sieved x; in the scan, 8 bytes a point of the window and of
-    # extra for S and a copy of S per J but the last, 416 per q <= max J for
-    # the cached factorizations, 8 an entry of the factor tables, 72 per
-    # q <= max J for the last q = max J = 2^K (its int64 period of 2q
-    # points beside either the build of the table of 2^K, first needed
-    # there, or the period's quotient by q) and 16 a point of extra (its
-    # residues mod 2q and the values gathered there); 64 KiB of small objects
+    # extra for S and a copy of S per J but the last, and per q <= max J
+    # 416 for the cached factorizations, 9 for the sieve of the primes, 16
+    # for the periods of h(m) kept for the m <= max J/(isqrt(max J) + 1) and
+    # 8 for the sums of 1/p; 8 an entry of the factor tables; beside these,
+    # either the running sum's 104 per q <= max J (32 for the order of the
+    # q, 72 for the last q = max J = 2^K: its int64 period of 2q points
+    # beside either the build of the table of 2^K, first needed there, or
+    # the period's quotient by q) and 16 a point of extra (its residues mod
+    # 2q and the values gathered there), or the terms of the primes
+    # p > isqrt(J), 56 a pair (x, p) of a block of _BLOCK pairs or of a row
+    # of extra; 64 KiB of small objects
     sieve = 16 * (min(j_max * j_max, 1 << 15) + 1) if adversarial else 0
-    scan = 8 * (x_max + 1 + len(extra)) * len(j_list) + 416 * j_max + 8 * hsums.factor_table_entries(j_max)
-    scan += 72 * j_max + 16 * len(extra)
+    scan = 8 * (x_max + 1 + len(extra)) * len(j_list) + 449 * j_max + 8 * hsums.factor_table_entries(j_max)
+    scan += max(104 * j_max + 16 * len(extra), 56 * max(hsums._BLOCK, len(extra)))
     _require_memory(f"lowpass-scan at x_max={x_max}", max(sieve, scan) + (1 << 16))
     tables = hsums.FactorTables()
     for J, vals in zip(j_list, hsums.accumulate_S(j_list, x_max, extra, tables)):

@@ -39,9 +39,12 @@ def gauss_G_closed_array(a, q) -> np.ndarray:
 
 def gauss_G0(a: int, q: int) -> complex:
     """Normalized Gauss sum G0(a,q) = G(a,2q) with modulus 2q, for any int
-    a: it is reduced mod 2q before it meets int64."""
+    a: it is reduced mod 2q before it meets int64, and for q < 2^62, where
+    2q fits it."""
     if q < 1:
         raise DomainError(f"gauss_G0: q={q} must be positive")
+    if q >= 1 << 62:
+        raise DomainError(f"gauss_G0: q={q} must be below 2^62, so that 2q fits int64")
     return complex(gauss_G_closed_array(a % (2 * q), 2 * q))
 
 

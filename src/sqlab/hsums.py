@@ -18,12 +18,25 @@ H(1,x) = 0.  One period of it, x in [0, 2q), is built in place: for odd p
 with k = 1 the factor is |(-x/p)|, so the multiples of p are zeroed; every
 other factor is a table whose length divides 2q, enumerated once per scan
 in a ``FactorTables`` and multiplied into the period reshaped to rows of
-that length.  ``accumulate_S`` adds the period to the scan window
-[0, x_max] at once and reads the points past the window from it, and
-``abs_h_on_points`` reads arbitrary points from it, so the low-pass scan
-builds no complex table and gathers no table per point.  ``upper_bound_S``
-bounds sup_x S_J(x) by a product over the primes p <= J of the maxima of
-the per-prime sums of those tables.
+that length.  ``abs_h_on_points`` reads arbitrary points from it, so the
+low-pass scan builds no complex table and gathers no table per point.
+
+``accumulate_S`` builds such a period only for the q <= J whose largest
+prime factor P(q) is at most B = max(2, isqrt(J)).  A prime p > B is odd and
+p^2 > J, so it divides a q <= J at most once and no q <= J has two such
+primes: q = p m with m <= J/p < p, and |H(q,x)|/q = [p does not divide x]/p
+* h(m,x), h(m,x) = |H(m,x)|/m and h(1,x) = 1.  Summed over those q,
+
+    S_J(x) = sum_{2 <= q <= J, P(q) <= B} h(q,x) + sum_{2 <= q <= J/(B+1)} c_q h(q,x)
+             + c_1 - sum_{B < p <= J, p | x} (1 + S_{J//p}(x))/p,
+
+with c_q = sum_{B < p <= J/q} 1/p.  The first sum is one running sum over q,
+shared by the J of a scan, which adds each period to the scan window
+[0, x_max] at once and reads the points past it; the second adds fewer
+than sqrt(J) more periods, of 2q <= 2 sqrt(J) values each; the last
+touches only the multiples of the primes p > B.  ``upper_bound_S`` bounds
+sup_x S_J(x) by a product over the primes p <= J of the maxima of the
+per-prime sums of the factor tables.
 """
 
 from __future__ import annotations
@@ -110,11 +123,26 @@ def _sqrt_count_step(p: int, k: int) -> np.ndarray:
 
 class FactorTables(dict):
     """The tables _sqrt_count_step(p, k), keyed by (p, k), each built on its
-    first lookup: the working set of one scan, dropped with it."""
+    first lookup, and the primes up to the largest bound asked for, from one
+    sieve: the working set of one scan, dropped with it."""
+
+    _sieved = (0, np.zeros(0, dtype=np.int64))  # (n, the primes <= n)
 
     def __missing__(self, key: tuple[int, int]) -> np.ndarray:
         self[key] = step = _sqrt_count_step(*key)
         return step
+
+    def _primes(self, n: int) -> np.ndarray:
+        """The primes <= n, read from the sieve of the largest n asked for."""
+        bound, primes = self._sieved
+        if n > bound:
+            sieve = np.ones(n + 1, dtype=bool)
+            sieve[:2] = False
+            for p in range(2, math.isqrt(n) + 1):
+                if sieve[p]:
+                    sieve[p * p :: p] = False
+            self._sieved = bound, primes = n, np.flatnonzero(sieve)
+        return primes[: np.searchsorted(primes, n, side="right")]
 
 
 def factor_table_entries(J: int) -> int:
@@ -171,28 +199,120 @@ def _adversarial_candidates(J: int) -> list[int]:
     return [0, *np.flatnonzero(rest == 1)[:_ADVERSARIAL_COUNT].tolist()]
 
 
+def _smooth_bound(J: int) -> int:
+    """B_J = max(2, isqrt(J)): a prime p > B_J is odd and p^2 > J."""
+    return max(2, math.isqrt(J))
+
+
+def _smooth_from(q: int) -> int:
+    """e(q), the least J with q <= J and P(q) <= B_J, P(q) the largest prime
+    factor of q: max(q, P(q)^2), or q when P(q) = 2."""
+    P = factorize(q).factors[-1][0]
+    return q if P == 2 else max(q, P * P)
+
+
+def _add_period(S: np.ndarray, n: int, extra: np.ndarray, vals: np.ndarray) -> None:
+    """Add the periodic vals[x mod len(vals)] to S, at x in the window
+    [0, n) as an (m, len(vals)) view and a partial period, and at the
+    points of extra, which follow the window in S."""
+    P = min(len(vals), n)
+    m = n // max(P, 1)
+    periods = S[: m * P].reshape(m, P)
+    periods += vals[:P]
+    S[m * P : n] += vals[: n - m * P]
+    S[n:] += vals[extra % len(vals)]
+
+
+# pairs (x, p) of the large-prime terms handled at once
+_BLOCK = 1 << 12
+
+
+def _large_prime_multiples(large: np.ndarray, x_max: int, extra: np.ndarray):
+    """The pairs of a point x of the window [0, x_max] or of extra and a
+    prime p of the increasing large that divides x, in blocks (pos, xs, ip)
+    of at most _BLOCK pairs (or one row of extra): pos indexes x in S, xs
+    holds the points, p = large[ip], and ip does not decrease in a block."""
+    counts = x_max // large + 1  # the multiples 0, p, 2p, ... of p in the window
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(large) else 0
+    for lo in range(0, total, _BLOCK):
+        xs = np.arange(lo, min(lo + _BLOCK, total))
+        ip = np.searchsorted(ends, xs, side="right")
+        xs -= ends[ip]
+        xs += counts[ip]  # the rank of x among the multiples of p
+        xs *= large[ip]
+        yield xs, xs, ip
+    rows = max(1, _BLOCK // max(len(extra), 1))
+    for lo in range(0, len(large) if len(extra) else 0, rows):
+        ip, i = np.nonzero(extra % large[lo : lo + rows, None] == 0)
+        yield x_max + 1 + i, extra[i], lo + ip
+
+
+def _add_large_prime_terms(
+    S: np.ndarray, J: int, primes: np.ndarray, small: dict, x_max: int, extra: np.ndarray
+) -> None:
+    """Add to S, which holds the terms of the B-smooth q <= J, those of the
+    q = p*m <= J with a prime p > B = max(2, isqrt(J)):
+
+        c_1 + sum_{2 <= m <= J/(B+1)} c_m h(m,x) - sum_{B < p <= J, p | x} (1 + S_{J//p}(x))/p
+
+    with c_m = sum_{B < p <= J/m} 1/p and small[m] = h(m, .) on one period."""
+    B = _smooth_bound(J)
+    large = primes[np.searchsorted(primes, B, side="right") :]
+    if not len(large):
+        return
+    ms = range(2, J // (B + 1) + 1)
+    # the large primes p <= J/m, whose terms read h(m), are the first reach[m - 2]
+    reach = np.searchsorted(large, [J // m for m in ms], side="right").tolist()
+    c = np.concatenate([[0.0], np.cumsum(1.0 / large)])
+    n = x_max + 1
+    for m, r in zip(ms, reach):
+        if r:
+            _add_period(S, n, extra, c[r] * small[m])
+    S += c[-1]
+    for pos, xs, ip in _large_prime_multiples(large, x_max, extra):
+        terms = np.ones(len(pos))
+        for m, r in zip(ms, reach):
+            k = int(np.searchsorted(ip, r))
+            if not k:
+                break
+            terms[:k] += small[m][xs[:k] % (2 * m)]
+        terms /= large[ip]
+        np.subtract.at(S, pos, terms)
+
+
 def accumulate_S(j_list: Sequence[int], x_max: int, extra: np.ndarray, tables: FactorTables) -> list[np.ndarray]:
     """S_J on the window [0, x_max] (empty for x_max = -1) followed by the
-    points of extra, for each J of the increasing j_list, in order: copies
-    of one running sum over q, of which the last is the sum itself.  Each
-    |H(q,.)|/q is built as one period of 2q values, added to the window as
-    an (m, 2q) view plus a partial period, and read at the points of extra
-    mod 2q.  The factor tables are looked up in tables, so each is built
-    once however many q read it."""
+    points of extra, for each J of the increasing j_list, in order.  The
+    q <= J with P(q) <= B_J go into one running sum over q in the order of
+    (e(q), q) (_smooth_from), so each J copies it at its own prefix and its
+    S_J does not depend on the other J of the list.  Each such |H(q,.)|/q
+    is built as one period of 2q values, from the factor tables in tables,
+    each built once however many q read it.  The q with a prime factor
+    p > B_J are added per J from the h(m) of the m <= J/(B_J + 1) and from
+    the multiples of those p (_add_large_prime_terms)."""
     extra = np.asarray(extra, dtype=np.int64)
     n = x_max + 1
     S, out = np.zeros(n + len(extra)), []
-    window, tail = S[:n], S[n:]
-    for prev, J in zip([0, *j_list], j_list):
-        for q in range(prev + 1, J + 1):
-            vals = _abs_h_period(q, tables) / q
-            P = min(2 * q, n)
-            m = n // max(P, 1)
-            periods = window[: m * P].reshape(m, P)
-            periods += vals[:P]
-            window[m * P :] += vals[: n - m * P]
-            tail += vals[extra % (2 * q)]
-        out.append(S if J == j_list[-1] else S.copy())
+    j_max = max(j_list, default=0)
+    tables._primes(j_max)  # one sieve, up to max J
+    enter = np.fromiter(map(_smooth_from, range(2, j_max + 1)), dtype=np.int64, count=max(j_max - 1, 0))
+    order = np.argsort(enter, kind="stable")  # q - 2, by (e(q), q)
+    order = order[enter[order] <= j_max]
+    enter, order = enter[order], order + 2
+    m_max = max((J // (_smooth_bound(J) + 1) for J in j_list), default=0)
+    small, done = {}, 0
+    for J in j_list:
+        stop = int(np.searchsorted(enter, J, side="right"))
+        for k in order[done:stop].tolist():
+            vals = _abs_h_period(k, tables) / k
+            _add_period(S, n, extra, vals)
+            if k <= m_max:
+                small[k] = vals
+        done = stop
+        part = S if J == j_list[-1] else S.copy()
+        _add_large_prime_terms(part, J, tables._primes(J), small, x_max, extra)
+        out.append(part)
     return out
 
 
@@ -203,15 +323,12 @@ def upper_bound_S(J: int, tables: FactorTables) -> float:
     nonnegative terms, and 1 for q = 1 where H(1,x) = 0, so
     U_J >= sup_x S_J(x).  A p > sqrt(J) divides a q <= J at most once, so
     its F_p is 1 + t_{p,1}/p, of maximum 1 + 1/p (t_{p,1} = |(-x/p)| for
-    odd p, and t_{2,1} = 1); the F_p of the primes p <= sqrt(J), which sieve
-    out the rest, are built on one period from the tables."""
-    root = math.isqrt(J)
-    prime = np.ones(J + 1, dtype=bool)
+    odd p, and t_{2,1} = 1); the F_p of the primes p <= sqrt(J) are built on
+    one period from the tables, and the primes come from their sieve."""
+    primes = tables._primes(J)
+    root = np.searchsorted(primes, math.isqrt(J), side="right")
     bound = 1.0
-    for p in range(2, root + 1):
-        if not prime[p]:
-            continue
-        prime[p * p :: p] = False
+    for p in primes[:root].tolist():
         K, pk = 1, p
         while pk * p <= J:
             K, pk = K + 1, pk * p
@@ -224,6 +341,6 @@ def upper_bound_S(J: int, tables: FactorTables) -> float:
                 rows = F.reshape(-1, len(step))
                 rows += step / p**k
         bound *= float(F.max())
-    for p in (root + 1 + np.flatnonzero(prime[root + 1 :])).tolist():
+    for p in primes[root:].tolist():
         bound *= 1 + 1 / p
     return bound - 1

@@ -27,7 +27,7 @@ import numpy as np
 from sqlab.arith import DomainError, count_sqrts, factorize, is_prime, sqrt_count_vector
 from sqlab.circle import ContractError, MultiplierGrid, arc_level_grid, eta, gamma_N, sample_multiplier, split_half_spectrum
 from sqlab.gauss import gauss_G0_vector, gauss_G_closed_array, gauss_G_vector
-from sqlab.hsums import _sqrt_count_step, h_sum, h_vector
+from sqlab.hsums import FactorTables, _abs_h_period, _sqrt_count_step, h_sum, h_vector
 from sqlab.operators import IntervalZ, Signal, _split_grid_len, average_squares, polynomial_shifts
 from sqlab.sparse import STOPPING_CONSTANT, StoppingTime, sparse_decompose, sparse_form, violation_table
 
@@ -444,6 +444,29 @@ def upper_bound_S_tables(J: int) -> float:
             F += np.tile(step, len(F) // len(step)) / p**k
         bound *= float(F.max())
     return bound - 1
+
+
+def accumulate_S_running(j_list, x_max: int, extra: np.ndarray) -> list[np.ndarray]:
+    """hsums.accumulate_S by the former route: one running sum over every
+    q <= max J, each |H(q,.)|/q built as one period of 2q values, added to
+    the window as an (m, 2q) view plus a partial period and read at the
+    points of extra mod 2q."""
+    extra = np.asarray(extra, dtype=np.int64)
+    tables = FactorTables()
+    n = x_max + 1
+    S, out = np.zeros(n + len(extra)), []
+    window, tail = S[:n], S[n:]
+    for prev, J in zip([0, *j_list], j_list):
+        for q in range(prev + 1, J + 1):
+            vals = _abs_h_period(q, tables) / q
+            P = min(2 * q, n)
+            m = n // max(P, 1)
+            periods = window[: m * P].reshape(m, P)
+            periods += vals[:P]
+            window[m * P :] += vals[: n - m * P]
+            tail += vals[extra % (2 * q)]
+        out.append(S if J == j_list[-1] else S.copy())
+    return out
 
 
 def accumulate_S_fft(j_list, xs: np.ndarray) -> list[np.ndarray]:

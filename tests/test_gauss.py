@@ -102,6 +102,14 @@ class TestVectorBulk:
             gauss_G_closed(1, 0)
         with pytest.raises(DomainError, match="^gauss_G0: q=-3 must be positive"):
             gauss_G0(1, -3)
+        for q in (2**62, 2**63, 10**30):
+            with pytest.raises(DomainError, match=f"^gauss_G0: q={q} must be below 2\\^62"):
+                gauss_G0(3, q)
+
+    def test_largest_moduli(self):
+        # 2q = 2^62 still fits int64: G(3, 2^62) = (1 - i) 2^-31 exactly
+        assert gauss_G0(3, 2**61) == complex(2**-31, -(2**-31))
+        assert gauss_G0(3, 2**62 - 1) == 0
 
 
 class TestClosedFormArray:

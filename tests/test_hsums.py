@@ -31,6 +31,7 @@ from sqlab.hsums import (
 from oracles import (
     abs_h_on_points_gather,
     accumulate_S_fft,
+    accumulate_S_running,
     adversarial_candidates_frontier,
     divisor_set,
     epsilon,
@@ -77,6 +78,22 @@ def point_sets(draw):
     elif order == "shuffled":
         points = points[draw(st.permutations(range(len(points))))]
     return points
+
+
+@st.composite
+def scan_inputs(draw):
+    """(j_list, x_max, extra) for accumulate_S: an increasing j_list in
+    [1, 600], so J = 1 (S = 0) and J <= 8 (B = 2, where p = 3 is large)
+    come up; a window from empty (x_max = -1) to several periods of 2 max J;
+    and extra holding 0, multiples of the primes above isqrt(max J) and
+    any int64 points, in any order."""
+    j_list = sorted(draw(st.lists(st.integers(1, 600), min_size=1, max_size=4, unique=True)))
+    J = j_list[-1]
+    x_max = draw(st.integers(-1, 8 * J))
+    large = [p for p in primes_upto(J) if p > max(2, math.isqrt(J))] or [1]
+    multiples = st.builds(lambda p, k: p * k, st.sampled_from(large), st.integers(-(10**6), 10**6))
+    points = st.one_of(st.just(0), multiples, st.integers(x_max + 1, 10 * J + 10), st.integers(-(2**63), 2**63 - 1))
+    return j_list, x_max, np.array(draw(st.lists(points, max_size=60)), dtype=np.int64)
 
 
 class TestBasicIdentities:
@@ -232,6 +249,35 @@ class TestLowPass:
         assert len(got) == len(want) == len(j_list)
         for new, old in zip(got, want):
             assert np.all(np.abs(new - old) <= 1e-13 * old)
+
+    @given(scan_inputs())
+    @settings(max_examples=120, deadline=None)
+    def test_large_prime_route_matches_running_sum(self, inputs):
+        j_list, x_max, extra = inputs
+        got = accumulate_S(j_list, x_max, extra, FactorTables())
+        want = accumulate_S_running(j_list, x_max, extra)
+        assert len(got) == len(want) == len(j_list)
+        for J, new, old in zip(j_list, got, want):
+            assert np.all(np.abs(new - old) <= 1e-13 * old), J
+            if J == 1:
+                assert not new.any()
+
+    def test_large_prime_route_at_benchmark_size(self):
+        # the lowpass-scan of the benchmark: each maximum, and the oracle's
+        # value at each argmax ties it
+        j_list = [64, 256, 1024, 4096]
+        got = accumulate_S(j_list, 100_000, [], FactorTables())
+        for new, old in zip(got, accumulate_S_running(j_list, 100_000, [])):
+            assert np.all(np.abs(new - old) <= 1e-13 * old)
+            assert abs(old[np.argmax(new)] - old.max()) <= 1e-12 * old.max()
+
+    @given(scan_inputs())
+    @settings(max_examples=80, deadline=None)
+    def test_each_J_is_independent_of_the_list(self, inputs):
+        j_list, x_max, extra = inputs
+        for J, S in zip(j_list, accumulate_S(j_list, x_max, extra, FactorTables())):
+            (alone,) = accumulate_S([J], x_max, extra, FactorTables())
+            assert np.array_equal(S, alone), J
 
     @pytest.mark.parametrize("J_values", [range(1, 301), [1 << k for k in range(9, 15)]])
     def test_adversarial_sieve_matches_frontier(self, J_values):
