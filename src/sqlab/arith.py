@@ -3,9 +3,11 @@ counting mod q.
 
 Everything here works on plain Python ints, except ``jacobi_array`` and the
 square-root-count tables, which work on int64 arrays, and is pure: safe to
-call concurrently.  Primes and factors come from one trial-division route,
-sized to the moduli the experiments factor (a few thousand).  ``factorize``
-is an ``lru_cache`` and exposes ``cache_info``.  Factoring n costs about
+call concurrently.  ``is_prime`` and ``factorize`` are trial division,
+sized to the moduli that the identity checks factor one at a time (a few
+thousand); the S_J scan takes its primes and factors from the sieve of
+largest prime factors in ``hsums.FactorTables`` instead.  ``factorize`` is
+an ``lru_cache`` and exposes ``cache_info``.  Factoring n costs about
 max(p2, sqrt(p1)) divisions, p1 >= p2 its two largest prime factors, so a
 64-bit semiprime of two 32-bit primes takes about 2^31.
 """

@@ -245,21 +245,10 @@ def run_lowpass_scan(
     extra = np.asarray(hsums._adversarial_candidates(j_max) if adversarial else [], dtype=np.int64)
     extra = extra[extra > x_max]
     # measured with tracemalloc: the sieve for the candidates above, 16
-    # bytes a sieved x; in the scan, 8 bytes a point of the window and of
-    # extra for S and a copy of S per J but the last, and per q <= max J
-    # 416 for the cached factorizations, 9 for the sieve of the primes, 16
-    # for the periods of h(m) kept for the m <= max J/(isqrt(max J) + 1) and
-    # 8 for the sums of 1/p; 8 an entry of the factor tables; beside these,
-    # either the running sum's 104 per q <= max J (32 for the order of the
-    # q, 72 for the last q = max J = 2^K: its int64 period of 2q points
-    # beside either the build of the table of 2^K, first needed there, or
-    # the period's quotient by q) and 16 a point of extra (its residues mod
-    # 2q and the values gathered there), or the terms of the primes
-    # p > isqrt(J), 56 a pair (x, p) of a block of _BLOCK pairs or of a row
-    # of extra; 64 KiB of small objects
+    # bytes a sieved x (its largest prime factors and the smooth x among
+    # them), then the scan's arrays; 64 KiB of small objects
     sieve = 16 * (min(j_max * j_max, 1 << 15) + 1) if adversarial else 0
-    scan = 8 * (x_max + 1 + len(extra)) * len(j_list) + 449 * j_max + 8 * hsums.factor_table_entries(j_max)
-    scan += max(104 * j_max + 16 * len(extra), 56 * max(hsums._BLOCK, len(extra)))
+    scan = hsums.accumulate_S_bytes(j_list, x_max, len(extra))
     _require_memory(f"lowpass-scan at x_max={x_max}", max(sieve, scan) + (1 << 16))
     tables = hsums.FactorTables()
     for J, vals in zip(j_list, hsums.accumulate_S(j_list, x_max, extra, tables)):
@@ -751,7 +740,16 @@ def run_high_low(
             del high, low  # free this J's parts before the next J's are made
             logJ = math.log(J) if J > 1 else 1.0
             rows.append((J, t, err, hr, logJ / math.sqrt(J), lr, J * logJ**2))
+    # Low's kernel K_J on Z has 2N^2 max|K_J| <= (3/4) J (1 + sup_x S_J(x)),
+    # as |gamma_N| <= 1 and the bump integrates to 3/4, so low_ratio is at
+    # most (3/4) J (1 + U_J) for each J that splits (J < max(1, N/4), as in
+    # high_low_split; the others return A_N f as Low)
+    tables = hsums.FactorTables()
     for row in (row for rows in table for row in rows):
-        _require(f"split error |high + low - A_N f| at J={row[0]}", row[2], tol)
+        J = row[0]
+        _require(f"split error |high + low - A_N f| at J={J}", row[2], tol)
+        if J < max(1, N // 4):
+            bound = 0.75 * J * (1 + hsums.upper_bound_S(J, tables))
+            _require(f"low_ratio at J={J} (bounded by 3J(1 + U_J)/4)", row[5], bound)
         report.add_row(*row)
     return report

@@ -19,7 +19,11 @@ with k = 1 the factor is |(-x/p)|, so the multiples of p are zeroed; every
 other factor is a table whose length divides 2q, enumerated once per scan
 in a ``FactorTables`` and multiplied into the period reshaped to rows of
 that length.  ``abs_h_on_points`` reads arbitrary points from it, so the
-low-pass scan builds no complex table and gathers no table per point.
+low-pass scan builds no complex table and gathers no table per point.  The
+scan takes every prime and factorization from one sieve in the
+``FactorTables``, of the largest prime factor P(k) of each k <= max J: the
+prime powers of q by walking it down (p = P(q), q divided by p while p
+divides it), and the primes as the k with P(k) = k.
 
 ``accumulate_S`` builds such a period only for the q <= J whose largest
 prime factor P(q) is at most B = max(2, isqrt(J)).  A prime p > B is odd and
@@ -42,12 +46,12 @@ per-prime sums of the factor tables.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
 import numpy as np
 
-from .arith import DomainError, factorize, is_prime, jacobi_array, sqrt_count_vector
+from .arith import DomainError, factorize, jacobi_array, sqrt_count_vector
 from .gauss import gauss_G0_vector, gauss_G_vector
 
 _KINDS = ("H", "H0", "H1", "Htilde") + tuple(f"Hj{j}" for j in range(8))
@@ -121,39 +125,72 @@ def _sqrt_count_step(p: int, k: int) -> np.ndarray:
     return np.abs(sqrt_count_vector(m)[y % m] - sqrt_count_vector(m // p)[y % (m // p)])
 
 
+def _largest_prime_factors(n: int) -> np.ndarray:
+    """P(k), the largest prime factor of k, for k in [0, n] (P(0) = 0 and
+    P(1) = 1), as int64.  Each prime p <= isqrt(n), in increasing order,
+    writes itself over its multiples; a k in (isqrt(n), n] left at 0 is then
+    a prime p, and p is the largest factor of each m p <= n, as m < p."""
+    P = np.zeros(max(n, 1) + 1, dtype=np.int64)
+    root = math.isqrt(n)
+    for p in range(2, root + 1):
+        if not P[p]:
+            P[p::p] = p
+    large = np.flatnonzero(P[root + 1 :] == 0) + (root + 1)
+    for m in range(1, n // (root + 1) + 1):
+        ps = large[: np.searchsorted(large, n // m, side="right")]
+        P[m * ps] = ps
+    P[:2] = 0, 1
+    return P
+
+
+def _primes_between(P: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The primes p with 1 <= lo < p <= hi, read from the sieve P: the k
+    with P(k) = k."""
+    k = np.arange(lo + 1, hi + 1)
+    return k[P[lo + 1 : hi + 1] == k]
+
+
 class FactorTables(dict):
     """The tables _sqrt_count_step(p, k), keyed by (p, k), each built on its
-    first lookup, and the primes up to the largest bound asked for, from one
-    sieve: the working set of one scan, dropped with it."""
+    first lookup, and the sieve of largest prime factors up to the largest
+    n asked for, from which the scan takes every prime and factorization:
+    the working set of one scan, dropped with it."""
 
-    _sieved = (0, np.zeros(0, dtype=np.int64))  # (n, the primes <= n)
+    _sieve = np.array([0, 1], dtype=np.int64)  # P(0) and P(1), until a scan grows it
 
     def __missing__(self, key: tuple[int, int]) -> np.ndarray:
         self[key] = step = _sqrt_count_step(*key)
         return step
 
-    def _primes(self, n: int) -> np.ndarray:
-        """The primes <= n, read from the sieve of the largest n asked for."""
-        bound, primes = self._sieved
-        if n > bound:
-            sieve = np.ones(n + 1, dtype=bool)
-            sieve[:2] = False
-            for p in range(2, math.isqrt(n) + 1):
-                if sieve[p]:
-                    sieve[p * p :: p] = False
-            self._sieved = bound, primes = n, np.flatnonzero(sieve)
-        return primes[: np.searchsorted(primes, n, side="right")]
+    def _sieve_to(self, n: int) -> np.ndarray:
+        """P(k) for k in [0, n], read from the sieve of the largest n asked
+        for."""
+        if n >= len(self._sieve):
+            self._sieve = _largest_prime_factors(n)
+        return self._sieve[: n + 1]
 
 
 def factor_table_entries(J: int) -> int:
     """How many entries the factor tables of the q <= J hold: 2^(k+1) for
     each 2^k <= J with k >= 1, and p^k for each odd p^k <= J with k >= 2."""
     entries = sum(2 ** (k + 1) for k in range(1, J.bit_length()))
-    for p in filter(is_prime, range(3, math.isqrt(J) + 1, 2)):
+    root = math.isqrt(J)
+    for p in _primes_between(_largest_prime_factors(root), 2, root).tolist():
         pk = p * p
         while pk <= J:
             entries, pk = entries + pk, pk * p
     return entries
+
+
+def _prime_powers(q: int, P: np.ndarray) -> Iterator[tuple[int, int]]:
+    """The (p, k) with p^k || q, p decreasing, by the walk down the sieve P
+    of largest prime factors: p = P(m), then m divided by p while p
+    divides it, from m = q until m = 1."""
+    while q > 1:
+        p, k = int(P[q]), 0
+        while q % p == 0:
+            q, k = q // p, k + 1
+        yield p, k
 
 
 def _abs_h_period(q: int, tables: FactorTables) -> np.ndarray:
@@ -163,7 +200,7 @@ def _abs_h_period(q: int, tables: FactorTables) -> np.ndarray:
     0 on the multiples of p and 1 elsewhere, so those are zeroed and no
     table is read."""
     out = np.full(2 * q, int(q > 1), dtype=np.int64)
-    for p, k in factorize(q).factors:
+    for p, k in _prime_powers(q, tables._sieve_to(q)):
         if p != 2 and k == 1:
             out[::p] = 0
         else:
@@ -177,7 +214,9 @@ def abs_h_on_points(q: int, xs: np.ndarray) -> np.ndarray:
     """|H(q, x)| for an array of integers x, exactly, as int64: read from
     one period, the product over the prime powers of q of their
     square-root-count factors (the empty product of q = 1 is replaced by
-    H(1,x) = 0)."""
+    H(1,x) = 0); refuses q < 1 before it allocates."""
+    if q < 1:
+        raise DomainError(f"abs_h_on_points: q={q} must be positive")
     return _abs_h_period(q, FactorTables())[np.asarray(xs, dtype=np.int64) % (2 * q)]
 
 
@@ -186,29 +225,17 @@ _ADVERSARIAL_COUNT = 4000
 
 def _adversarial_candidates(J: int) -> list[int]:
     """0 and the _ADVERSARIAL_COUNT smallest x in [1, min(J^2, 2^15)] whose
-    prime factors are all at most min(max(J, 2), 61): the x that dividing
-    out those primes leaves at 1.  Many q have H(q,x) != 0 at such x.  The
+    prime factors are all at most min(max(J, 2), 61), read from the sieve of
+    their largest prime factors.  Many q have H(q,x) != 0 at such x.  The
     4000 smallest 61-smooth numbers are all <= 16450, so the cap drops none,
     and a window [0, x_max] with x_max >= 16450 holds every one."""
-    rest = np.arange(min(J * J, 1 << 15) + 1, dtype=np.int64)
-    for p in filter(is_prime, range(2, min(max(J, 2), 64) + 1)):
-        pk = p
-        while pk < len(rest):
-            rest[::pk] //= p
-            pk *= p
-    return [0, *np.flatnonzero(rest == 1)[:_ADVERSARIAL_COUNT].tolist()]
+    P = _largest_prime_factors(min(J * J, 1 << 15))
+    return [0, *(np.flatnonzero(P[1:] <= min(max(J, 2), 61))[:_ADVERSARIAL_COUNT] + 1).tolist()]
 
 
 def _smooth_bound(J: int) -> int:
     """B_J = max(2, isqrt(J)): a prime p > B_J is odd and p^2 > J."""
     return max(2, math.isqrt(J))
-
-
-def _smooth_from(q: int) -> int:
-    """e(q), the least J with q <= J and P(q) <= B_J, P(q) the largest prime
-    factor of q: max(q, P(q)^2), or q when P(q) = 2."""
-    P = factorize(q).factors[-1][0]
-    return q if P == 2 else max(q, P * P)
 
 
 def _add_period(S: np.ndarray, n: int, extra: np.ndarray, vals: np.ndarray) -> None:
@@ -249,16 +276,17 @@ def _large_prime_multiples(large: np.ndarray, x_max: int, extra: np.ndarray):
 
 
 def _add_large_prime_terms(
-    S: np.ndarray, J: int, primes: np.ndarray, small: dict, x_max: int, extra: np.ndarray
+    S: np.ndarray, J: int, P: np.ndarray, small: dict, x_max: int, extra: np.ndarray
 ) -> None:
     """Add to S, which holds the terms of the B-smooth q <= J, those of the
     q = p*m <= J with a prime p > B = max(2, isqrt(J)):
 
         c_1 + sum_{2 <= m <= J/(B+1)} c_m h(m,x) - sum_{B < p <= J, p | x} (1 + S_{J//p}(x))/p
 
-    with c_m = sum_{B < p <= J/m} 1/p and small[m] = h(m, .) on one period."""
+    with c_m = sum_{B < p <= J/m} 1/p, small[m] = h(m, .) on one period and
+    the primes read from the sieve P."""
     B = _smooth_bound(J)
-    large = primes[np.searchsorted(primes, B, side="right") :]
+    large = _primes_between(P, B, J)
     if not len(large):
         return
     ms = range(2, J // (B + 1) + 1)
@@ -285,18 +313,22 @@ def accumulate_S(j_list: Sequence[int], x_max: int, extra: np.ndarray, tables: F
     """S_J on the window [0, x_max] (empty for x_max = -1) followed by the
     points of extra, for each J of the increasing j_list, in order.  The
     q <= J with P(q) <= B_J go into one running sum over q in the order of
-    (e(q), q) (_smooth_from), so each J copies it at its own prefix and its
-    S_J does not depend on the other J of the list.  Each such |H(q,.)|/q
-    is built as one period of 2q values, from the factor tables in tables,
-    each built once however many q read it.  The q with a prime factor
+    (e(q), q), e(q) = max(q, P(q)^2) (q when P(q) = 2) the least J with
+    q <= J and P(q) <= B_J, so each J copies it at its own prefix and its
+    S_J does not depend on the other J of the list.  P, every other prime
+    and every factorization come from the sieve in tables.  Each such
+    |H(q,.)|/q is built as one period of 2q values, from the factor tables
+    in tables, each built once however many q read it.  The q with a prime factor
     p > B_J are added per J from the h(m) of the m <= J/(B_J + 1) and from
     the multiples of those p (_add_large_prime_terms)."""
     extra = np.asarray(extra, dtype=np.int64)
     n = x_max + 1
     S, out = np.zeros(n + len(extra)), []
     j_max = max(j_list, default=0)
-    tables._primes(j_max)  # one sieve, up to max J
-    enter = np.fromiter(map(_smooth_from, range(2, j_max + 1)), dtype=np.int64, count=max(j_max - 1, 0))
+    P = tables._sieve_to(j_max)[2:]  # one sieve, up to max J
+    q = np.arange(2, j_max + 1)
+    enter = np.maximum(q, np.where(P == 2, 0, P * P))
+    del P, q
     order = np.argsort(enter, kind="stable")  # q - 2, by (e(q), q)
     order = order[enter[order] <= j_max]
     enter, order = enter[order], order + 2
@@ -311,9 +343,27 @@ def accumulate_S(j_list: Sequence[int], x_max: int, extra: np.ndarray, tables: F
                 small[k] = vals
         done = stop
         part = S if J == j_list[-1] else S.copy()
-        _add_large_prime_terms(part, J, tables._primes(J), small, x_max, extra)
+        _add_large_prime_terms(part, J, tables._sieve_to(J), small, x_max, extra)
         out.append(part)
     return out
+
+
+def accumulate_S_bytes(j_list: Sequence[int], x_max: int, n_extra: int) -> int:
+    """Peak bytes of the arrays accumulate_S allocates with a fresh
+    FactorTables, as traced: 8 a point of the window and of extra for S and
+    a copy of S per J but the last; per q <= max J, 8 for the sieve, 16 for
+    the periods of h(m) kept for the m <= max J/(isqrt(max J) + 1) and 8
+    for the large primes and the sums of their 1/p; 8 an entry of the
+    factor tables; beside these, either the running sum's 104 per q <= max J
+    (32 for the order of the q, 72 for the last q = max J = 2^K: its int64
+    period of 2q points beside either the build of the table of 2^K, first
+    needed there, or the period's quotient by q) and 16 a point of extra
+    (its residues mod 2q and the values gathered there), or the terms of
+    the primes p > isqrt(J), 56 a pair (x, p) of a block of _BLOCK pairs or
+    of a row of extra."""
+    j_max = max(j_list, default=0)
+    need = 8 * (x_max + 1 + n_extra) * len(j_list) + 32 * j_max + 8 * factor_table_entries(j_max)
+    return need + max(104 * j_max + 16 * n_extra, 56 * max(_BLOCK, n_extra))
 
 
 def upper_bound_S(J: int, tables: FactorTables) -> float:
@@ -325,10 +375,9 @@ def upper_bound_S(J: int, tables: FactorTables) -> float:
     its F_p is 1 + t_{p,1}/p, of maximum 1 + 1/p (t_{p,1} = |(-x/p)| for
     odd p, and t_{2,1} = 1); the F_p of the primes p <= sqrt(J) are built on
     one period from the tables, and the primes come from their sieve."""
-    primes = tables._primes(J)
-    root = np.searchsorted(primes, math.isqrt(J), side="right")
+    P, root = tables._sieve_to(J), math.isqrt(J)
     bound = 1.0
-    for p in primes[:root].tolist():
+    for p in _primes_between(P, 1, root).tolist():
         K, pk = 1, p
         while pk * p <= J:
             K, pk = K + 1, pk * p
@@ -341,6 +390,6 @@ def upper_bound_S(J: int, tables: FactorTables) -> float:
                 rows = F.reshape(-1, len(step))
                 rows += step / p**k
         bound *= float(F.max())
-    for p in primes[root:].tolist():
+    for p in _primes_between(P, root, J).tolist():
         bound *= 1 + 1 / p
     return bound - 1

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from sqlab import arith, circle, experiments
+from sqlab import circle, experiments
 from sqlab.arith import DomainError
 from sqlab.cli import COMMANDS, build_parser, main, runner
 
@@ -358,13 +358,14 @@ class TestExitCodes:
             (experiments.run_sparse_demo, (4096, 0.1, 8.0, 0)),
             (experiments.run_lowpass_scan, ([64, 256, 1024], 30000, True)),
             (experiments.run_lowpass_scan, ([4, 8, 16, 32], 200000, False)),
+            (experiments.run_lowpass_scan, ([64, 256, 1024, 4096], 100000, True)),
         ],
     )
     def test_preflight_is_tight_where_no_fft_average_dominates(self, monkeypatch, run, args):
         # N <= 64 takes the direct route of the average, whose count is
-        # exact, and the scans are mostly S; the factorizations are dropped,
-        # so that lowpass-scan's peak holds their cache, as in a fresh process
-        arith.factorize.cache_clear()
+        # exact, and the scans are mostly S; lowpass-scan factorizes from
+        # the sieve in its FactorTables, built and dropped with each run, so
+        # its peak is that of a fresh process whatever arith's cache holds
         counts = []
         monkeypatch.setattr(experiments, "_require_memory", lambda job, need: counts.append(need))
         tracemalloc.start()
@@ -390,6 +391,16 @@ class TestExitCodes:
         found = re.fullmatch(r"sqlab: invariant violation: .+ = (\S+) exceeds bound (\S+)\n", err)
         assert found, err
         assert float(found[1]) > float(found[2]) == 0.0
+
+    def test_high_low_requires_the_kernel_bound(self, monkeypatch, capsys):
+        # U_J = -1 makes (3/4) J (1 + U_J) = 0, under any low_ratio of a split J
+        monkeypatch.setattr(experiments.hsums, "upper_bound_S", lambda J, tables: -1.0)
+        assert main(["high-low", "--n", "64", "--j", "4", "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        found = re.fullmatch(
+            r"sqlab: invariant violation: low_ratio at J=4 \(bounded by 3J\(1 \+ U_J\)/4\) = (\S+) exceeds bound 0\.0\n", err
+        )
+        assert found and float(found[1]) > 0, err
 
 
 class TestFlags:

@@ -18,6 +18,9 @@ from sqlab.hsums import (
     _KINDS,
     FactorTables,
     _adversarial_candidates,
+    _largest_prime_factors,
+    _prime_powers,
+    _primes_between,
     _sqrt_count_step,
     abs_h_on_points,
     accumulate_S,
@@ -356,6 +359,43 @@ class TestLowPass:
             run_lowpass_scan([64], 100, False)
 
 
+class TestSieve:
+    def test_sieve_matches_trial_division(self):
+        # every n <= 2^15: P(n), the primes and the walk down the sieve
+        n_max = 1 << 15
+        P = _largest_prime_factors(n_max)
+        assert P.dtype == np.int64 and len(P) == n_max + 1
+        assert P[:2].tolist() == [0, 1]
+        primes = primes_upto(n_max)
+        assert _primes_between(P, 1, n_max).tolist() == primes
+        for hi in range(1, 130):
+            for lo in range(1, hi + 1):
+                assert _primes_between(P, lo, hi).tolist() == [p for p in primes if lo < p <= hi], (lo, hi)
+        for n in range(2, n_max + 1):
+            factors = factorize(n).factors
+            assert P[n] == factors[-1][0], n
+            assert list(_prime_powers(n, P))[::-1] == list(factors), n
+
+    def test_every_sieve_is_a_prefix_of_a_longer_one(self):
+        # the split at isqrt(n) between sieved and scattered primes
+        P = _largest_prime_factors(1 << 12)
+        for n in range(300):
+            assert np.array_equal(_largest_prime_factors(n)[: n + 1], P[: n + 1]), n
+
+    def test_factor_tables_grow_their_sieve(self):
+        tables = FactorTables()
+        assert np.array_equal(tables._sieve_to(10), _largest_prime_factors(10))
+        assert np.array_equal(tables._sieve_to(5000), _largest_prime_factors(5000))
+        assert len(tables._sieve_to(7)) == 8
+        assert not tables  # the sieve is no factor table
+
+    def test_scan_factorizes_nothing(self):
+        # the benchmark's scan takes its primes and factors from the sieve
+        before = factorize.cache_info()
+        run_lowpass_scan([64, 256, 1024, 4096], 100000, True)
+        assert factorize.cache_info() == before
+
+
 class TestTableCache:
     def test_sweep_over_q_retains_a_bounded_working_set(self):
         # a sweep of H over q <= 512 keeps at most 64 periods alive, 1 MiB
@@ -385,6 +425,11 @@ class TestIdentityRunner:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("q", [0, -3])
+    def test_abs_h_refuses_nonpositive_moduli(self, q):
+        with pytest.raises(DomainError, match=f"^abs_h_on_points: q={q} must be positive$"):
+            abs_h_on_points(q, np.arange(5))
+
     def test_unknown_kind(self):
         with pytest.raises(DomainError, match="unknown kind 'Hx'"):
             h_sum("Hx", 3, 0)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sqlab.arith import DomainError
 from sqlab.circle import ContractError, sample_multiplier
+from sqlab.hsums import FactorTables, upper_bound_S
 from sqlab import operators
 from sqlab.operators import (
     IntervalZ,
@@ -258,6 +259,21 @@ class TestHighLow:
         W = IntervalZ(a.offset - 10, a.offset + len(a) + 9)
         err = np.max(np.abs(high.on(W) + low.on(W) - a.on(W)))
         assert err < 1e-7
+
+    @pytest.mark.parametrize("N, j_list", [(64, [2, 4, 8]), (256, [16, 32])])
+    def test_point_mass_low_ratio_under_the_kernel_bound(self, N, j_list):
+        # 2N^2 max|K_J| <= (3/4) J (1 + U_J) on Z; a point mass at N^2/2,
+        # inside I, the worst f, reads 1.377, 4.533, 12.31 (N = 64) and
+        # 24.72, 48.44 (N = 256) against 2.25, 8.0, 21.94 and 51.56, 128.06
+        I = IntervalZ(0, N * N - 1)
+        twoI = I.double()
+        samples = np.zeros(len(twoI))
+        samples[N * N // 2] = 1.0
+        f = Signal(twoI.a, samples)
+        tables = FactorTables()
+        for J, _, low in high_low_split(f, N, j_list):
+            ratio = norm_p(low, math.inf, I) / norm_p(f, 1.0, twoI)
+            assert 0.4 * J < ratio <= 0.75 * J * (1 + upper_bound_S(J, tables)), J
 
     def test_trivial_branch(self):
         f = Signal(0, np.ones(16))
