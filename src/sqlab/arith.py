@@ -25,6 +25,17 @@ class DomainError(ValueError):
     """An argument is outside the documented domain."""
 
 
+class InvariantViolation(AssertionError):
+    """An identity or inequality that sqlab verifies failed to hold."""
+
+
+def _require(quantity: str, value: float, bound: float) -> None:
+    """Raise InvariantViolation, naming the quantity, its value and the
+    bound, unless value <= bound (so NaN fails)."""
+    if not value <= bound:
+        raise InvariantViolation(f"{quantity} = {float(value)!r} exceeds bound {float(bound)!r}")
+
+
 def _least_prime_factor(m: int, d: int = 3) -> int:
     """Least prime factor of m >= 2: 2, then odd divisors from d while
     d*d <= m.  d is odd, and m has no prime factor in [3, d)."""

@@ -24,7 +24,7 @@ import numpy.fft  # noqa: F401
 import numpy.random  # noqa: F401
 
 from . import circle, hsums
-from .arith import DomainError, count_sqrts, factorize
+from .arith import DomainError, InvariantViolation, _require, count_sqrts, factorize
 from .gauss import gauss_G0_vector, gauss_G_closed_array, gauss_G_vector
 from .operators import (
     IntervalZ,
@@ -49,10 +49,6 @@ from .sparse import (
 )
 
 
-class InvariantViolation(AssertionError):
-    """An identity or inequality the experiments verify failed to hold."""
-
-
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator so trials are reproducible and splittable."""
     return np.random.Generator(np.random.Philox(seed))
@@ -72,13 +68,6 @@ def _average_squares_bytes(n: int, N: int) -> int:
     """shift_average_bytes of A_N on a block of n samples (0 for N < 1,
     which average_squares refuses)."""
     return shift_average_bytes(n, np.arange(1, N + 1, dtype=np.int64) ** 2) if N >= 1 else 0
-
-
-def _require(quantity: str, value: float, bound: float) -> None:
-    """Raise InvariantViolation, naming the quantity, its value and the
-    bound, unless value <= bound (so NaN fails)."""
-    if not value <= bound:
-        raise InvariantViolation(f"{quantity} = {float(value)!r} exceeds bound {float(bound)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +215,9 @@ def run_lowpass_scan(
     x_max: int = 20_000,
     adversarial: bool = True,
 ) -> ExperimentReport:
-    """max_x S_J(x) with S_J(x) = sum_{q <= J} |H(q,x)|/q, windowed over
-    [0, x_max] plus adversarial highly-divisible candidates; the column
-    normalized by (log J)^2 should stay bounded."""
+    """max_x S_J(x) with S_J(x) = sum_{q <= J} |H(q,x)|/q over [0, x_max],
+    then over the adversarial candidates past it, from S_J on [0, max(x_max,
+    last candidate)]; normalized by (log J)^2 it should stay bounded."""
     if any(J <= prev or J & (J - 1) for prev, J in zip([0, *j_list], j_list)):
         raise ValueError("j_list must be strictly increasing powers of two")
     if x_max < 0:
@@ -240,20 +229,21 @@ def run_lowpass_scan(
         columns=["J", "argmax_x", "max_S", "max_S_per_log2"],
     )
     j_max = max(j_list, default=0)
-    # the candidates up to x_max are in the window already (every one of
-    # them for J >= 256 and x_max >= 16450)
-    extra = np.asarray(hsums._adversarial_candidates(j_max) if adversarial else [], dtype=np.int64)
-    extra = extra[extra > x_max]
-    # measured with tracemalloc: the sieve for the candidates above, 16
-    # bytes a sieved x (its largest prime factors and the smooth x among
-    # them), then the scan's arrays; 64 KiB of small objects
-    sieve = 16 * (min(j_max * j_max, 1 << 15) + 1) if adversarial else 0
-    scan = hsums.accumulate_S_bytes(j_list, x_max, len(extra))
-    _require_memory(f"lowpass-scan at x_max={x_max}", max(sieve, scan) + (1 << 16))
     tables = hsums.FactorTables()
-    for J, vals in zip(j_list, hsums.accumulate_S(j_list, x_max, extra, tables)):
-        i = int(np.argmax(vals))
-        top, x = float(vals[i]), i if i <= x_max else int(extra[i - x_max - 1])
+    # the candidates come from the scan's sieve, grown to min(J^2, 2^15)
+    # before the count; the window reaches the last of them
+    candidates = hsums._adversarial_candidates(j_max, tables) if adversarial else np.zeros(0, dtype=np.int64)
+    past = candidates[candidates > x_max]
+    window = int(past[-1]) if len(past) else x_max
+    # measured with tracemalloc: the scan's arrays, the sieve past max J, 16
+    # bytes a candidate (those past x_max too); 64 KiB of small objects
+    need = hsums.accumulate_S_bytes(j_list, window) + 8 * max(0, len(tables._sieve) - 1 - j_max)
+    _require_memory(f"lowpass-scan at x_max={x_max}", need + 16 * len(candidates) + (1 << 16))
+    for J, S in zip(j_list, hsums.accumulate_S(j_list, window, tables)):
+        x = int(np.argmax(S[: x_max + 1]))
+        if len(past) and S[past].max() > S[x]:
+            x = int(past[np.argmax(S[past])])
+        top = float(S[x])
         _require(f"max_S at J={J} (bounded by U_J)", top, hsums.upper_bound_S(J, tables) * (1 + 1e-12))
         report.add_row(J, x, top, top / math.log(J) ** 2 if J > 1 else top)
     return report

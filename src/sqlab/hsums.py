@@ -23,7 +23,7 @@ low-pass scan builds no complex table and gathers no table per point.  The
 scan takes every prime and factorization from one sieve in the
 ``FactorTables``, of the largest prime factor P(k) of each k <= max J: the
 prime powers of q by walking it down (p = P(q), q divided by p while p
-divides it), and the primes as the k with P(k) = k.
+divides it), the primes as the k with P(k) = k, and its smooth candidates.
 
 ``accumulate_S`` builds such a period only for the q <= J whose largest
 prime factor P(q) is at most B = max(2, isqrt(J)).  A prime p > B is odd and
@@ -34,13 +34,13 @@ primes: q = p m with m <= J/p < p, and |H(q,x)|/q = [p does not divide x]/p
     S_J(x) = sum_{2 <= q <= J, P(q) <= B} h(q,x) + sum_{2 <= q <= J/(B+1)} c_q h(q,x)
              + c_1 - sum_{B < p <= J, p | x} (1 + S_{J//p}(x))/p,
 
-with c_q = sum_{B < p <= J/q} 1/p.  The first sum is one running sum over q,
-shared by the J of a scan, which adds each period to the scan window
-[0, x_max] at once and reads the points past it; the second adds fewer
-than sqrt(J) more periods, of 2q <= 2 sqrt(J) values each; the last
-touches only the multiples of the primes p > B.  ``upper_bound_S`` bounds
-sup_x S_J(x) by a product over the primes p <= J of the maxima of the
-per-prime sums of the factor tables.
+with c_q = sum_{B < p <= J/q} 1/p.  S_J is evaluated on the window
+[0, x_max] alone (the scan's reaches its last candidate): the first sum is
+one running sum over q, shared by the J of a scan, which adds each period to
+the window at once; the second adds fewer than sqrt(J) more periods, of
+2q <= 2 sqrt(J) values each; the last touches only the multiples of the
+primes p > B.  ``upper_bound_S`` bounds sup_x S_J(x) by a product over the
+primes p <= J of the maxima of the per-prime sums of the factor tables.
 """
 
 from __future__ import annotations
@@ -223,14 +223,15 @@ def abs_h_on_points(q: int, xs: np.ndarray) -> np.ndarray:
 _ADVERSARIAL_COUNT = 4000
 
 
-def _adversarial_candidates(J: int) -> list[int]:
+def _adversarial_candidates(J: int, tables: FactorTables) -> np.ndarray:
     """0 and the _ADVERSARIAL_COUNT smallest x in [1, min(J^2, 2^15)] whose
-    prime factors are all at most min(max(J, 2), 61), read from the sieve of
-    their largest prime factors.  Many q have H(q,x) != 0 at such x.  The
+    prime factors are all at most min(max(J, 2), 61), as int64, read from
+    the scan's sieve in tables.  Many q have H(q,x) != 0 at such x.  The
     4000 smallest 61-smooth numbers are all <= 16450, so the cap drops none,
     and a window [0, x_max] with x_max >= 16450 holds every one."""
-    P = _largest_prime_factors(min(J * J, 1 << 15))
-    return [0, *(np.flatnonzero(P[1:] <= min(max(J, 2), 61))[:_ADVERSARIAL_COUNT] + 1).tolist()]
+    P = tables._sieve_to(min(J * J, 1 << 15))
+    smooth = np.flatnonzero(P[1:] <= min(max(J, 2), 61))[:_ADVERSARIAL_COUNT]
+    return np.concatenate([[0], smooth + 1])
 
 
 def _smooth_bound(J: int) -> int:
@@ -238,27 +239,25 @@ def _smooth_bound(J: int) -> int:
     return max(2, math.isqrt(J))
 
 
-def _add_period(S: np.ndarray, n: int, extra: np.ndarray, vals: np.ndarray) -> None:
-    """Add the periodic vals[x mod len(vals)] to S, at x in the window
-    [0, n) as an (m, len(vals)) view and a partial period, and at the
-    points of extra, which follow the window in S."""
+def _add_period(S: np.ndarray, vals: np.ndarray) -> None:
+    """Add the periodic vals[x mod len(vals)] to S on its window
+    [0, len(S)), as an (m, len(vals)) view and a partial period."""
+    n = len(S)
     P = min(len(vals), n)
     m = n // max(P, 1)
     periods = S[: m * P].reshape(m, P)
     periods += vals[:P]
-    S[m * P : n] += vals[: n - m * P]
-    S[n:] += vals[extra % len(vals)]
+    S[m * P :] += vals[: n - m * P]
 
 
 # pairs (x, p) of the large-prime terms handled at once
 _BLOCK = 1 << 12
 
 
-def _large_prime_multiples(large: np.ndarray, x_max: int, extra: np.ndarray):
-    """The pairs of a point x of the window [0, x_max] or of extra and a
-    prime p of the increasing large that divides x, in blocks (pos, xs, ip)
-    of at most _BLOCK pairs (or one row of extra): pos indexes x in S, xs
-    holds the points, p = large[ip], and ip does not decrease in a block."""
+def _large_prime_multiples(large: np.ndarray, x_max: int):
+    """The pairs of a point x of the window [0, x_max] and a prime p of the
+    increasing large that divides x, in blocks (xs, ip) of at most _BLOCK
+    pairs: p = large[ip], and ip does not decrease in a block."""
     counts = x_max // large + 1  # the multiples 0, p, 2p, ... of p in the window
     ends = np.cumsum(counts)
     total = int(ends[-1]) if len(large) else 0
@@ -268,18 +267,12 @@ def _large_prime_multiples(large: np.ndarray, x_max: int, extra: np.ndarray):
         xs -= ends[ip]
         xs += counts[ip]  # the rank of x among the multiples of p
         xs *= large[ip]
-        yield xs, xs, ip
-    rows = max(1, _BLOCK // max(len(extra), 1))
-    for lo in range(0, len(large) if len(extra) else 0, rows):
-        ip, i = np.nonzero(extra % large[lo : lo + rows, None] == 0)
-        yield x_max + 1 + i, extra[i], lo + ip
+        yield xs, ip
 
 
-def _add_large_prime_terms(
-    S: np.ndarray, J: int, P: np.ndarray, small: dict, x_max: int, extra: np.ndarray
-) -> None:
-    """Add to S, which holds the terms of the B-smooth q <= J, those of the
-    q = p*m <= J with a prime p > B = max(2, isqrt(J)):
+def _add_large_prime_terms(S: np.ndarray, J: int, P: np.ndarray, small: dict) -> None:
+    """Add to S, which holds the terms of the B-smooth q <= J on the window
+    [0, len(S)), those of the q = p*m <= J with a prime p > B = max(2, isqrt(J)):
 
         c_1 + sum_{2 <= m <= J/(B+1)} c_m h(m,x) - sum_{B < p <= J, p | x} (1 + S_{J//p}(x))/p
 
@@ -293,37 +286,34 @@ def _add_large_prime_terms(
     # the large primes p <= J/m, whose terms read h(m), are the first reach[m - 2]
     reach = np.searchsorted(large, [J // m for m in ms], side="right").tolist()
     c = np.concatenate([[0.0], np.cumsum(1.0 / large)])
-    n = x_max + 1
     for m, r in zip(ms, reach):
         if r:
-            _add_period(S, n, extra, c[r] * small[m])
+            _add_period(S, c[r] * small[m])
     S += c[-1]
-    for pos, xs, ip in _large_prime_multiples(large, x_max, extra):
-        terms = np.ones(len(pos))
+    for xs, ip in _large_prime_multiples(large, len(S) - 1):
+        terms = np.ones(len(xs))
         for m, r in zip(ms, reach):
             k = int(np.searchsorted(ip, r))
             if not k:
                 break
             terms[:k] += small[m][xs[:k] % (2 * m)]
         terms /= large[ip]
-        np.subtract.at(S, pos, terms)
+        np.subtract.at(S, xs, terms)
 
 
-def accumulate_S(j_list: Sequence[int], x_max: int, extra: np.ndarray, tables: FactorTables) -> list[np.ndarray]:
-    """S_J on the window [0, x_max] (empty for x_max = -1) followed by the
-    points of extra, for each J of the increasing j_list, in order.  The
-    q <= J with P(q) <= B_J go into one running sum over q in the order of
-    (e(q), q), e(q) = max(q, P(q)^2) (q when P(q) = 2) the least J with
-    q <= J and P(q) <= B_J, so each J copies it at its own prefix and its
-    S_J does not depend on the other J of the list.  P, every other prime
-    and every factorization come from the sieve in tables.  Each such
-    |H(q,.)|/q is built as one period of 2q values, from the factor tables
-    in tables, each built once however many q read it.  The q with a prime factor
-    p > B_J are added per J from the h(m) of the m <= J/(B_J + 1) and from
-    the multiples of those p (_add_large_prime_terms)."""
-    extra = np.asarray(extra, dtype=np.int64)
-    n = x_max + 1
-    S, out = np.zeros(n + len(extra)), []
+def accumulate_S(j_list: Sequence[int], x_max: int, tables: FactorTables) -> list[np.ndarray]:
+    """S_J on the window [0, x_max] (empty for x_max = -1), for each J of
+    the increasing j_list, in order.  The q <= J with P(q) <= B_J go into
+    one running sum over q in the order of (e(q), q), e(q) = max(q, P(q)^2)
+    (q when P(q) = 2) the least J with q <= J and P(q) <= B_J, so each J
+    copies it at its own prefix and its S_J does not depend on the other J
+    of the list.  P, every other prime and every factorization come from
+    the sieve in tables.  Each such |H(q,.)|/q is built as one period of 2q
+    values, from the factor tables in tables, each built once however many
+    q read it, and added to the window.  The q with a prime factor p > B_J
+    are added per J from the h(m) of the m <= J/(B_J + 1) and from the
+    multiples of those p in the window (_add_large_prime_terms)."""
+    S, out = np.zeros(x_max + 1), []
     j_max = max(j_list, default=0)
     P = tables._sieve_to(j_max)[2:]  # one sieve, up to max J
     q = np.arange(2, j_max + 1)
@@ -338,32 +328,30 @@ def accumulate_S(j_list: Sequence[int], x_max: int, extra: np.ndarray, tables: F
         stop = int(np.searchsorted(enter, J, side="right"))
         for k in order[done:stop].tolist():
             vals = _abs_h_period(k, tables) / k
-            _add_period(S, n, extra, vals)
+            _add_period(S, vals)
             if k <= m_max:
                 small[k] = vals
         done = stop
         part = S if J == j_list[-1] else S.copy()
-        _add_large_prime_terms(part, J, tables._sieve_to(J), small, x_max, extra)
+        _add_large_prime_terms(part, J, tables._sieve_to(J), small)
         out.append(part)
     return out
 
 
-def accumulate_S_bytes(j_list: Sequence[int], x_max: int, n_extra: int) -> int:
+def accumulate_S_bytes(j_list: Sequence[int], x_max: int) -> int:
     """Peak bytes of the arrays accumulate_S allocates with a fresh
-    FactorTables, as traced: 8 a point of the window and of extra for S and
-    a copy of S per J but the last; per q <= max J, 8 for the sieve, 16 for
-    the periods of h(m) kept for the m <= max J/(isqrt(max J) + 1) and 8
-    for the large primes and the sums of their 1/p; 8 an entry of the
-    factor tables; beside these, either the running sum's 104 per q <= max J
-    (32 for the order of the q, 72 for the last q = max J = 2^K: its int64
-    period of 2q points beside either the build of the table of 2^K, first
-    needed there, or the period's quotient by q) and 16 a point of extra
-    (its residues mod 2q and the values gathered there), or the terms of
-    the primes p > isqrt(J), 56 a pair (x, p) of a block of _BLOCK pairs or
-    of a row of extra."""
+    FactorTables, as traced: 8 a point of the window for S and a copy of S
+    per J but the last; per q <= max J, 8 for the sieve, 16 for the periods
+    of h(m) kept for the m <= max J/(isqrt(max J) + 1) and 8 for the large
+    primes and the sums of their 1/p; 8 an entry of the factor tables;
+    beside these, either the running sum's 104 per q <= max J (32 for the
+    order of the q, 72 for the last q = max J = 2^K: its int64 period of 2q
+    points beside either the build of the table of 2^K, first needed there,
+    or the period's quotient by q), or the terms of the primes
+    p > isqrt(J), 56 a pair (x, p) of a block of _BLOCK pairs."""
     j_max = max(j_list, default=0)
-    need = 8 * (x_max + 1 + n_extra) * len(j_list) + 32 * j_max + 8 * factor_table_entries(j_max)
-    return need + max(104 * j_max + 16 * n_extra, 56 * max(_BLOCK, n_extra))
+    need = 8 * (x_max + 1) * len(j_list) + 32 * j_max + 8 * factor_table_entries(j_max)
+    return need + max(104 * j_max, 56 * _BLOCK)
 
 
 def upper_bound_S(J: int, tables: FactorTables) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import DomainError
+from .arith import DomainError, _require
 from .circle import ContractError, MultiplierGrid, split_half_spectrum
 from .circle import sample_multiplier  # noqa: F401  re-exported: perfbench/tests/test_tracer.py reads it here
 
@@ -115,7 +115,10 @@ def _shift_averager(shifts: np.ndarray, n: int, method: str | None = None) -> Ca
     shifts by real FFTs of the smallest 5-smooth length >= that window, one
     more than the convolution's, so nothing wraps, with the kernel's
     spectrum taken once for every block the map is applied to.  None takes
-    dft above _FFT_SHIFTS shifts."""
+    dft above _FFT_SHIFTS shifts.  The shifted sum of an integer-valued
+    block is an integer, so dft rounds it to the nearest integer before the
+    division, and both routes agree bitwise; a sample that moved by more
+    than 1/4 raises InvariantViolation."""
     if method is None:
         method = "dft" if len(shifts) > _FFT_SHIFTS else "direct"
     hi, lo = int(shifts.max()), int(shifts.min())
@@ -131,7 +134,15 @@ def _shift_averager(shifts: np.ndarray, n: int, method: str | None = None) -> Ca
         if len(f.samples) != n:
             raise ContractError(f"shift average: built for {n} samples, got {len(f.samples)}")
         if method == "dft":
-            acc = np.fft.irfft(np.fft.rfft(f.samples, L) * kernel, L)[:out_len] / len(shifts)
+            integer = bool(np.all(f.samples == np.rint(f.samples)))
+            acc = np.fft.irfft(np.fft.rfft(f.samples, L) * kernel, L)[:out_len]
+            if integer:
+                exact = np.rint(acc)
+                exact += 0.0  # -0.0 to 0.0, as the direct route's sums
+                dev = np.abs(np.subtract(acc, exact, out=acc), out=acc).max()
+                _require("FFT shift-sum deviation from an integer", dev, 0.25)
+                acc = exact
+            acc /= len(shifts)
         else:
             acc = np.zeros(out_len)
             for i in starts:

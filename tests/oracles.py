@@ -446,25 +446,21 @@ def upper_bound_S_tables(J: int) -> float:
     return bound - 1
 
 
-def accumulate_S_running(j_list, x_max: int, extra: np.ndarray) -> list[np.ndarray]:
+def accumulate_S_running(j_list, x_max: int) -> list[np.ndarray]:
     """hsums.accumulate_S by the former route: one running sum over every
-    q <= max J, each |H(q,.)|/q built as one period of 2q values, added to
-    the window as an (m, 2q) view plus a partial period and read at the
-    points of extra mod 2q."""
-    extra = np.asarray(extra, dtype=np.int64)
+    q <= max J, each |H(q,.)|/q built as one period of 2q values and added
+    to the window [0, x_max] as an (m, 2q) view plus a partial period."""
     tables = FactorTables()
     n = x_max + 1
-    S, out = np.zeros(n + len(extra)), []
-    window, tail = S[:n], S[n:]
+    S, out = np.zeros(n), []
     for prev, J in zip([0, *j_list], j_list):
         for q in range(prev + 1, J + 1):
             vals = _abs_h_period(q, tables) / q
             P = min(2 * q, n)
             m = n // max(P, 1)
-            periods = window[: m * P].reshape(m, P)
+            periods = S[: m * P].reshape(m, P)
             periods += vals[:P]
-            window[m * P :] += vals[: n - m * P]
-            tail += vals[extra % (2 * q)]
+            S[m * P :] += vals[: n - m * P]
         out.append(S if J == j_list[-1] else S.copy())
     return out
 
@@ -523,6 +519,32 @@ def multiplier_piece(which: str, N: int, M: int | None, J: int | None, L: int) -
     if which in ("b_N1", "b_N2"):
         return MultiplierGrid(L, levels(1, s0) - narrow)
     raise DomainError(f"multiplier_piece: unknown piece {which!r}")
+
+
+def low_kernel_series(N: int, J: int, xs: np.ndarray) -> np.ndarray:
+    """The kernel K_J of b_N1 on Z at the points xs by its series in the H
+    sums, K_J(x) = phi_1(x) + sum_{2 <= q < J} H(q,x) phi_q(x), with
+
+        phi_q(x) = (1/2) int eta(q N^2 theta/J) gamma_N(theta) e(x theta/2) dtheta
+
+    over the bump's support |theta| < J/(2 q N^2), by composite
+    Gauss-Legendre quadrature (64 panels of 32 nodes).  phi_1 is the arc
+    a = 0 of q = 1, G0(0,1) = 1, which h_weights drops; H(q,x) is read from
+    h_vector("H", q)."""
+    xs = np.asarray(xs, dtype=np.int64)
+    t, w = np.polynomial.legendre.leggauss(32)
+
+    def phi(q: int) -> np.ndarray:
+        edges = np.linspace(-1.0, 1.0, 65) * (J / (2 * q * N * N))
+        half = np.diff(edges)[:, None] / 2
+        theta = (half * t + (edges[:-1, None] + half)).ravel()
+        weights = (half * w).ravel() * eta(q * N * N * theta / J) * gamma_N(theta, N)
+        return 0.5 * (np.exp(1j * np.pi * np.outer(xs, theta)) @ weights)
+
+    total = phi(1)
+    for q in range(2, J):
+        total += h_vector("H", q)[xs % (2 * q)] * phi(q)
+    return total
 
 
 def accumulate_arcs_all_rows(out: np.ndarray, N: int, s: int, L: int, width_scale: float | None) -> None:

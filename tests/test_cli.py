@@ -359,6 +359,10 @@ class TestExitCodes:
             (experiments.run_lowpass_scan, ([64, 256, 1024], 30000, True)),
             (experiments.run_lowpass_scan, ([4, 8, 16, 32], 200000, False)),
             (experiments.run_lowpass_scan, ([64, 256, 1024, 4096], 100000, True)),
+            # windows that reach the candidates past x_max
+            (experiments.run_lowpass_scan, ([128], 0, True)),
+            (experiments.run_lowpass_scan, ([4096], 0, True)),
+            (experiments.run_lowpass_scan, ([8192], 100, True)),
         ],
     )
     def test_preflight_is_tight_where_no_fft_average_dominates(self, monkeypatch, run, args):
@@ -401,6 +405,19 @@ class TestExitCodes:
             r"sqlab: invariant violation: low_ratio at J=4 \(bounded by 3J\(1 \+ U_J\)/4\) = (\S+) exceeds bound 0\.0\n", err
         )
         assert found and float(found[1]) > 0, err
+
+    def test_fft_average_requires_integer_sums(self, monkeypatch, capsys):
+        # an inverse transform 0.3 off moves N A_N chi_G off the integers
+        import numpy as np
+
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) + 0.3)
+        assert main(["halfdim", "--n", "128", "--eps", "0.5"]) == 2
+        err = capsys.readouterr().err
+        found = re.fullmatch(
+            r"sqlab: invariant violation: FFT shift-sum deviation from an integer = (\S+) exceeds bound 0\.25\n", err
+        )
+        assert found and 0.29 < float(found[1]) < 0.31, err
 
 
 class TestFlags:

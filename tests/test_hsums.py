@@ -56,7 +56,7 @@ def log_average_S(x: int, J: int, support_filtered: bool = False) -> float:
 def scan_max_S(J: int, x_max: int) -> tuple[int, float]:
     """(argmax x, max S_J) over the window [0, x_max]; ties break to the
     smallest x."""
-    (S,) = accumulate_S([J], x_max, [], FactorTables())
+    (S,) = accumulate_S([J], x_max, FactorTables())
     best = int(np.argmax(S))
     return best, float(S[best])
 
@@ -85,18 +85,16 @@ def point_sets(draw):
 
 @st.composite
 def scan_inputs(draw):
-    """(j_list, x_max, extra) for accumulate_S: an increasing j_list in
-    [1, 600], so J = 1 (S = 0) and J <= 8 (B = 2, where p = 3 is large)
-    come up; a window from empty (x_max = -1) to several periods of 2 max J;
-    and extra holding 0, multiples of the primes above isqrt(max J) and
-    any int64 points, in any order."""
+    """(j_list, x_max) for accumulate_S: an increasing j_list in [1, 600],
+    so J = 1 (S = 0) and J <= 8 (B = 2, where p = 3 is large) come up; and a
+    window from empty (x_max = -1) through a few multiples of the primes
+    above isqrt(max J) to several periods of 2 max J, ending on such a
+    multiple or one past it as often as anywhere."""
     j_list = sorted(draw(st.lists(st.integers(1, 600), min_size=1, max_size=4, unique=True)))
     J = j_list[-1]
-    x_max = draw(st.integers(-1, 8 * J))
     large = [p for p in primes_upto(J) if p > max(2, math.isqrt(J))] or [1]
-    multiples = st.builds(lambda p, k: p * k, st.sampled_from(large), st.integers(-(10**6), 10**6))
-    points = st.one_of(st.just(0), multiples, st.integers(x_max + 1, 10 * J + 10), st.integers(-(2**63), 2**63 - 1))
-    return j_list, x_max, np.array(draw(st.lists(points, max_size=60)), dtype=np.int64)
+    multiple = st.builds(lambda p, k, d: p * k + d, st.sampled_from(large), st.integers(0, 8), st.integers(-1, 1))
+    return j_list, draw(st.one_of(st.integers(-1, 8 * J), multiple))
 
 
 class TestBasicIdentities:
@@ -222,8 +220,8 @@ class TestLowPass:
 
     def test_scan_and_accumulate_consistency(self):
         xs = np.arange(0, 300)
-        running = dict(zip((16, 64), accumulate_S([16, 64], 299, [], FactorTables())))
-        (final,) = accumulate_S([64], 299, [], FactorTables())
+        running = dict(zip((16, 64), accumulate_S([16, 64], 299, FactorTables())))
+        (final,) = accumulate_S([64], 299, FactorTables())
         assert np.array_equal(final, running[64])
         for J in (16, 64):
             direct = np.array([log_average_S(int(x), J) for x in xs[:50]])
@@ -239,16 +237,15 @@ class TestLowPass:
             assert np.max(np.abs(vals - np.abs(h_vector("H", q)))) < 1e-10, q
 
     @given(
-        st.integers(-1, 300),
-        point_sets(),
+        st.integers(-1, 1000),
         st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True).map(sorted),
     )
     @settings(max_examples=80, deadline=None)
-    def test_accumulate_matches_fft_tables(self, x_max, extra, j_list):
-        # windows from empty (x_max = -1) to several periods of 2q, most of
-        # them not a whole number of periods, then the points of extra
-        got = accumulate_S(j_list, x_max, extra, FactorTables())
-        want = accumulate_S_fft(j_list, np.concatenate([np.arange(x_max + 1, dtype=np.int64), extra]))
+    def test_accumulate_matches_fft_tables(self, x_max, j_list):
+        # windows from empty (x_max = -1) to many periods of 2q, most of
+        # them not a whole number of periods
+        got = accumulate_S(j_list, x_max, FactorTables())
+        want = accumulate_S_fft(j_list, np.arange(x_max + 1, dtype=np.int64))
         assert len(got) == len(want) == len(j_list)
         for new, old in zip(got, want):
             assert np.all(np.abs(new - old) <= 1e-13 * old)
@@ -256,9 +253,9 @@ class TestLowPass:
     @given(scan_inputs())
     @settings(max_examples=120, deadline=None)
     def test_large_prime_route_matches_running_sum(self, inputs):
-        j_list, x_max, extra = inputs
-        got = accumulate_S(j_list, x_max, extra, FactorTables())
-        want = accumulate_S_running(j_list, x_max, extra)
+        j_list, x_max = inputs
+        got = accumulate_S(j_list, x_max, FactorTables())
+        want = accumulate_S_running(j_list, x_max)
         assert len(got) == len(want) == len(j_list)
         for J, new, old in zip(j_list, got, want):
             assert np.all(np.abs(new - old) <= 1e-13 * old), J
@@ -269,23 +266,27 @@ class TestLowPass:
         # the lowpass-scan of the benchmark: each maximum, and the oracle's
         # value at each argmax ties it
         j_list = [64, 256, 1024, 4096]
-        got = accumulate_S(j_list, 100_000, [], FactorTables())
-        for new, old in zip(got, accumulate_S_running(j_list, 100_000, [])):
+        got = accumulate_S(j_list, 100_000, FactorTables())
+        for new, old in zip(got, accumulate_S_running(j_list, 100_000)):
             assert np.all(np.abs(new - old) <= 1e-13 * old)
             assert abs(old[np.argmax(new)] - old.max()) <= 1e-12 * old.max()
 
     @given(scan_inputs())
     @settings(max_examples=80, deadline=None)
     def test_each_J_is_independent_of_the_list(self, inputs):
-        j_list, x_max, extra = inputs
-        for J, S in zip(j_list, accumulate_S(j_list, x_max, extra, FactorTables())):
-            (alone,) = accumulate_S([J], x_max, extra, FactorTables())
+        j_list, x_max = inputs
+        for J, S in zip(j_list, accumulate_S(j_list, x_max, FactorTables())):
+            (alone,) = accumulate_S([J], x_max, FactorTables())
             assert np.array_equal(S, alone), J
 
     @pytest.mark.parametrize("J_values", [range(1, 301), [1 << k for k in range(9, 15)]])
     def test_adversarial_sieve_matches_frontier(self, J_values):
+        # one FactorTables for all J: its sieve grows, and each J reads a prefix
+        tables = FactorTables()
         for J in J_values:
-            assert _adversarial_candidates(J) == adversarial_candidates_frontier(J), J
+            got = _adversarial_candidates(J, tables)
+            assert got.dtype == np.int64
+            assert got.tolist() == adversarial_candidates_frontier(J), J
 
     def test_sieve_cap_keeps_every_smooth_candidate(self):
         # at J = 2^14 the frontier searches up to J^2 = 2^28 over the primes
@@ -343,20 +344,64 @@ class TestLowPass:
     @pytest.mark.parametrize("J", [1, 2, 3, 9, 100, 4096])
     def test_table_entries_count_what_a_scan_builds(self, J):
         tables = FactorTables()
-        accumulate_S([J], 0, [], tables)
+        accumulate_S([J], 0, tables)
         assert sum(map(len, tables.values())) == factor_table_entries(J)
 
     @pytest.mark.parametrize("J", range(1, 13))
     def test_upper_bound_holds_over_a_full_period(self, J):
         # S_J has period lcm(2q : q <= J), 55,440 at J = 12; U_2 = 1/2 is attained
         period = 2 * math.lcm(*range(1, J + 1))
-        (S,) = accumulate_S([J], period - 1, [], FactorTables())
+        (S,) = accumulate_S([J], period - 1, FactorTables())
         assert S.max() <= upper_bound_S(J, FactorTables()) * (1 + 1e-12)
 
     def test_scan_requires_the_upper_bound(self, monkeypatch):
         monkeypatch.setattr(hsums, "upper_bound_S", lambda J, tables: 0.0)
         with pytest.raises(InvariantViolation, match="max_S at J=64"):
             run_lowpass_scan([64], 100, False)
+
+    @given(
+        st.lists(st.sampled_from([1 << k for k in range(9)]), min_size=1, max_size=3, unique=True).map(sorted),
+        st.integers(0, 20_000),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_scan_maximum_over_window_and_candidates(self, j_list, x_max):
+        # the oracle reads S_J from the FFT tables at [0, x_max] and at the
+        # candidates of the frontier, every one past x_max for J <= 128
+        xs = np.union1d(np.arange(x_max + 1), adversarial_candidates_frontier(j_list[-1]))
+        report = run_lowpass_scan(j_list, x_max, True)
+        for (J, x, top, _), want in zip(report.rows, accumulate_S_fft(j_list, xs)):
+            assert x in xs, (J, x)
+            assert abs(top - want.max()) <= 1e-13 * want.max(), J
+            assert abs(want[np.searchsorted(xs, x)] - want.max()) <= 1e-12 * want.max(), J
+
+    @pytest.mark.parametrize(
+        "peaks, want",
+        [({}, 0), ({5: 2.0, 8: 2.0}, 5), ({9: 2.0, 12: 2.0}, 9), ({7: 3.0, 16: 2.0}, 16), ({2: 2.0, 6: 3.0}, 6)],
+    )
+    def test_scan_reports_the_first_maximum(self, monkeypatch, peaks, want):
+        # J = 4, x_max = 5: the window [0, 16] reaches the candidates 6, 8,
+        # 9, 12, 16 past x_max; the first maximum over [0, 5] wins a tie,
+        # then the first over those candidates, and 7 is no candidate
+        def flat_S(j_list, x_max, tables):
+            S = np.ones(x_max + 1)
+            S[list(peaks)] = list(peaks.values())
+            return [S]
+
+        monkeypatch.setattr(hsums, "accumulate_S", flat_S)
+        monkeypatch.setattr(hsums, "upper_bound_S", lambda J, tables: math.inf)
+        ((J, x, top, _),) = run_lowpass_scan([4], 5, True).rows
+        assert (J, x, top) == (4, want, peaks.get(want, 1.0))
+
+    @pytest.mark.parametrize("j_list, x_max", [([64, 256, 1024, 4096], 100_000), ([128], 0)])
+    def test_scan_builds_one_sieve(self, monkeypatch, j_list, x_max):
+        # the candidates read the scan's sieve; factor_table_entries, for
+        # the preflight, sieves the primes <= isqrt(max J) on its own
+        sizes = []
+        sieve = hsums._largest_prime_factors
+        monkeypatch.setattr(hsums, "_largest_prime_factors", lambda n: sizes.append(n) or sieve(n))
+        run_lowpass_scan(j_list, x_max, True)
+        sizes.remove(math.isqrt(j_list[-1]))
+        assert len(sizes) == 1, sizes
 
 
 class TestSieve:

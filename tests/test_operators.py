@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlab.arith import DomainError
-from sqlab.circle import ContractError, sample_multiplier
+from sqlab.circle import ContractError, sample_multiplier, split_half_spectrum
+from sqlab.experiments import make_rng, run_halfdim
 from sqlab.hsums import FactorTables, upper_bound_S
 from sqlab import operators
 from sqlab.operators import (
@@ -23,7 +24,7 @@ from sqlab.operators import (
     polynomial_shifts,
 )
 
-from oracles import average_polynomial, block, maximal_average, triple
+from oracles import average_polynomial, block, low_kernel_series, maximal_average, triple
 
 
 def brute_average(f: Signal, N: int, x: int) -> float:
@@ -148,6 +149,41 @@ class TestAverage:
         f = Signal(0, rng.random(50))
         a = average_squares(f, 6)
         assert abs(a.samples.sum() - f.samples.sum()) < 1e-10
+
+    @given(
+        st.integers(1, 300),
+        st.integers(-50, 50),
+        st.one_of(st.integers(1, 64), st.integers(65, 200)),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fft_route_is_exact_on_integer_blocks(self, n, offset, m, squares, data):
+        # the shifted sum of an integer f is an integer, so both routes give
+        # it divided by the shift count, correctly rounded, with shift
+        # counts on both sides of _FFT_SHIFTS
+        values = data.draw(st.lists(st.integers(-(2**20), 2**20), min_size=n, max_size=n))
+        f = Signal(offset, np.array(values, dtype=float))
+        if squares:
+            shifts = np.arange(1, m + 1, dtype=np.int64) ** 2
+        else:
+            shifts = np.array(data.draw(st.lists(st.integers(-3000, 3000), min_size=m, max_size=m)), dtype=np.int64)
+        direct = operators._shift_averager(shifts, n, "direct")(f)
+        for method in ("dft", None):
+            got = operators._shift_averager(shifts, n, method)(f)
+            assert got.offset == direct.offset
+            assert got.samples.tobytes() == direct.samples.tobytes(), method
+
+    @pytest.mark.parametrize("N, strategy", [(128, "random"), (256, "random"), (128, "squares")])
+    def test_halfdim_counts_at_multiples_of_one_over_n(self, N, strategy):
+        # A_N chi_G(x) > k/N iff more than k of the x + j^2, j <= N, lie in
+        # G; N > 64 takes the FFT route, where k/N plus roundoff passes eps
+        ks = (1, 2, 3)
+        report = run_halfdim([N], [k / N for k in ks], strategy, 0)
+        squares = np.arange(1, N + 1) ** 2
+        G = squares if strategy == "squares" else make_rng(0).choice(N * N + 1, size=N, replace=False)
+        hits = np.bincount((G[:, None] - squares + N * N).ravel(), minlength=2 * N * N + 1)
+        assert [row[2] for row in report.rows] == [int(np.count_nonzero(hits > k)) for k in ks]
 
     @given(st.integers(min_value=1, max_value=12))
     @settings(max_examples=30, deadline=None)
@@ -274,6 +310,21 @@ class TestHighLow:
         for J, _, low in high_low_split(f, N, j_list):
             ratio = norm_p(low, math.inf, I) / norm_p(f, 1.0, twoI)
             assert 0.4 * J < ratio <= 0.75 * J * (1 + upper_bound_S(J, tables)), J
+
+    @pytest.mark.parametrize("J", [4, 16])
+    def test_low_kernel_is_the_h_sum_series(self, J):
+        # b_N1's kernel, from a point mass at 0 by _signed_spectrum's window
+        # convention (bin L/2 + x holds x), against its series in the H sums
+        # that lowpass-scan adds.  At L = 128 N^2 they agree to 1.8e-12
+        # (J = 4) and 9.3e-12 (J = 16); at L = 64 N^2 the wrap of K_J's tail
+        # leaves 4.6e-10 and 2.1e-9, and at 256 N^2 under 2e-14
+        N = 64
+        L = 128 * N * N
+        xhat = operators._signed_spectrum(Signal(0, np.ones(1)), L)
+        xhat *= split_half_spectrum("b_N1", N, J, L)
+        kernel = np.fft.irfft(xhat, L)
+        xs = np.array([-7, -5, -2, -1, 0, 1, 2, 3]) * N * N + np.array([0, 3, -17, N * N // 2, -1, 5, 11, 0])
+        assert np.abs(low_kernel_series(N, J, xs) - kernel[L // 2 + xs]).max() <= 1e-9
 
     def test_trivial_branch(self):
         f = Signal(0, np.ones(16))
