@@ -230,7 +230,7 @@ def run_lowpass_scan(
     )
     j_max = max(j_list, default=0)
     tables = hsums.FactorTables()
-    # the candidates come from the scan's sieve, grown to min(J^2, 2^15)
+    # the candidates come from the scan's sieve, grown to min(J^2, 16450)
     # before the count; the window reaches the last of them
     candidates = hsums._adversarial_candidates(j_max, tables) if adversarial else np.zeros(0, dtype=np.int64)
     past = candidates[candidates > x_max]

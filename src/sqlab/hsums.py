@@ -221,15 +221,19 @@ def abs_h_on_points(q: int, xs: np.ndarray) -> np.ndarray:
 
 
 _ADVERSARIAL_COUNT = 4000
+# the 4000th 61-smooth number
+_ADVERSARIAL_REACH = 16450
 
 
 def _adversarial_candidates(J: int, tables: FactorTables) -> np.ndarray:
-    """0 and the _ADVERSARIAL_COUNT smallest x in [1, min(J^2, 2^15)] whose
-    prime factors are all at most min(max(J, 2), 61), as int64, read from
-    the scan's sieve in tables.  Many q have H(q,x) != 0 at such x.  The
-    4000 smallest 61-smooth numbers are all <= 16450, so the cap drops none,
-    and a window [0, x_max] with x_max >= 16450 holds every one."""
-    P = tables._sieve_to(min(J * J, 1 << 15))
+    """0 and the _ADVERSARIAL_COUNT smallest x in [1, min(J^2,
+    _ADVERSARIAL_REACH)] whose prime factors are all at most
+    min(max(J, 2), 61), as int64, read from the scan's sieve in tables,
+    grown no further than that.  Many q have H(q,x) != 0 at such x.  The
+    cap drops none: for J <= 128, J^2 < 16450, and above, the candidates
+    are the 4000 smallest 61-smooth numbers, the last 16450.  A window
+    [0, x_max] with x_max >= 16450 holds every one."""
+    P = tables._sieve_to(min(J * J, _ADVERSARIAL_REACH))
     smooth = np.flatnonzero(P[1:] <= min(max(J, 2), 61))[:_ADVERSARIAL_COUNT]
     return np.concatenate([[0], smooth + 1])
 
@@ -348,10 +352,13 @@ def accumulate_S_bytes(j_list: Sequence[int], x_max: int) -> int:
     order of the q, 72 for the last q = max J = 2^K: its int64 period of 2q
     points beside either the build of the table of 2^K, first needed there,
     or the period's quotient by q), or the terms of the primes
-    p > isqrt(J), 56 a pair (x, p) of a block of _BLOCK pairs."""
+    p > B_J, 56 a pair (x, p) of a block: at most _BLOCK pairs, and at most
+    those of the window and the odd p > B_J, none for J <= 2."""
     j_max = max(j_list, default=0)
     need = 8 * (x_max + 1) * len(j_list) + 32 * j_max + 8 * factor_table_entries(j_max)
-    return need + max(104 * j_max, 56 * _BLOCK)
+    odd = (np.arange(_smooth_bound(J) + 1 | 1, J + 1, 2) for J in j_list)
+    pairs = max((int(np.sum(x_max // p + 1)) for p in odd), default=0)
+    return need + max(104 * j_max, 56 * min(_BLOCK, pairs))
 
 
 def upper_bound_S(J: int, tables: FactorTables) -> float:

@@ -258,6 +258,59 @@ def _support(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bins, h[bins]
 
 
+# the length M of _sparse_irfft's short inverse transforms, and how many
+# residues share one batched transform: at N = 2^10 and L = 2^23 the three
+# Lows of J = 4, 16, 64 took 0.22 s at M = 2^14 and 2^15, 0.25 s at 2^13,
+# 0.28 s at 2^16 and 0.35 s at 2^17, against 0.97 s by one irfft of length
+# L each (medians of five, on a shared 2-core x86-64 host)
+_SHORT = 1 << 15
+_ROWS = 16
+
+
+def _sparse_irfft(bins: np.ndarray, vals: np.ndarray, L: int, lo: int, hi: int) -> np.ndarray:
+    """irfft(X, L)[lo:hi], 0 <= lo < hi <= L, for the half spectrum X of a
+    power of two L that is vals on the distinct bins in [0, L/2] and zero
+    elsewhere, by decimation in time.  With M = min(L, _SHORT) and P = L/M,
+    sample P m + r is irfft(Y_r, M)[m] / P: Y_r[j] sums X[k] e(k r/L) over
+    the k = j mod M of the full spectrum, the bins and their mirrors L - k
+    with X[L - k] = conj X[k], X[0] and X[L/2] by their real parts as irfft
+    reads them.  Y_r is Hermitian, so only its j <= M/2 are made.  _ROWS
+    residues r go through one batched irfft; the first of them takes its
+    weights e(k r/L) from exp, the next ones by one more factor e(k/L)
+    each.  The window is filled as rows of P samples, its partial first
+    and last rows apart."""
+    M = min(L, _SHORT)
+    P, rows = L // M, min(_ROWS, L // M)
+    inner = (bins > 0) & (bins < L // 2)
+    ks = np.concatenate([bins, L - bins[inner]])
+    vs = np.concatenate([np.where(inner, vals, vals.real), np.conj(vals[inner])])
+    order = np.argsort(ks % M, kind="stable")
+    order = order[ks[order] % M <= M // 2]
+    ks, vs = ks[order], vs[order]
+    j = ks % M
+    starts = np.flatnonzero(np.diff(j, prepend=-1))  # the runs of equal j
+    j = j[starts]
+    turn = np.exp((2j * np.pi / L) * ks)
+    out = np.empty(hi - lo)
+    a = min(-(-lo // P) * P, hi)  # [a, b): the whole rows of the window
+    b = max(hi // P * P, a)
+    whole = out[a - lo : b - lo].reshape(-1, P)
+    edge = np.r_[lo:a, b:hi]
+    yhat = np.zeros((rows, M // 2 + 1), dtype=np.complex128)
+    for r in range(0, P, rows):
+        w = vs * np.exp((2j * np.pi / L) * (ks * r % L))
+        for i in range(rows):
+            if i:
+                w *= turn
+            yhat[i, j] = np.add.reduceat(w, starts)
+        y = np.fft.irfft(yhat, M)
+        whole[:, r : r + rows] = y[:, a // P : b // P].T
+        e = edge[(edge % P >= r) & (edge % P < r + rows)]
+        out[e - lo] = y[e % P - r, e // P]
+    out /= P
+    return out
+
+
 def _weyl_part(f: Signal, N: int, js: Iterable[int], L: int) -> tuple[np.ndarray, dict]:
     """W = irfft(f^ weyl) on A_N f's window, and f^ times b_N1 on its support
     per J.  Each b_N1 is cut to its support as built, before the Weyl half
@@ -280,8 +333,9 @@ def high_low_split(f: Signal, N: int, j_list: Sequence[int]) -> Iterator[tuple[i
     High = W - Low, W the Weyl multiplier's output, A_N f up to roundoff;
     for J >= N/4 no split is meaningful and (0, A_N f) comes back.
     _weyl_part makes W at the first J that splits (L = _split_grid_len),
-    and each such J inverts a zeroed half spectrum with its products put
-    in.  Bad N or J raise DomainError at the first next()."""
+    and each such J takes Low from its products with f^ alone, by
+    _sparse_irfft on the window.  Bad N or J raise DomainError at the
+    first next()."""
     if N < 1 or any(J < 1 or J & (J - 1) for J in j_list):
         raise DomainError(f"high_low_split: need N>=1 and J powers of two, got N={N} J={list(j_list)}")
     cut, L, a = max(1, N // 4), _split_grid_len(N, len(f.samples)), f.offset - N * N
@@ -293,23 +347,24 @@ def high_low_split(f: Signal, N: int, j_list: Sequence[int]) -> Iterator[tuple[i
             continue
         if w is None:
             w, picks = _weyl_part(f, N, dict.fromkeys(K for K in j_list if K < cut), L)
-        low = np.zeros(L // 2 + 1, dtype=np.complex128)  # Low's half spectrum
-        low[picks[J][0]] = picks[J][1]
-        low = np.fft.irfft(low, L)  # which is freed before the cut
-        low = low[L // 2 - N * N : L // 2 + len(f.samples)].copy()
+        low = _sparse_irfft(*picks[J], L, L // 2 - N * N, L // 2 + len(f.samples))
         yield J, Signal(a, w - low), Signal(a, low)
         del low  # the caller's drop frees this J's parts before the next J's
 
 
 def high_low_split_bytes(N: int, n: int, j_list: Sequence[int]) -> int:
     """Peak bytes of high_low_split's arrays for a block of n samples, each
-    (High, Low) dropped before the next: if some J splits, a J's inverse
-    transform (traced; 16 bytes a point of L) beside W, A_N f if some J
-    does not split (n + N^2 samples each), and f's products with b_N1 (24
-    bytes a bin, at most J^2 (L/N^2 + 1) bins per J); else A_N f's route,
-    then A_N f and a zero High."""
+    (High, Low) dropped before the next, as traced.  If some J splits, with
+    at most J^2 (L/N^2 + 1) bins of b_N1 per J: W's inverse transform, 16
+    bytes a point of L, beside the supports and f's products, 48 bytes a
+    bin; or a J's Low beside W (m = n + N^2 samples each) and the products,
+    24 bytes a bin: _sparse_irfft's output, batch (16 bytes a point of
+    min(L, _ROWS _SHORT)) and 128 bytes a bin of its J, and then High; and
+    A_N f if some J does not split.  Else A_N f's route, then A_N f and a
+    zero High."""
     cut, L, m = max(1, N // 4), _split_grid_len(N, n), n + N * N
     if min(j_list) >= cut:
         return shift_average_bytes(n, np.arange(1, N + 1, dtype=np.int64) ** 2) + 16 * m
-    picks = sum(J * J * (L // (N * N) + 1) for J in set(j_list) if J < cut)
-    return 16 * L + 8 * m * (1 + (max(j_list) >= cut)) + 24 * picks
+    bins = [J * J * (L // (N * N) + 1) for J in set(j_list) if J < cut]
+    low = 8 * m + max(8 * m + 16 * min(L, _ROWS * _SHORT) + 128 * max(bins), 16 * m) + 24 * sum(bins)
+    return max(16 * L + 48 * sum(bins), low) + 8 * m * (max(j_list) >= cut)

@@ -9,7 +9,8 @@ tables, the Weyl multiplier from an int64 histogram, its arc
 decomposition (the major arcs a_N, the minor arcs c_N, the narrow part
 a_tilde and the splits b_N1, b_N2 of a_N) and the arc enumerator writing
 every row, the multiplier route over dense half spectra and its rolled
-form, the high/low split by two inverse transforms per J, the direct
+form, the high/low split by two inverse transforms per J and by one
+dense inverse transform of Low per J, the direct
 shift average and the polynomial average by it, the maximal and
 truncated maximal averages, and the sparse-domination comparison.
 
@@ -28,7 +29,7 @@ from sqlab.arith import DomainError, count_sqrts, factorize, is_prime, sqrt_coun
 from sqlab.circle import ContractError, MultiplierGrid, arc_level_grid, eta, gamma_N, sample_multiplier, split_half_spectrum
 from sqlab.gauss import gauss_G0_vector, gauss_G_closed_array, gauss_G_vector
 from sqlab.hsums import FactorTables, _abs_h_period, _sqrt_count_step, h_sum, h_vector
-from sqlab.operators import IntervalZ, Signal, _split_grid_len, average_squares, polynomial_shifts
+from sqlab.operators import IntervalZ, Signal, _split_grid_len, _weyl_part, average_squares, polynomial_shifts
 from sqlab.sparse import STOPPING_CONSTANT, StoppingTime, sparse_decompose, sparse_form, violation_table
 
 # ---------------------------------------------------------------------------
@@ -627,6 +628,27 @@ def high_low_split_two_transforms(f: Signal, N: int, j_list) -> list[tuple[int, 
         else:
             af = average_squares(f, N) if af is None else af
             out.append((J, Signal(af.offset, np.zeros(len(af.samples))), af))
+    return out
+
+
+def high_low_split_dense(f: Signal, N: int, j_list) -> list[tuple[int, Signal, Signal]]:
+    """operators.high_low_split by its former Low route: W and f's products
+    with b_N1 from _weyl_part, then for each J that splits a zeroed half
+    spectrum with its products put in, one irfft of length L cut to A_N f's
+    window, and High = W - Low; (J, 0, A_N f) for J >= N/4."""
+    cut, L, a = max(1, N // 4), _split_grid_len(N, len(f.samples)), f.offset - N * N
+    js = dict.fromkeys(J for J in j_list if J < cut)
+    w, picks = _weyl_part(f, N, js, L) if js else (None, {})
+    out, af = [], None
+    for J in j_list:
+        if J >= cut:
+            af = average_squares(f, N) if af is None else af
+            out.append((J, Signal(a, np.zeros(len(af.samples))), af))
+            continue
+        low = np.zeros(L // 2 + 1, dtype=np.complex128)
+        low[picks[J][0]] = picks[J][1]
+        low = np.fft.irfft(low, L)[L // 2 - N * N : L // 2 + len(f.samples)]
+        out.append((J, Signal(a, w - low), Signal(a, low)))
     return out
 
 

@@ -8,6 +8,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -34,6 +36,32 @@ def run(argv, tmp_path, name="out.json"):
     out = tmp_path / name
     code = main(list(argv) + ["--out", str(out)])
     return code, out.read_text() if out.exists() else ""
+
+
+class TestModuleEntry:
+    """python -m sqlab, from the checkout's src without an install."""
+
+    @staticmethod
+    def _run(*argv):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        return subprocess.run(
+            [sys.executable, "-m", "sqlab", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+
+    def test_report_and_exit_zero(self):
+        done = self._run("gauss-check", "--q-max", "3")
+        assert done.returncode == 0 and done.stderr == ""
+        assert strict_loads(done.stdout)["name"] == "gauss-check"
+
+    def test_bad_input_exits_one_with_one_line(self):
+        done = self._run("high-low", "--j", "3")
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.startswith("sqlab: error: ") and done.stderr.count("\n") == 1
 
 
 class TestExitCodes:
@@ -323,7 +351,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "j_list, x_max, adversarial",
-        [([4096], 0, False), ([64, 256, 1024], 30000, True), ([4, 8, 16, 32], 200000, False)],
+        [
+            ([4096], 0, False),
+            ([64, 256, 1024], 30000, True),
+            ([4, 8, 16, 32], 200000, False),
+            # no prime above isqrt(J) for J <= 2, and few multiples in the window
+            ([1], 0, True),
+            ([2, 4], 0, True),
+        ],
     )
     def test_lowpass_preflight_bounds_the_traced_peak(self, monkeypatch, j_list, x_max, adversarial):
         counts = []

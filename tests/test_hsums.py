@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlab import hsums
+from sqlab.cli import main
 from sqlab.arith import DomainError, count_sqrts, factorize
 from sqlab.experiments import InvariantViolation, run_hsum_identities, run_lowpass_scan
 from sqlab.hsums import (
     _ADVERSARIAL_COUNT,
+    _ADVERSARIAL_REACH,
     _KINDS,
     FactorTables,
     _adversarial_candidates,
@@ -290,10 +292,20 @@ class TestLowPass:
 
     def test_sieve_cap_keeps_every_smooth_candidate(self):
         # at J = 2^14 the frontier searches up to J^2 = 2^28 over the primes
-        # <= 61, and its 4000th 61-smooth number lies under the sieve's cap
+        # <= 61, and its 4000th 61-smooth number is the sieve's cap
         smooth = adversarial_candidates_frontier(1 << 14)
         assert len(smooth) == _ADVERSARIAL_COUNT + 1
-        assert smooth[-1] <= 1 << 15
+        assert smooth[-1] == _ADVERSARIAL_REACH
+
+    def test_adversarial_reach_is_the_4000th_61_smooth_number(self):
+        # by trial division of every x <= 16450 by the primes <= 61
+        rest = np.arange(1, _ADVERSARIAL_REACH + 1)
+        for p in primes_upto(61):
+            while np.any(rest % p == 0):
+                rest = np.where(rest % p == 0, rest // p, rest)
+        smooth = np.flatnonzero(rest == 1) + 1
+        assert _ADVERSARIAL_REACH == 16450
+        assert len(smooth) == _ADVERSARIAL_COUNT and smooth[-1] == _ADVERSARIAL_REACH
 
     def test_abs_h_periodic_indexing(self):
         xs = np.array([0, 5, 12, 12 + 14, 5 + 28])
@@ -402,6 +414,23 @@ class TestLowPass:
         run_lowpass_scan(j_list, x_max, True)
         sizes.remove(math.isqrt(j_list[-1]))
         assert len(sizes) == 1, sizes
+
+
+    def test_scan_sieves_only_as_far_as_the_candidates(self, monkeypatch, capsys):
+        # J = 4096 past x_max = 0: the candidates reach 16450, and the
+        # scan's sieve, grown for them, holds P(0..16450)
+        made = []
+
+        class Recording(FactorTables):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(hsums, "FactorTables", Recording)
+        assert main(["lowpass-scan", "--j", "4096", "--x-max", "0", "--adversarial"]) == 0
+        capsys.readouterr()
+        (tables,) = made
+        assert len(tables._sieve) == 16451
 
 
 class TestSieve:

@@ -25,6 +25,7 @@ from oracles import (
     apply_multipliers,
     apply_multipliers_rolled,
     average_shifts_direct,
+    high_low_split_dense,
     high_low_split_two_transforms,
     weyl_half_int64,
 )
@@ -239,10 +240,9 @@ def _window(f: Signal, N: int) -> tuple[int, int]:
 def _same_as_two_transform_route(f: Signal, N: int, j_list) -> None:
     """high_low_split against the route that inverted weyl - b_N1 beside
     b_N1 on the whole grid: the same J in order, every row on A_N f's
-    window, Low bit for bit there, High = W - Low to 1e-12 max|f|.  A zero
-    may differ in sign (the dense route multiplies f's spectrum by zeros,
-    which makes -0.0 where it is negative, and J = 1 has no bins at all),
-    so Low's equality is of values."""
+    window, Low there to 1e-13 max|Low| (Low now comes from short inverse
+    transforms of its support, J = 1 has no bins at all and gives zeros),
+    High = W - Low to 1e-12 max|f|."""
     got = list(high_low_split(f, N, j_list))
     want = high_low_split_two_transforms(f, N, j_list)
     offset, n = _window(f, N)
@@ -251,11 +251,63 @@ def _same_as_two_transform_route(f: Signal, N: int, j_list) -> None:
     for (J, high, low), (K, high0, low0) in zip(got, want, strict=True):
         assert J == K
         assert high.offset == low.offset == offset and len(high) == len(low) == n
-        assert np.array_equal(low.samples, low0.on(window))
+        low0 = low0.on(window)
+        assert np.max(np.abs(low.samples - low0)) <= 1e-13 * np.max(np.abs(low0))
         assert np.max(np.abs(high.samples - high0.on(window))) <= tol
 
 
+@st.composite
+def sparse_spectra(draw):
+    """A power of two L in [2^3, 2^18], a half spectrum on distinct bins
+    that include 0 and L/2, and a window [lo, hi) of [0, L)."""
+    L = 1 << draw(st.integers(min_value=3, max_value=18))
+    rest = draw(st.lists(st.integers(min_value=1, max_value=L // 2 - 1), max_size=40))
+    bins = np.unique(np.array([0, L // 2, *rest], dtype=np.int64))
+    parts = st.floats(min_value=-1e3, max_value=1e3, allow_subnormal=False)
+    vals = np.array([complex(draw(parts), draw(parts)) for _ in bins])
+    lo = draw(st.integers(min_value=0, max_value=L - 1))
+    hi = draw(st.integers(min_value=lo + 1, max_value=L))
+    return bins, vals, L, lo, hi
+
+
+class TestSparseIrfft:
+    @given(sparse_spectra())
+    @example((np.array([0, 4]), np.array([1 + 2j, 3 - 1j]), 8, 0, 8))
+    @example((np.array([0, 3, 1 << 16]), np.array([2j, 1 + 1j, -1 + 5j]), 1 << 17, 5, (1 << 17) - 3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_dense_inverse_transform(self, spectrum):
+        # P = 1 below L = 2^16 and P = L / 2^15 above; the windows are
+        # unaligned, so their partial first and last rows are gathered too
+        bins, vals, L, lo, hi = spectrum
+        dense = np.zeros(L // 2 + 1, dtype=np.complex128)
+        dense[bins] = vals
+        want = np.fft.irfft(dense, L)[lo:hi]
+        got = operators._sparse_irfft(bins, vals, L, lo, hi)
+        assert got.shape == want.shape and got.flags.owndata
+        assert np.max(np.abs(got - want)) <= 1e-12 * 2 * np.sum(np.abs(vals)) / L
+
+    def test_empty_support_is_zero(self):
+        got = operators._sparse_irfft(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.complex128), 1 << 17, 3, 99)
+        assert got.shape == (96,) and not np.any(got)
+
+
 class TestHighLowSplit:
+    @pytest.mark.parametrize(
+        "N, j_list, n", [(16, [1, 2, 4], 40), (64, [1, 4, 8, 16], 300), (256, [2, 4, 16, 64], 1000), (256, [8], 2 * 256 * 256)]
+    )
+    def test_parts_match_the_dense_low_route(self, N, j_list, n):
+        # Low by one length-L irfft of its zeroed half spectrum per J, and
+        # High = W - Low: both parts within 1e-13 of their max
+        rng = np.random.default_rng(n)
+        f = Signal(-n // 2, (rng.random(n) < 0.2) * rng.standard_normal(n))
+        got = list(high_low_split(f, N, j_list))
+        want = high_low_split_dense(f, N, j_list)
+        for (J, high, low), (K, high0, low0) in zip(got, want, strict=True):
+            assert J == K
+            for part, part0 in ((high, high0), (low, low0)):
+                assert part.offset == part0.offset and len(part) == len(part0)
+                assert np.max(np.abs(part.samples - part0.samples)) <= 1e-13 * np.max(np.abs(part0.samples))
+
     def test_parts_match_oracle_on_their_own_grids(self):
         # a trivial J (16 >= N/4) between two that split, and a repeated J:
         # every part on A_N f's window, as the complex route gives it there
@@ -373,6 +425,21 @@ class TestHighLowSplit:
             pass
         assert sum(rffts) == 1
         assert irffts == [L] * (1 + sum(J < 16 for J in j_list))
+
+    @pytest.mark.parametrize("j_list", [[4], [2, 4, 8, 2]])
+    def test_no_inverse_transform_of_length_L_per_J(self, monkeypatch, j_list):
+        # at L = 2^18 > _SHORT only W is inverted at length L; each J that
+        # splits takes P / _ROWS batched irffts of length _SHORT
+        f = Signal(0, (np.random.default_rng(5).random(1000) < 0.2).astype(float))
+        L = _split_grid_len(256, len(f))
+        M, P = operators._SHORT, L // operators._SHORT
+        lengths = []
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda a, n=None, *r, **k: lengths.append((np.shape(a)[:-1], n)) or irfft(a, n, *r, **k))
+        for _ in high_low_split(f, 256, j_list):
+            pass
+        assert L == 1 << 18 and P > 1
+        assert lengths == [((), L)] + [((min(P, operators._ROWS),), M)] * (len(j_list) * (P // operators._ROWS or 1))
 
     def test_no_grid_when_no_J_splits(self, monkeypatch):
         f = Signal(0, np.ones(100))
