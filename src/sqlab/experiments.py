@@ -230,8 +230,8 @@ def run_lowpass_scan(
     )
     j_max = max(j_list, default=0)
     tables = hsums.FactorTables()
-    # the candidates come from the scan's sieve, grown to min(J^2, 16450)
-    # before the count; the window reaches the last of them
+    # the candidates come from the scan's sieve, grown before the count to
+    # min(J^2, 16450), or to J above 16450; the window reaches the last of them
     candidates = hsums._adversarial_candidates(j_max, tables) if adversarial else np.zeros(0, dtype=np.int64)
     past = candidates[candidates > x_max]
     window = int(past[-1]) if len(past) else x_max

@@ -229,11 +229,12 @@ def _adversarial_candidates(J: int, tables: FactorTables) -> np.ndarray:
     """0 and the _ADVERSARIAL_COUNT smallest x in [1, min(J^2,
     _ADVERSARIAL_REACH)] whose prime factors are all at most
     min(max(J, 2), 61), as int64, read from the scan's sieve in tables,
-    grown no further than that.  Many q have H(q,x) != 0 at such x.  The
-    cap drops none: for J <= 128, J^2 < 16450, and above, the candidates
-    are the 4000 smallest 61-smooth numbers, the last 16450.  A window
-    [0, x_max] with x_max >= 16450 holds every one."""
-    P = tables._sieve_to(min(J * J, _ADVERSARIAL_REACH))
+    grown to min(J^2, max(J, _ADVERSARIAL_REACH)): no further than the
+    candidates reach or the scan needs.  Many q have H(q,x) != 0 at such
+    x.  The cap drops none: for J <= 128, J^2 < 16450, and above, the
+    candidates are the 4000 smallest 61-smooth numbers, the last 16450.
+    A window [0, x_max] with x_max >= 16450 holds every one."""
+    P = tables._sieve_to(min(J * J, max(J, _ADVERSARIAL_REACH)))
     smooth = np.flatnonzero(P[1:] <= min(max(J, 2), 61))[:_ADVERSARIAL_COUNT]
     return np.concatenate([[0], smooth + 1])
 

@@ -267,6 +267,13 @@ _SHORT = 1 << 15
 _ROWS = 16
 
 
+def _sparse_rows(L: int) -> int:
+    """The residues of one batch of _sparse_irfft at length L: _ROWS, but
+    at least one and, for the split's Low to stay under W's 16 bytes a
+    point of L, no more than a batch of a quarter of L."""
+    return max(1, min(_ROWS, L // (4 * _SHORT)))
+
+
 def _sparse_irfft(bins: np.ndarray, vals: np.ndarray, L: int, lo: int, hi: int) -> np.ndarray:
     """irfft(X, L)[lo:hi], 0 <= lo < hi <= L, for the half spectrum X of a
     power of two L that is vals on the distinct bins in [0, L/2] and zero
@@ -274,13 +281,13 @@ def _sparse_irfft(bins: np.ndarray, vals: np.ndarray, L: int, lo: int, hi: int) 
     sample P m + r is irfft(Y_r, M)[m] / P: Y_r[j] sums X[k] e(k r/L) over
     the k = j mod M of the full spectrum, the bins and their mirrors L - k
     with X[L - k] = conj X[k], X[0] and X[L/2] by their real parts as irfft
-    reads them.  Y_r is Hermitian, so only its j <= M/2 are made.  _ROWS
-    residues r go through one batched irfft; the first of them takes its
-    weights e(k r/L) from exp, the next ones by one more factor e(k/L)
-    each.  The window is filled as rows of P samples, its partial first
-    and last rows apart."""
+    reads them.  Y_r is Hermitian, so only its j <= M/2 are made.  The
+    residues r go through batched irffts of _sparse_rows(L) each; the
+    first of a batch takes its weights e(k r/L) from exp, the next ones by
+    one more factor e(k/L) each.  The window is filled as rows of P
+    samples, its partial first and last rows apart."""
     M = min(L, _SHORT)
-    P, rows = L // M, min(_ROWS, L // M)
+    P, rows = L // M, _sparse_rows(L)
     inner = (bins > 0) & (bins < L // 2)
     ks = np.concatenate([bins, L - bins[inner]])
     vs = np.concatenate([np.where(inner, vals, vals.real), np.conj(vals[inner])])
@@ -359,12 +366,13 @@ def high_low_split_bytes(N: int, n: int, j_list: Sequence[int]) -> int:
     bytes a point of L, beside the supports and f's products, 48 bytes a
     bin; or a J's Low beside W (m = n + N^2 samples each) and the products,
     24 bytes a bin: _sparse_irfft's output, batch (16 bytes a point of
-    min(L, _ROWS _SHORT)) and 128 bytes a bin of its J, and then High; and
-    A_N f if some J does not split.  Else A_N f's route, then A_N f and a
-    zero High."""
+    its _sparse_rows(L) transforms) and 128 bytes a bin of its J, and then
+    High; and A_N f if some J does not split.  Else A_N f's route, then
+    A_N f and a zero High."""
     cut, L, m = max(1, N // 4), _split_grid_len(N, n), n + N * N
     if min(j_list) >= cut:
         return shift_average_bytes(n, np.arange(1, N + 1, dtype=np.int64) ** 2) + 16 * m
     bins = [J * J * (L // (N * N) + 1) for J in set(j_list) if J < cut]
-    low = 8 * m + max(8 * m + 16 * min(L, _ROWS * _SHORT) + 128 * max(bins), 16 * m) + 24 * sum(bins)
+    batch = 16 * _sparse_rows(L) * min(L, _SHORT)
+    low = 8 * m + max(8 * m + batch + 128 * max(bins), 16 * m) + 24 * sum(bins)
     return max(16 * L + 48 * sum(bins), low) + 8 * m * (max(j_list) >= cut)

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlab import hsums
-from sqlab.cli import main
 from sqlab.arith import DomainError, count_sqrts, factorize
+from sqlab.cli import main
 from sqlab.experiments import InvariantViolation, run_hsum_identities, run_lowpass_scan
 from sqlab.hsums import (
     _ADVERSARIAL_COUNT,
@@ -404,7 +404,7 @@ class TestLowPass:
         ((J, x, top, _),) = run_lowpass_scan([4], 5, True).rows
         assert (J, x, top) == (4, want, peaks.get(want, 1.0))
 
-    @pytest.mark.parametrize("j_list, x_max", [([64, 256, 1024, 4096], 100_000), ([128], 0)])
+    @pytest.mark.parametrize("j_list, x_max", [([64, 256, 1024, 4096], 100_000), ([128], 0), ([1 << 15], 0)])
     def test_scan_builds_one_sieve(self, monkeypatch, j_list, x_max):
         # the candidates read the scan's sieve; factor_table_entries, for
         # the preflight, sieves the primes <= isqrt(max J) on its own
@@ -414,7 +414,6 @@ class TestLowPass:
         run_lowpass_scan(j_list, x_max, True)
         sizes.remove(math.isqrt(j_list[-1]))
         assert len(sizes) == 1, sizes
-
 
     def test_scan_sieves_only_as_far_as_the_candidates(self, monkeypatch, capsys):
         # J = 4096 past x_max = 0: the candidates reach 16450, and the

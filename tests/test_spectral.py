@@ -240,9 +240,9 @@ def _window(f: Signal, N: int) -> tuple[int, int]:
 def _same_as_two_transform_route(f: Signal, N: int, j_list) -> None:
     """high_low_split against the route that inverted weyl - b_N1 beside
     b_N1 on the whole grid: the same J in order, every row on A_N f's
-    window, Low there to 1e-13 max|Low| (Low now comes from short inverse
-    transforms of its support, J = 1 has no bins at all and gives zeros),
-    High = W - Low to 1e-12 max|f|."""
+    window, Low there to 1e-13 max|Low| (it comes from short inverse
+    transforms of its support; J = 1 has no bins and gives zeros), High =
+    W - Low to 1e-12 max|f|."""
     got = list(high_low_split(f, N, j_list))
     want = high_low_split_two_transforms(f, N, j_list)
     offset, n = _window(f, N)
@@ -429,17 +429,17 @@ class TestHighLowSplit:
     @pytest.mark.parametrize("j_list", [[4], [2, 4, 8, 2]])
     def test_no_inverse_transform_of_length_L_per_J(self, monkeypatch, j_list):
         # at L = 2^18 > _SHORT only W is inverted at length L; each J that
-        # splits takes P / _ROWS batched irffts of length _SHORT
+        # splits takes P / rows batched irffts of length _SHORT
         f = Signal(0, (np.random.default_rng(5).random(1000) < 0.2).astype(float))
         L = _split_grid_len(256, len(f))
-        M, P = operators._SHORT, L // operators._SHORT
+        M, P, rows = operators._SHORT, L // operators._SHORT, operators._sparse_rows(L)
         lengths = []
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda a, n=None, *r, **k: lengths.append((np.shape(a)[:-1], n)) or irfft(a, n, *r, **k))
         for _ in high_low_split(f, 256, j_list):
             pass
         assert L == 1 << 18 and P > 1
-        assert lengths == [((), L)] + [((min(P, operators._ROWS),), M)] * (len(j_list) * (P // operators._ROWS or 1))
+        assert lengths == [((), L)] + [((rows,), M)] * (len(j_list) * P // rows)
 
     def test_no_grid_when_no_J_splits(self, monkeypatch):
         f = Signal(0, np.ones(100))
