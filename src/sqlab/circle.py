@@ -6,9 +6,10 @@ decomposition, a_N + c_N and its splits, is built from these in
 tests/oracles.py.
 
 Every grid xi = j/L is computed on bins 0..L//2, arc pieces by the one arc
-enumerator ``_accumulate_arcs_grid``; those bins carry it all, as A_N has a
-real kernel.  ``split_half_spectrum`` returns them; a full grid is completed
-by one mirror, ``_mirror``, m[-j] = conj(m[j]), exactly Hermitian.  Odd q
+enumerator ``_arc_pieces`` as (bins, values); those bins carry it all, as
+A_N has a real kernel.  ``split_half_spectrum`` scatters them into a half
+spectrum, ``b_n1_support`` sums them on b_N1's support alone; a full grid is
+completed by one mirror, ``_mirror``, m[-j] = conj(m[j]), exactly Hermitian.  Odd q
 has weight at its even a alone, so it runs only those rows.  For even q and
 even L the enumerator mirrors once more inside the bins: the arcs at a/q and
 (q - a)/q reflect through bin L/4, so eta and gamma_N run on the rows
@@ -403,41 +404,50 @@ class MultiplierGrid:
             raise DomainError("MultiplierGrid: values are not exactly Hermitian")
 
 
-def _accumulate_arcs_grid(
-    out: np.ndarray, N: int, s: int, L: int, width_scale: float | None
-) -> None:
-    """Add the level-s arc contributions to bins 0..L//2 (xi = j/L) of out,
-    a half spectrum or a length-L grid that ``_mirror`` completes.
+def _arc_rows(s: int, L: int, width_scale: float | None):
+    """The geometry of the level-s arcs on the grid xi = j/L, per q in
+    [2^(s-1), 2^s): (q, a, scale, radius), a the q's weighted a in [0, q]
+    (a[-1 - i] = q - a[i]), eta(scale theta) the bump, and radius the bins
+    an arc, |2j/L - a/q| < 1/(2 scale), can reach either side of its center.
+
+    For odd q, G0(a, q) = 0 at every odd a (2q = 2 mod 4), so only the even
+    a have rows; adding a zero would change no bit of a sum that holds no
+    -0.0."""
+    for q in range(1 << (s - 1), 1 << s):
+        a = np.flatnonzero(np.gcd(np.arange(q + 1), q) == 1)
+        if q % 2:
+            a = a[a % 2 == 0]  # G0(a, q) = 0 for odd q and odd a
+        scale = float(1 << (2 * s)) if width_scale is None else width_scale * q
+        yield q, a, scale, int(math.floor(0.5 / scale * L / 2.0)) + 1
+
+
+def _arc_pieces(N: int, s: int, L: int, width_scale: float | None):
+    """The level-s arc contributions to bins 0..L//2 (xi = j/L), as pieces
+    (bins, values), the one arc enumerator: a dense caller adds each piece
+    to its bins in turn (``_accumulate_arcs_grid``).
 
     There 2 xi lies in [0, 1], and a level-s arc is narrower than 1/(4q) in
     xi, so only the reduced a/q in [0, 1] reach those bins, none by wrapping.
-    One q at a time, one row per a with weight G0(a, q) = G(a, 2q), and
-    theta = 2j/L - a/q = (2qj - aL)/(qL) divided once from integers.  The
-    arcs of a level are disjoint, so each j gets at most one arc's value.
-
-    For odd q, G0(a, q) = 0 at every odd a (2q = 2 mod 4), so only the even
-    a have rows; adding a zero would change no bit, as out holds no -0.0.
+    One q at a time, one row per a of ``_arc_rows`` with weight G0(a, q) =
+    G(a, 2q), and theta = 2j/L - a/q = (2qj - aL)/(qL) divided once from
+    integers.  The arcs of a level are disjoint, so each j gets at most one
+    arc's value.
 
     For even L and even q the arc points pair up, (a, j) with
     (q - a, L/2 - j): theta(q - a, L/2 - j) = -theta(a, j) in integers, eta
     is even and gamma_N(-theta) = conj(gamma_N(theta)) bitwise.  So eta and
-    gamma_N run on the rows a <= q/2 alone, and row q - a adds
-    G0(q - a, q) eta conj(gamma_N) at bins L/2 - j.  The row a = 1 of q = 2
-    is its own mirror: it runs on j <= L/4, and every point but j = L/4 is
-    mirrored.  Odd q needs no mirror: of each pair a, q - a one is odd.
+    gamma_N run on the rows a <= q/2 alone, and a second piece gives row
+    q - a, G0(q - a, q) eta conj(gamma_N) at bins L/2 - j.  The row a = 1
+    of q = 2 is its own mirror: it runs on j <= L/4, and every point but
+    j = L/4 is mirrored.  Odd q needs no mirror: of each pair a, q - a one
+    is odd.
     """
     h = L // 2
-    for q in range(1 << (s - 1), 1 << s):
-        a = np.flatnonzero(np.gcd(np.arange(q + 1), q) == 1)  # a[-1 - i] = q - a[i]
-        if q % 2:
-            a = a[a % 2 == 0]  # G0(a, q) = 0 for odd q and odd a
+    for q, a, scale, radius in _arc_rows(s, L, width_scale):
         g0 = gauss_G_closed_array(a, 2 * q)
         mirror = L % 2 == 0 and q % 2 == 0
         rows = a[: (len(a) + 1) // 2] if mirror else a
-        scale = float(1 << (2 * s)) if width_scale is None else width_scale * q
         half_width = 0.5 / scale
-        # points per arc: |2j/L - a/q| < half_width
-        radius = int(math.floor(half_width * L / 2.0)) + 1
         j = (rows * L // (2 * q))[:, None] + np.arange(-radius, radius + 1)
         th = (2 * q * j - rows[:, None] * L) / (q * L)
         mask = (np.abs(th) < half_width) & (j >= 0) & (j <= h)
@@ -448,10 +458,20 @@ def _accumulate_arcs_grid(
             jm, thm = j[mask], th[mask]
             w = eta(scale * thm)
             gam = gamma_N(thm, N)
-            out[jm] += g0[i] * w * gam
+            yield jm, g0[i] * w * gam
             if mirror:
                 m = 2 * jm < h if q == 2 else slice(None)
-                out[h - jm[m]] += g0[-1 - i[m]] * w[m] * np.conjugate(gam[m])
+                yield h - jm[m], g0[-1 - i[m]] * w[m] * np.conjugate(gam[m])
+
+
+def _accumulate_arcs_grid(
+    out: np.ndarray, N: int, s: int, L: int, width_scale: float | None
+) -> None:
+    """Add the level-s arc pieces to bins 0..L//2 of out, a half spectrum
+    or a length-L grid that ``_mirror`` completes, one piece at a time."""
+    for bins, values in _arc_pieces(N, s, L, width_scale):
+        out[bins] += values
+        del bins, values  # a piece goes before the next is made
 
 
 def sample_multiplier(which: str, N: int, M: int | None, J: int | None, L: int) -> MultiplierGrid:
@@ -473,16 +493,45 @@ def split_half_spectrum(which: str, N: int, J: int | None, L: int, size: int | N
     entries, or a zeroed one of size entries (sample_multiplier's grid)."""
     if which not in ("weyl", "b_N1"):
         raise DomainError(f"split_half_spectrum: unknown piece {which!r}")
-    if N < 1 or L & (L - 1) or L < 4 * N * N:
-        raise ContractError(f"split_half_spectrum: need N >= 1 and L a power of two >= 4N^2; got N={N}, L={L}")
-    if which == "b_N1" and (J is None or J < 1 or J & (J - 1) or J > N // 4):
-        raise ContractError(f"split_half_spectrum: b_N1 needs J a power of two <= N/4; got J={J}")
+    _check_split(which, N, J, L)
     if which == "weyl":
         return _weyl_half(N, L, size)
     out = np.zeros(L // 2 + 1 if size is None else size, dtype=np.complex128)
     for s in range(1, J.bit_length()):
         _accumulate_arcs_grid(out, N, s, L, N * N / J)
     return out
+
+
+def _check_split(which: str, N: int, J: int | None, L: int) -> None:
+    """split_half_spectrum's contract on (N, J, L), which b_n1_support keeps."""
+    if N < 1 or L & (L - 1) or L < 4 * N * N:
+        raise ContractError(f"split_half_spectrum: need N >= 1 and L a power of two >= 4N^2; got N={N}, L={L}")
+    if which == "b_N1" and (J is None or J < 1 or J & (J - 1) or J > N // 4):
+        raise ContractError(f"split_half_spectrum: b_N1 needs J a power of two <= N/4; got J={J}")
+
+
+def b_n1_support(N: int, J: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero bins of split_half_spectrum("b_N1", N, J, L), increasing,
+    and its values there, bit for bit, with no half spectrum: the arc
+    pieces of its levels, a bin that several pieces reach summed into zero
+    in the pieces' order, as the dense half adds them."""
+    _check_split("b_N1", N, J, L)
+    pieces = [p for s in range(1, J.bit_length()) for p in _arc_pieces(N, s, L, N * N / J)]
+    if not pieces:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.complex128)
+    bins, at = np.unique(np.concatenate([b for b, _ in pieces]), return_inverse=True)
+    values = np.zeros(len(bins), dtype=np.complex128)
+    np.add.at(values, at, np.concatenate([v for _, v in pieces]))
+    keep = values != 0
+    return bins[keep], values[keep]
+
+
+def b_n1_support_bound(N: int, J: int, L: int) -> int:
+    """At least len(b_n1_support(N, J, L)[0]) for L a power of two >= 4,
+    from the arc geometry alone: each weighted row of each q reaches at
+    most 2 radius + 1 bins."""
+    levels = range(1, J.bit_length())
+    return sum(len(a) * (2 * radius + 1) for s in levels for _, a, _, radius in _arc_rows(s, L, N * N / J))
 
 
 def arc_level_grid(N: int, s: int, L: int) -> np.ndarray:

@@ -730,6 +730,7 @@ def run_high_low(
             del high, low  # free this J's parts before the next J's are made
             logJ = math.log(J) if J > 1 else 1.0
             rows.append((J, t, err, hr, logJ / math.sqrt(J), lr, J * logJ**2))
+        del f, af, parts  # the split keeps W and its products until it is dropped
     # Low's kernel K_J on Z has 2N^2 max|K_J| <= (3/4) J (1 + sup_x S_J(x)),
     # as |gamma_N| <= 1 and the bump integrates to 3/4, so low_ratio is at
     # most (3/4) J (1 + U_J) for each J that splits (J < max(1, N/4), as in

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import DomainError, _require
-from .circle import ContractError, MultiplierGrid, split_half_spectrum
+from .circle import ContractError, MultiplierGrid, _weyl_half, b_n1_support, b_n1_support_bound
 from .circle import sample_multiplier  # noqa: F401  re-exported: perfbench/tests/test_tracer.py reads it here
 
 
@@ -252,12 +252,6 @@ def _split_grid_len(N: int, n: int) -> int:
     return 1 << (max(4 * N * N, 2 * (n + N * N)) - 1).bit_length()
 
 
-def _support(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzero bins of a half spectrum and its values there."""
-    bins = np.flatnonzero(h)
-    return bins, h[bins]
-
-
 # the length M of _sparse_irfft's short inverse transforms, and how many
 # residues share one batched transform: at N = 2^10 and L = 2^23 the three
 # Lows of J = 4, 16, 64 took 0.22 s at M = 2^14 and 2^15, 0.25 s at 2^13,
@@ -314,23 +308,30 @@ def _sparse_irfft(bins: np.ndarray, vals: np.ndarray, L: int, lo: int, hi: int) 
         whole[:, r : r + rows] = y[:, a // P : b // P].T
         e = edge[(edge % P >= r) & (edge % P < r + rows)]
         out[e - lo] = y[e % P - r, e // P]
+        del y  # the next batch's transform is made without this one
     out /= P
     return out
 
 
 def _weyl_part(f: Signal, N: int, js: Iterable[int], L: int) -> tuple[np.ndarray, dict]:
-    """W = irfft(f^ weyl) on A_N f's window, and f^ times b_N1 on its support
-    per J.  Each b_N1 is cut to its support as built, before the Weyl half
-    and f^ exist; f^ is gathered there first, then multiplied in place."""
-    sparse = {J: _support(split_half_spectrum("b_N1", N, J, L)) for J in js}
-    weyl = split_half_spectrum("weyl", N, None, L)
+    """W = A_N f by the Weyl symbol on A_N f's window [f.offset - N^2,
+    f.offset + n), and per J the support of b_N1 at L (its bins from the
+    arc enumerator, b_n1_support) with f^ times b_N1 there.  f^, f's signed
+    spectrum at L, is gathered at the supports and freed before W starts.
+    W takes its own length M = _smooth_len(n + N^2) < L: irfft(rfft(f, M)
+    weyl, M), the Weyl symbol sampled at j/M, is A_N f taken mod M, which
+    wraps nothing of the window at any M >= n + N^2.  The window is read
+    off by index mod M: the N^2 samples from M - N^2 first, then 0..n."""
+    n, m = len(f.samples), N * N
+    sparse = {J: b_n1_support(N, J, L) for J in js}
     xhat = _signed_spectrum(f, L)
     picks = {J: (bins, xhat[bins] * v) for J, (bins, v) in sparse.items()}
-    xhat *= weyl
-    del weyl
-    w = np.fft.irfft(xhat, L)
-    del xhat
-    return w[L // 2 - N * N : L // 2 + len(f.samples)].copy(), picks
+    del xhat, sparse
+    M = _smooth_len(n + m)
+    w = _weyl_half(N, M)
+    w *= np.fft.rfft(f.samples, M)
+    w = np.fft.irfft(w, M)
+    return np.concatenate((w[M - m :], w[:n])), picks
 
 
 def high_low_split(f: Signal, N: int, j_list: Sequence[int]) -> Iterator[tuple[int, Signal, Signal]]:
@@ -339,9 +340,10 @@ def high_low_split(f: Signal, N: int, j_list: Sequence[int]) -> Iterator[tuple[i
     multiplier b_N1 of bumps of width J/(q N^2) at each a/(2q), q < J, and
     High = W - Low, W the Weyl multiplier's output, A_N f up to roundoff;
     for J >= N/4 no split is meaningful and (0, A_N f) comes back.
-    _weyl_part makes W at the first J that splits (L = _split_grid_len),
-    and each such J takes Low from its products with f^ alone, by
-    _sparse_irfft on the window.  Bad N or J raise DomainError at the
+    _weyl_part makes W at the first J that splits, on its own 5-smooth
+    length M >= n + N^2, and f's spectrum at L = _split_grid_len on the
+    supports of b_N1 only; each such J takes Low from those products alone,
+    by _sparse_irfft on the window.  Bad N or J raise DomainError at the
     first next()."""
     if N < 1 or any(J < 1 or J & (J - 1) for J in j_list):
         raise DomainError(f"high_low_split: need N>=1 and J powers of two, got N={N} J={list(j_list)}")
@@ -362,17 +364,33 @@ def high_low_split(f: Signal, N: int, j_list: Sequence[int]) -> Iterator[tuple[i
 def high_low_split_bytes(N: int, n: int, j_list: Sequence[int]) -> int:
     """Peak bytes of high_low_split's arrays for a block of n samples, each
     (High, Low) dropped before the next, as traced.  If some J splits, with
-    at most J^2 (L/N^2 + 1) bins of b_N1 per J: W's inverse transform, 16
-    bytes a point of L, beside the supports and f's products, 48 bytes a
-    bin; or a J's Low beside W (m = n + N^2 samples each) and the products,
-    24 bytes a bin: _sparse_irfft's output, batch (16 bytes a point of
-    its _sparse_rows(L) transforms) and 128 bytes a bin of its J, and then
-    High; and A_N f if some J does not split.  Else A_N f's route, then
-    A_N f and a zero High."""
+    b = b_n1_support_bound(N, J, L) bins of b_N1 per J, counted from the
+    arc geometry before anything is built, and the supports and then f's
+    products kept at 24 bytes a bin: a J's support built, 64 bytes a bin,
+    beside the ones before; f's rfft at L, 8 bytes a point of L, beside the
+    supports, the products and one J's gather; W's transforms at M =
+    _smooth_len(n + N^2), 16 bytes a point of M; or a J's Low beside W (m =
+    n + N^2 samples each): _sparse_irfft's output, batch (16 bytes a point
+    of its _sparse_rows(L) transforms) and 128 bytes a bin of its J, and
+    then High.  If some J does not split: A_N f's route beside W, then A_N
+    f and a zero High beside it, and A_N f, m samples, beside each step
+    above when such a J comes before a J that splits.  If no J splits, A_N
+    f's route, then A_N f and a zero High."""
     cut, L, m = max(1, N // 4), _split_grid_len(N, n), n + N * N
+    route = shift_average_bytes(n, np.arange(1, N + 1, dtype=np.int64) ** 2)
     if min(j_list) >= cut:
-        return shift_average_bytes(n, np.arange(1, N + 1, dtype=np.int64) ** 2) + 16 * m
-    bins = [J * J * (L // (N * N) + 1) for J in set(j_list) if J < cut]
+        return route + 16 * m
+    bins = [b_n1_support_bound(N, J, L) for J in set(j_list) if J < cut]
+    kept, most = 24 * sum(bins), max(bins)
     batch = 16 * _sparse_rows(L) * min(L, _SHORT)
-    low = 8 * m + max(8 * m + batch + 128 * max(bins), 16 * m) + 24 * sum(bins)
-    return max(16 * L + 48 * sum(bins), low) + 8 * m * (max(j_list) >= cut)
+    split = max(
+        kept + 64 * most,
+        8 * L + kept + 16 * sum(bins) + 16 * most,
+        16 * _smooth_len(m) + kept,
+        8 * m + max(8 * m + batch + 128 * most, 16 * m) + kept,
+    )
+    if max(j_list) < cut:
+        return split
+    last = max(i for i, J in enumerate(j_list) if J < cut)
+    early = any(J >= cut for J in j_list[:last])
+    return max(split + 8 * m * early, 8 * m + kept + route, 24 * m + kept)

@@ -24,6 +24,8 @@ from sqlab.circle import (
     ReducedRational,
     _accumulate_arcs_grid,
     arc_level_grid,
+    b_n1_support,
+    b_n1_support_bound,
     dirichlet_approx,
     dirichlet_approx_array,
     eta,
@@ -665,12 +667,18 @@ class TestArcs:
         "N, J, L", [(4, 1, 64), (16, 2, 1 << 10), (64, 4, 1 << 15), (64, 16, 1 << 14), (256, 8, 1 << 18)]
     )
     def test_half_spectra_are_the_sampled_grids_bins(self, N, J, L):
-        # the split's kernels, bit for bit the bins 0..L/2 of the full grids
+        # the split's kernels, bit for bit the bins 0..L/2 of the full grids;
+        # b_N1's support from the arc pieces is the half's nonzero bins, no
+        # more of them than the geometry's bound
         h = L // 2 + 1
         for which in ("weyl", "b_N1"):
             half = split_half_spectrum(which, N, J, L)
             full = sample_multiplier(which, N, J, J, L).values
             assert half.shape == (h,) and np.array_equal(half.view(np.int64), full[:h].view(np.int64)), which
+        bins, values = b_n1_support(N, J, L)
+        assert np.array_equal(bins, np.flatnonzero(half))
+        assert np.array_equal(values.view(np.int64), half[bins].view(np.int64))
+        assert len(bins) <= b_n1_support_bound(N, J, L)
 
     def test_contract_errors(self):
         with pytest.raises(ContractError):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from sqlab import circle, experiments
+from sqlab import circle, experiments, operators
 from sqlab.arith import DomainError
 from sqlab.cli import COMMANDS, build_parser, main, runner
 
@@ -273,24 +273,25 @@ class TestExitCodes:
         assert drawn == [0]
 
     @staticmethod
-    def _high_low_count_and_peak(monkeypatch, j_list, trials):
+    def _high_low_count_and_peak(monkeypatch, N, j_list, trials):
         counts = []
         monkeypatch.setattr(experiments, "_require_memory", lambda job, need: counts.append(need))
         tracemalloc.start()
         try:
-            experiments.run_high_low(256, j_list, trials)
+            experiments.run_high_low(N, j_list, trials)
             return counts[0], tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("trials", [1, 3])
-    def test_high_low_preflight_bounds_the_traced_peak(self, monkeypatch, trials):
-        count, peak = self._high_low_count_and_peak(monkeypatch, [4, 16], trials)
+    @pytest.mark.parametrize("N, trials", [pytest.param(256, 1, id="1"), pytest.param(256, 3, id="3"), pytest.param(64, 2, id="64-2")])
+    def test_high_low_preflight_bounds_the_traced_peak(self, monkeypatch, N, trials):
+        # at N = 64, J = 16 = N/4 does not split: A_N f comes after J = 4's Low
+        count, peak = self._high_low_count_and_peak(monkeypatch, N, [4, 16], trials)
         assert peak <= count <= 1.25 * peak
 
     def test_high_low_preflight_covers_the_unsplit_route(self, monkeypatch):
         # J = 64 = N/4 does not split: A_N f's arrays and the audit's
-        count, peak = self._high_low_count_and_peak(monkeypatch, [64], 2)
+        count, peak = self._high_low_count_and_peak(monkeypatch, 256, [64], 2)
         assert peak <= count
 
     @pytest.mark.parametrize("s_list, octaves, trials", [((2,), 1, 1), ((1,), 3, 3), ((2, 3, 4, 5), 3, 2)])
@@ -440,6 +441,23 @@ class TestExitCodes:
             r"sqlab: invariant violation: low_ratio at J=4 \(bounded by 3J\(1 \+ U_J\)/4\) = (\S+) exceeds bound 0\.0\n", err
         )
         assert found and float(found[1]) > 0, err
+
+    @pytest.mark.parametrize("squares", [range(1, 64), range(0, 64)], ids=["without-N^2", "0^2-for-N^2"])
+    def test_high_low_requires_the_weyl_route(self, monkeypatch, capsys, squares):
+        # W from a Weyl symbol one square off misses A_N f, the exact shifted
+        # sum, by f(x + N^2)/N: split_err catches it
+        import numpy as np
+
+        def wrong(N, M):
+            return np.conj(np.fft.rfft(np.bincount(np.array(squares) ** 2 % M, minlength=M) / N))
+
+        monkeypatch.setattr(operators, "_weyl_half", wrong)
+        assert main(["high-low", "--n", "64", "--j", "4", "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        found = re.fullmatch(
+            r"sqlab: invariant violation: split error \|high \+ low - A_N f\| at J=4 = (\S+) exceeds bound 1e-07\n", err
+        )
+        assert found and float(found[1]) > 0.9 / 64, err
 
     def test_fft_average_requires_integer_sums(self, monkeypatch, capsys):
         # an inverse transform 0.3 off moves N A_N chi_G off the integers

@@ -1,6 +1,8 @@
 """The real-FFT spectral path of sqlab.operators against the complex,
 power-of-two and per-operator routes it replaced, kept here as oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -338,11 +340,12 @@ class TestHighLowSplit:
 
     @pytest.mark.parametrize("N, j_list, n", [(16, [1, 2], 40), (64, [4, 16, 8, 4], 300), (256, [2, 64, 2], 1000)])
     def test_kernels_are_the_former_grids_bins(self, monkeypatch, N, j_list, n):
-        # the (bins, values) the split keeps of each b_N1, scattered into
-        # zeros, bit for bit the bins 0..L/2 of the sampled grid
+        # the (bins, values) the split keeps of each b_N1, summed from the
+        # arc enumerator's pieces and scattered into zeros, bit for bit the
+        # bins 0..L/2 of the sampled grid
         kept = []
-        support = operators._support
-        monkeypatch.setattr(operators, "_support", lambda h: kept.append(support(h)) or kept[-1])
+        support = operators.b_n1_support
+        monkeypatch.setattr(operators, "b_n1_support", lambda *args: kept.append(support(*args)) or kept[-1])
         for _ in high_low_split(Signal(0, np.ones(n)), N, j_list):
             pass
         L = _split_grid_len(N, n)
@@ -377,75 +380,129 @@ class TestHighLowSplit:
         rng = np.random.default_rng(seed)
         _same_as_two_transform_route(Signal(offset, (rng.random(n) < 0.3) * rng.standard_normal(n)), N, j_list)
 
+    @given(
+        st.integers(min_value=1, max_value=128),
+        st.integers(min_value=1, max_value=3000),
+        offsets,
+        st.lists(st.sampled_from([1, 2, 4, 8, 16, 32]), min_size=1, max_size=3),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(64, 2 * 64 * 64, 0, [4, 16], 0)  # the runner's n = 2N^2: M = 3N^2
+    @example(128, 2 * 128 * 128, -3, [4, 32, 2], 1)
+    @example(48, 2 * 48 * 48, 5, [2, 8], 2)
+    @example(8, 17, 0, [1], 3)  # n + N^2 = 81 and 80 are 5-smooth: M one short wraps
+    @settings(max_examples=25, deadline=None)
+    def test_parts_sum_to_the_direct_average_at_the_tightest_length(self, N, extra, offset, j_list, seed):
+        # n + N^2 itself 5-smooth, so W's length M is A_N f's window and
+        # nothing is left to spare against a wrap: High + Low is the exact
+        # shifted sum of the squares within 1e-13 ||f||_1
+        n = _smooth_len(N * N + extra) - N * N
+        rng = np.random.default_rng(seed)
+        f = Signal(offset, (rng.random(n) < 0.3) * rng.standard_normal(n))
+        want = average_shifts_direct(f, np.arange(1, N + 1, dtype=np.int64) ** 2)
+        assert _smooth_len(n + N * N) == len(want) == n + N * N
+        tol = 1e-13 * np.sum(np.abs(f.samples))
+        for _, high, low in high_low_split(f, N, j_list):
+            assert high.offset == low.offset == want.offset and len(high) == len(low) == len(want)
+            assert np.max(np.abs(high.samples + low.samples - want.samples)) <= tol
+
     def _count_work(self, monkeypatch, f):
-        """Record the rffts of f's block, the half spectra built and the
-        full grids made (MultiplierGrid checks)."""
+        """Record the lengths of the rffts of f's block, the spectra built
+        (b_N1 supports by J, Weyl halves by length, split half spectra by
+        piece) and the full grids made (MultiplierGrid checks)."""
         rffts, pieces, grids = [], [], []
-        rfft, half = np.fft.rfft, operators.split_half_spectrum
+        rfft, support, weyl = np.fft.rfft, operators.b_n1_support, operators._weyl_half
+        half = circle.split_half_spectrum
         check = circle.MultiplierGrid.__post_init__
 
-        def counting_rfft(a, *args, **kwargs):
-            rffts.append(a is f.samples)
-            return rfft(a, *args, **kwargs)
-
-        def counting_half(which, *args):
-            pieces.append(which)
-            return half(which, *args)
+        def counting_rfft(a, n=None, *args, **kwargs):
+            if a is f.samples:
+                rffts.append(n)
+            return rfft(a, n, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", counting_rfft)
-        monkeypatch.setattr(operators, "split_half_spectrum", counting_half)
+        monkeypatch.setattr(operators, "b_n1_support", lambda N, J, L: pieces.append(("b_N1", J)) or support(N, J, L))
+        monkeypatch.setattr(operators, "_weyl_half", lambda N, M: pieces.append(("weyl", M)) or weyl(N, M))
+        monkeypatch.setattr(circle, "split_half_spectrum", lambda which, *a, **k: pieces.append(("half", which)) or half(which, *a, **k))
         monkeypatch.setattr(circle.MultiplierGrid, "__post_init__", lambda g: grids.append(g.L) or check(g))
         return rffts, pieces, grids
 
     @pytest.mark.parametrize("j_list", [[4], [4, 8], [2, 4, 8, 2], [16, 4, 32, 4, 8]])
     def test_one_spectrum_of_f_and_one_weyl_grid_per_call(self, monkeypatch, j_list):
-        # one rfft of f, one b_N1 per distinct splitting J, then one Weyl
-        # half spectrum, all on bins 0..L/2: no full grid is sampled or
-        # checked
+        # one b_N1 support per distinct splitting J, from the arc pieces
+        # with no half spectrum; one rfft of f at L for their products, then
+        # W on its own length M < L: one Weyl half and one rfft of f at M;
+        # no full grid is sampled or checked
         f = Signal(0, (np.random.default_rng(3).random(200) < 0.2).astype(float))
+        L, M = _split_grid_len(64, len(f)), operators._smooth_len(len(f) + 64 * 64)
         rffts, pieces, grids = self._count_work(monkeypatch, f)
         for _ in high_low_split(f, 64, j_list):
             pass
-        assert sum(rffts) == 1
-        assert pieces == ["b_N1"] * len({J for J in j_list if J < 16}) + ["weyl"]
+        assert M < L and rffts == [L, M]
+        assert pieces == [("b_N1", J) for J in dict.fromkeys(J for J in j_list if J < 16)] + [("weyl", M)]
         assert grids == []
 
     @pytest.mark.parametrize("j_list", [[4], [4, 8], [2, 4, 8, 2], [16, 4, 32, 8]])
     def test_k_plus_one_inverse_transforms(self, monkeypatch, j_list):
-        # one rfft of f, then W once and Low per J that splits: k + 1
-        # irffts of length L for k splitting J (A_N f, for J >= N/4, is
-        # direct at N = 64)
+        # one rfft of f at L and one at M, then W once at M and Low per J
+        # that splits: k + 1 irffts for k splitting J, W's at M and each
+        # Low's one batch of one residue at L = 2^14 <= _SHORT (A_N f, for
+        # J >= N/4, is direct at N = 64)
         f = Signal(0, (np.random.default_rng(4).random(200) < 0.2).astype(float))
-        L = _split_grid_len(64, len(f))
+        L, M = _split_grid_len(64, len(f)), operators._smooth_len(len(f) + 64 * 64)
         rffts, irffts = [], []
         rfft, irfft = np.fft.rfft, np.fft.irfft
-        monkeypatch.setattr(np.fft, "rfft", lambda a, n=None, *r, **k: rffts.append(a is f.samples) or rfft(a, n, *r, **k))
-        monkeypatch.setattr(np.fft, "irfft", lambda a, n=None, *r, **k: irffts.append(n) or irfft(a, n, *r, **k))
+        monkeypatch.setattr(np.fft, "rfft", lambda a, n=None, *r, **k: a is f.samples and rffts.append(n) or rfft(a, n, *r, **k))
+        monkeypatch.setattr(np.fft, "irfft", lambda a, n=None, *r, **k: irffts.append((np.shape(a)[:-1], n)) or irfft(a, n, *r, **k))
         for _ in high_low_split(f, 64, j_list):
             pass
-        assert sum(rffts) == 1
-        assert irffts == [L] * (1 + sum(J < 16 for J in j_list))
+        assert L <= operators._SHORT and rffts == [L, M]
+        assert irffts == [((), M)] + [((1,), L)] * sum(J < 16 for J in j_list)
 
     @pytest.mark.parametrize("j_list", [[4], [2, 4, 8, 2]])
     def test_no_inverse_transform_of_length_L_per_J(self, monkeypatch, j_list):
-        # at L = 2^18 > _SHORT only W is inverted at length L; each J that
-        # splits takes P / rows batched irffts of length _SHORT
+        # at L = 2^18 > _SHORT nothing is inverted at length L: W at its own
+        # M, and each J that splits takes P / rows batched irffts of length
+        # _SHORT; f's one rfft at L is the only transform of that length
         f = Signal(0, (np.random.default_rng(5).random(1000) < 0.2).astype(float))
-        L = _split_grid_len(256, len(f))
-        M, P, rows = operators._SHORT, L // operators._SHORT, operators._sparse_rows(L)
-        lengths = []
-        irfft = np.fft.irfft
+        L, M = _split_grid_len(256, len(f)), operators._smooth_len(len(f) + 256 * 256)
+        short, P, rows = operators._SHORT, L // operators._SHORT, operators._sparse_rows(L)
+        rffts, lengths = [], []
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+        monkeypatch.setattr(np.fft, "rfft", lambda a, n=None, *r, **k: rffts.append(n or len(a)) or rfft(a, n, *r, **k))
         monkeypatch.setattr(np.fft, "irfft", lambda a, n=None, *r, **k: lengths.append((np.shape(a)[:-1], n)) or irfft(a, n, *r, **k))
         for _ in high_low_split(f, 256, j_list):
             pass
-        assert L == 1 << 18 and P > 1
-        assert lengths == [((), L)] + [((rows,), M)] * (len(j_list) * P // rows)
+        assert L == 1 << 18 and P > 1 and M < L
+        assert rffts == [L, M, M]  # f at L, the Weyl histogram and f at M
+        assert lengths == [((), M)] + [((rows,), short)] * (len(j_list) * P // rows)
+
+    @pytest.mark.parametrize(
+        "N, n, j_list", [(1024, 1000, [4]), (512, 1000, [4, 16]), (256, 1000, [4, 64, 16]), (64, 300, [16, 4])]
+    )
+    def test_split_bytes_bound_the_traced_peak(self, N, n, j_list):
+        # the split alone, each part dropped before the next: f's rfft at L
+        # sets the peak at N = 1024, a Low's batch beside W at N = 512; 64 KiB
+        # of small objects, as the runner allows.  gamma_N's Fresnel table
+        # and numpy's FFT module are made on their first use, before this
+        f = Signal(-7, (np.random.default_rng(6).random(n) < 0.1).astype(float))
+        circle._fresnel_table()
+        np.fft.rfft(f.samples)
+        count = operators.high_low_split_bytes(N, n, j_list)
+        tracemalloc.start()
+        try:
+            for _, high, low in high_low_split(f, N, j_list):
+                del high, low
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= count + (1 << 16) and count <= 1.25 * peak
 
     def test_no_grid_when_no_J_splits(self, monkeypatch):
         f = Signal(0, np.ones(100))
         rffts, pieces, grids = self._count_work(monkeypatch, f)
         assert [J for J, _, _ in high_low_split(f, 64, [16, 32, 16])] == [16, 32, 16]
-        assert pieces == [] and grids == [] and sum(rffts) == 0
+        assert pieces == [] and grids == [] and rffts == []
 
     def test_one_average_per_trial_when_no_J_splits(self, monkeypatch):
         # at N = 64 neither J = 16 nor J = 32 splits: per trial, the runner's
