@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -248,6 +249,13 @@ def _horner(coeffs: tuple, x: np.ndarray) -> np.ndarray:
 
 # panel budget of gamma_N_quad
 _MAX_PANELS = 1 << 21
+
+
+def _quad_rule_bytes() -> int:
+    """The traced peak of loading numpy's polynomial module, where
+    gamma_N_quad takes its Gauss-Legendre rule (750 KB; tracemalloc),
+    rounded up, while it is not loaded; 0 once it is."""
+    return 0 if "numpy.polynomial" in sys.modules else 800_000
 
 
 def quad_panels(xi: float, N: int) -> int:

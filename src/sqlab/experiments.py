@@ -37,6 +37,7 @@ from .operators import (
     norm_p,
     polynomial_shifts,
     shift_average_bytes,
+    splits,
 )
 from .reports import ExperimentReport
 from .sparse import (
@@ -321,9 +322,18 @@ def run_gamma_decay(N: int = 1 << 8, points: int = 200, tol: float = 1e-9) -> Ex
     )
     # the quadrature takes the most panels at the largest point, xi = 4
     try:
-        circle.quad_panels(4.0, N)
+        panels = circle.quad_panels(4.0, N)
     except circle.QuadratureError as e:
         raise DomainError(f"gamma-decay: N={N} at xi=4: {e}") from None
+    # per point its xi and a row of four floats (192 bytes); the quadrature
+    # at xi = 4 beside them, 744 bytes a panel (15 nodes and 15 weights, two
+    # complex temporaries of the integrand, the edges, half widths and
+    # midpoints), and numpy's buffer of at most 8192 complex values for the
+    # nodes cast to complex; 64 KiB of small objects; the Fresnel table and
+    # numpy's polynomial module while they are not loaded
+    need = 192 * points + 744 * panels + (1 << 17) + (1 << 16)
+    need += circle._fresnel_table_bytes() + circle._quad_rule_bytes()
+    _require_memory(f"gamma-decay at N={N}", need)
     xis = np.concatenate([[0.0], np.geomspace(2.0**-20, 4.0, points - 1)])
     for xi in xis:
         g = circle.gamma_N(float(xi), N)
@@ -705,11 +715,15 @@ def run_high_low(
     )
     if N < 1:
         raise DomainError(f"high-low: N={N} must be positive")
-    # the split's arrays, f on 2I and A_N f (40 N^2 bytes), the audit's sum
-    # of the parts on A_N f's window (24 N^2), gamma_N's Fresnel table if it
-    # is unbuilt, 64 KiB of small objects
-    need = high_low_split_bytes(N, 2 * N * N, j_list) + 64 * N * N + circle._fresnel_table_bytes() + (1 << 16)
-    _require_memory(f"high-low at N={N}", need)
+    split_js = [J for J in j_list if splits(N, J)]
+    # f on 2I (16 N^2 bytes) beside A_N f's route, then A_N f (24 N^2) and
+    # |f| on 2I beside f; if a J splits, f, A_N f, the split's arrays and
+    # the audit's sum of the parts (24 N^2), and the Fresnel table if it is
+    # unbuilt; 32 KiB of small objects (traced: 4 KB at N = 64, 10 KB at 1024)
+    need = 16 * N * N + max(_average_squares_bytes(2 * N * N, N), 40 * N * N)
+    if split_js:
+        need = max(need, high_low_split_bytes(N, 2 * N * N, split_js) + 64 * N * N) + circle._fresnel_table_bytes()
+    _require_memory(f"high-low at N={N}", need + (1 << 15))
     I = IntervalZ(0, N * N - 1)
     twoI = I.double()
     rng = make_rng(seed)
@@ -718,28 +732,29 @@ def run_high_low(
         f = Signal(twoI.a, _random_indicator(rng, len(twoI), 0.1))
         af = average_squares(f, N)
         f2, f1 = norm_p(f, 2.0, twoI), norm_p(f, 1.0, twoI)
-        parts = high_low_split(f, N, j_list)
-        for rows in table:
-            J, high, low = next(parts)
-            diff = high.samples + low.samples  # both on A_N f's window
-            diff -= af.samples
-            err = float(np.max(np.abs(diff, out=diff)))
-            del diff
-            hr = norm_p(high, 2.0, I) / f2
-            lr = norm_p(low, math.inf, I) / f1
-            del high, low  # free this J's parts before the next J's are made
+        parts = high_low_split(f, N, split_js) if split_js else None
+        for J, rows in zip(j_list, table):
+            if splits(N, J):
+                _, high, low = next(parts)
+                diff = high.samples + low.samples  # both on A_N f's window
+                diff -= af.samples
+                err = float(np.max(np.abs(diff, out=diff)))
+                del diff
+                hr, lr = norm_p(high, 2.0, I) / f2, norm_p(low, math.inf, I) / f1
+                del high, low  # free this J's parts before the next J's are made
+            else:  # High = 0 and Low = A_N f, exactly
+                err, hr, lr = 0.0, 0.0, norm_p(af, math.inf, I) / f1
             logJ = math.log(J) if J > 1 else 1.0
             rows.append((J, t, err, hr, logJ / math.sqrt(J), lr, J * logJ**2))
         del f, af, parts  # the split keeps W and its products until it is dropped
     # Low's kernel K_J on Z has 2N^2 max|K_J| <= (3/4) J (1 + sup_x S_J(x)),
     # as |gamma_N| <= 1 and the bump integrates to 3/4, so low_ratio is at
-    # most (3/4) J (1 + U_J) for each J that splits (J < max(1, N/4), as in
-    # high_low_split; the others return A_N f as Low)
+    # most (3/4) J (1 + U_J) for each J that splits
     tables = hsums.FactorTables()
     for row in (row for rows in table for row in rows):
         J = row[0]
         _require(f"split error |high + low - A_N f| at J={J}", row[2], tol)
-        if J < max(1, N // 4):
+        if splits(N, J):
             bound = 0.75 * J * (1 + hsums.upper_bound_S(J, tables))
             _require(f"low_ratio at J={J} (bounded by 3J(1 + U_J)/4)", row[5], bound)
         report.add_row(*row)

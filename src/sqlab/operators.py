@@ -123,11 +123,12 @@ def _shift_averager(shifts: np.ndarray, n: int, method: str | None = None) -> Ca
         method = "dft" if len(shifts) > _FFT_SHIFTS else "direct"
     hi, lo = int(shifts.max()), int(shifts.min())
     out_len = n + hi - lo + 1
-    starts = (hi - shifts).tolist()
     if method == "dft":
         L = _smooth_len(out_len)
         kernel = np.fft.rfft(np.bincount(hi - shifts), L)
-    elif method != "direct":
+    elif method == "direct":
+        starts = (hi - shifts).tolist()
+    else:
         raise DomainError(f"unknown averaging method {method!r}")
 
     def average(f: Signal) -> Signal:
@@ -334,28 +335,31 @@ def _weyl_part(f: Signal, N: int, js: Iterable[int], L: int) -> tuple[np.ndarray
     return np.concatenate((w[M - m :], w[:n])), picks
 
 
+def splits(N: int, J: int) -> bool:
+    """Whether the high/low split of A_N at J is meaningful: J < N/4, so
+    no J for N < 8.  high_low_split takes only such J, and run_high_low
+    gives the others (0, A_N f) as (High, Low).  circle's contract on b_N1
+    still admits J = N/4, where its bumps are defined: refused_piece in
+    tests/test_bench_api.py samples each piece the benchmark names at
+    N = 8, J = 2."""
+    return J < max(1, N // 4)
+
+
 def high_low_split(f: Signal, N: int, j_list: Sequence[int]) -> Iterator[tuple[int, Signal, Signal]]:
-    """Yield (J, High, Low) for each J of j_list, in order, on A_N f's
-    window [f.offset - N^2, f.offset + n): Low applies the narrow major-arc
-    multiplier b_N1 of bumps of width J/(q N^2) at each a/(2q), q < J, and
-    High = W - Low, W the Weyl multiplier's output, A_N f up to roundoff;
-    for J >= N/4 no split is meaningful and (0, A_N f) comes back.
-    _weyl_part makes W at the first J that splits, on its own 5-smooth
-    length M >= n + N^2, and f's spectrum at L = _split_grid_len on the
-    supports of b_N1 only; each such J takes Low from those products alone,
-    by _sparse_irfft on the window.  Bad N or J raise DomainError at the
-    first next()."""
-    if N < 1 or any(J < 1 or J & (J - 1) for J in j_list):
-        raise DomainError(f"high_low_split: need N>=1 and J powers of two, got N={N} J={list(j_list)}")
-    cut, L, a = max(1, N // 4), _split_grid_len(N, len(f.samples)), f.offset - N * N
-    w = af = None
+    """Yield (J, High, Low) for each J of a nonempty j_list, in order, on
+    A_N f's window [f.offset - N^2, f.offset + n): Low applies the narrow
+    major-arc multiplier b_N1 of bumps of width J/(q N^2) at each a/(2q),
+    q < J, and High = W - Low, W the Weyl multiplier's output, A_N f up to
+    roundoff.  Every J must split (splits(N, J)).  At the first next(),
+    _weyl_part makes W on its own 5-smooth length M >= n + N^2, and f's
+    spectrum at L = _split_grid_len on the supports of b_N1 only; each J
+    takes Low from those products alone, by _sparse_irfft on the window.
+    Bad N or J, or no J, raise DomainError at the first next()."""
+    if N < 1 or not j_list or any(J < 1 or J & (J - 1) or not splits(N, J) for J in j_list):
+        raise DomainError(f"high_low_split: need N>=1 and J powers of two below N/4, got N={N} J={list(j_list)}")
+    L, a = _split_grid_len(N, len(f.samples)), f.offset - N * N
+    w, picks = _weyl_part(f, N, dict.fromkeys(j_list), L)
     for J in j_list:
-        if J >= cut:
-            af = average_squares(f, N) if af is None else af
-            yield J, Signal(a, np.zeros(len(af))), af
-            continue
-        if w is None:
-            w, picks = _weyl_part(f, N, dict.fromkeys(K for K in j_list if K < cut), L)
         low = _sparse_irfft(*picks[J], L, L // 2 - N * N, L // 2 + len(f.samples))
         yield J, Signal(a, w - low), Signal(a, low)
         del low  # the caller's drop frees this J's parts before the next J's
@@ -363,34 +367,23 @@ def high_low_split(f: Signal, N: int, j_list: Sequence[int]) -> Iterator[tuple[i
 
 def high_low_split_bytes(N: int, n: int, j_list: Sequence[int]) -> int:
     """Peak bytes of high_low_split's arrays for a block of n samples, each
-    (High, Low) dropped before the next, as traced.  If some J splits, with
-    b = b_n1_support_bound(N, J, L) bins of b_N1 per J, counted from the
-    arc geometry before anything is built, and the supports and then f's
+    (High, Low) dropped before the next, as traced.  With b =
+    b_n1_support_bound(N, J, L) bins of b_N1 per J, counted from the arc
+    geometry before anything is built, and the supports and then f's
     products kept at 24 bytes a bin: a J's support built, 64 bytes a bin,
     beside the ones before; f's rfft at L, 8 bytes a point of L, beside the
     supports, the products and one J's gather; W's transforms at M =
     _smooth_len(n + N^2), 16 bytes a point of M; or a J's Low beside W (m =
     n + N^2 samples each): _sparse_irfft's output, batch (16 bytes a point
     of its _sparse_rows(L) transforms) and 128 bytes a bin of its J, and
-    then High.  If some J does not split: A_N f's route beside W, then A_N
-    f and a zero High beside it, and A_N f, m samples, beside each step
-    above when such a J comes before a J that splits.  If no J splits, A_N
-    f's route, then A_N f and a zero High."""
-    cut, L, m = max(1, N // 4), _split_grid_len(N, n), n + N * N
-    route = shift_average_bytes(n, np.arange(1, N + 1, dtype=np.int64) ** 2)
-    if min(j_list) >= cut:
-        return route + 16 * m
-    bins = [b_n1_support_bound(N, J, L) for J in set(j_list) if J < cut]
+    then High."""
+    L, m = _split_grid_len(N, n), n + N * N
+    bins = [b_n1_support_bound(N, J, L) for J in set(j_list)]
     kept, most = 24 * sum(bins), max(bins)
     batch = 16 * _sparse_rows(L) * min(L, _SHORT)
-    split = max(
+    return max(
         kept + 64 * most,
         8 * L + kept + 16 * sum(bins) + 16 * most,
         16 * _smooth_len(m) + kept,
         8 * m + max(8 * m + batch + 128 * most, 16 * m) + kept,
     )
-    if max(j_list) < cut:
-        return split
-    last = max(i for i, J in enumerate(j_list) if J < cut)
-    early = any(J >= cut for J in j_list[:last])
-    return max(split + 8 * m * early, 8 * m + kept + route, 24 * m + kept)

@@ -290,9 +290,51 @@ class TestExitCodes:
         assert peak <= count <= 1.25 * peak
 
     def test_high_low_preflight_covers_the_unsplit_route(self, monkeypatch):
-        # J = 64 = N/4 does not split: A_N f's arrays and the audit's
-        count, peak = self._high_low_count_and_peak(monkeypatch, 256, [64], 2)
-        assert peak <= count
+        # J = N/4 and J = N/2 do not split: A_N f's route is counted once,
+        # alone when no J splits, and beside the split of the others
+        for N, j_list in ((256, [64]), (64, [16, 32]), (256, [4, 64, 16])):
+            count, peak = self._high_low_count_and_peak(monkeypatch, N, j_list, 2)
+            assert peak <= count <= 1.25 * peak, (N, j_list)
+
+    def test_high_low_at_J_equal_N_over_4(self, tmp_path):
+        # circle's contract admits b_N1 at J = N/4; the split does not take
+        # it, and the runner gives its row: no split error, High = 0
+        bins, values = circle.b_n1_support(64, 16, 1 << 14)
+        assert len(bins) == len(values) > 0
+        assert operators.splits(64, 8) and not operators.splits(64, 16)
+        code, text = run(["high-low", "--n", "64", "--j", "16", "--trials", "1"], tmp_path)
+        ((J, trial, split_err, high_ratio, _, low_ratio, _),) = strict_loads(text)["rows"]
+        assert code == 0 and (J, trial, split_err, high_ratio) == (16, 0, 0.0, 0.0) and low_ratio > 0
+
+    def test_gamma_decay_preflight_refuses_before_allocating(self, monkeypatch, capsys):
+        # 1 MiB of memory: N = 64 takes 16,384 panels at xi = 4, about 12 MB;
+        # the job is refused with one line before any xi is made
+        made = []
+        geomspace = experiments.np.geomspace
+        monkeypatch.setattr(experiments.np, "geomspace", lambda *a, **k: made.append(a) or geomspace(*a, **k))
+        memory = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(experiments.os, "sysconf", memory.__getitem__)
+        assert main(["gamma-decay", "--n", "64", "--grid", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sqlab: error: gamma-decay at N=64 needs ") and err.count("\n") == 1
+        assert made == []
+        assert main(["gamma-decay", "--n", "4", "--grid", "10"]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("N, points", [(4, 3), (8, 10), (16, 2000), (64, 200)])
+    def test_gamma_decay_preflight_bounds_the_traced_peak(self, monkeypatch, N, points):
+        # the rows of every point and the quadrature at xi = 4, with the
+        # Fresnel table unbuilt
+        circle._fresnel_table.cache_clear()
+        counts = []
+        monkeypatch.setattr(experiments, "_require_memory", lambda job, need: counts.append(need))
+        tracemalloc.start()
+        try:
+            experiments.run_gamma_decay(N, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= counts[0]
 
     @pytest.mark.parametrize("s_list, octaves, trials", [((2,), 1, 1), ((1,), 3, 3), ((2, 3, 4, 5), 3, 2)])
     def test_multifreq_preflight_bounds_the_traced_peak(self, monkeypatch, s_list, octaves, trials):
@@ -471,6 +513,48 @@ class TestExitCodes:
             r"sqlab: invariant violation: FFT shift-sum deviation from an integer = (\S+) exceeds bound 0\.25\n", err
         )
         assert found and 0.29 < float(found[1]) < 0.31, err
+
+
+# the commands whose runners have no memory preflight, each with its reason
+UNCOUNTED = {
+    "gauss-check": "its arrays are blocks of at most 2^14 (a, q) pairs, about 5 MB, at any --q-max",
+    "hsum-identities": "its arrays are periods of one modulus q <= 4 q_max at a time, and h_vector's 64 cached",
+}
+# every other command at arguments that run in a fraction of a second
+TINY = {
+    "lowpass-scan": ["--j", "4", "--x-max", "10"],
+    "fjk-constant": ["--n", "16", "--grid", "64"],
+    "gamma-decay": ["--n", "4", "--grid", "3"],
+    "improving-ratio": ["--n", "16", "--trials", "1"],
+    "orlicz-ratio": ["--n", "16", "--trials", "1"],
+    "halfdim": ["--n", "16", "--eps", "0.5"],
+    "multifreq": ["--s", "1", "--octaves", "1", "--trials", "1", "--grid", "64"],
+    "poly-average": ["--coeffs", "0,0,1", "--n", "16", "--trials", "1"],
+    "sparse-demo": ["--e-size", "64"],
+    "high-low": ["--n", "16", "--j", "1", "--trials", "1"],
+}
+
+
+class TestPreflights:
+    def test_every_command_is_listed_once(self):
+        assert sorted([*TINY, *UNCOUNTED]) == sorted(COMMANDS)
+        assert all(UNCOUNTED.values())
+
+    @pytest.mark.parametrize("command", sorted(TINY))
+    def test_runner_requires_memory(self, monkeypatch, capsys, command):
+        jobs = []
+        monkeypatch.setattr(experiments, "_require_memory", lambda job, need: jobs.append(job))
+        assert main([command, *TINY[command]]) == 0
+        capsys.readouterr()
+        assert jobs and all(job.startswith(f"{command} at ") for job in jobs)
+
+    @pytest.mark.parametrize("command", sorted(UNCOUNTED))
+    def test_uncounted_runner_has_no_preflight(self, monkeypatch, capsys, command):
+        jobs = []
+        monkeypatch.setattr(experiments, "_require_memory", lambda job, need: jobs.append(job))
+        assert main([command, "--q-max", "3"]) == 0
+        capsys.readouterr()
+        assert jobs == []
 
 
 class TestFlags:

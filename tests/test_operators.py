@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sqlab.arith import DomainError
 from sqlab.circle import ContractError, sample_multiplier, split_half_spectrum
-from sqlab.experiments import make_rng, run_halfdim
+from sqlab.experiments import _random_indicator, make_rng, run_halfdim, run_high_low
 from sqlab.hsums import FactorTables, upper_bound_S
 from sqlab import operators
 from sqlab.operators import (
@@ -327,11 +327,16 @@ class TestHighLow:
         assert np.abs(low_kernel_series(N, J, xs) - kernel[L // 2 + xs]).max() <= 1e-9
 
     def test_trivial_branch(self):
-        f = Signal(0, np.ones(16))
-        ((_, high, low),) = high_low_split(f, 8, [4])  # J >= N/4: no split
-        assert np.all(np.asarray(high.samples) == 0.0)
-        a = average_squares(f, 8)
-        assert np.max(np.abs(low.on(block(a)) - a.samples)) < 1e-12
+        # J = 4 >= N/4 does not split: the split refuses it, and the runner
+        # gives High = 0 and Low = A_N f, its row read off A_N f exactly
+        assert not operators.splits(8, 4) and operators.splits(8, 1)
+        with pytest.raises(DomainError):
+            next(high_low_split(Signal(0, np.ones(16)), 8, [4]))
+        ((J, t, err, high_ratio, _, low_ratio, _),) = run_high_low(8, [4], 1).rows
+        I = IntervalZ(0, 63)
+        f = Signal(0, _random_indicator(make_rng(0), 128, 0.1))
+        assert (J, t, err, high_ratio) == (4, 0, 0.0, 0.0)
+        assert low_ratio == norm_p(average_squares(f, 8), math.inf, I) / norm_p(f, 1.0, I.double())
 
     def test_low_part_is_flatter(self):
         # the low-pass part has much smaller sup norm on spread-out data

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
@@ -295,7 +295,7 @@ class TestSparseIrfft:
 
 class TestHighLowSplit:
     @pytest.mark.parametrize(
-        "N, j_list, n", [(16, [1, 2, 4], 40), (64, [1, 4, 8, 16], 300), (256, [2, 4, 16, 64], 1000), (256, [8], 2 * 256 * 256)]
+        "N, j_list, n", [(16, [1, 2], 40), (64, [1, 4, 8, 4], 300), (256, [2, 4, 16, 32], 1000), (256, [8], 2 * 256 * 256)]
     )
     def test_parts_match_the_dense_low_route(self, N, j_list, n):
         # Low by one length-L irfft of its zeroed half spectrum per J, and
@@ -311,11 +311,12 @@ class TestHighLowSplit:
                 assert np.max(np.abs(part.samples - part0.samples)) <= 1e-13 * np.max(np.abs(part0.samples))
 
     def test_parts_match_oracle_on_their_own_grids(self):
-        # a trivial J (16 >= N/4) between two that split, and a repeated J:
-        # every part on A_N f's window, as the complex route gives it there
+        # the largest J that splits (8 < N/4) between two others, and a
+        # repeated J: every part on A_N f's window, as the complex route
+        # gives it there
         rng = np.random.default_rng(8)
         f = Signal(-20, (rng.random(300) < 0.2).astype(float))
-        N, j_list = 64, [4, 16, 2, 4]
+        N, j_list = 64, [4, 8, 2, 4]
         L = _split_grid_len(N, len(f))
         offset, n = _window(f, N)
         window = IntervalZ(offset, offset + n - 1)
@@ -324,11 +325,6 @@ class TestHighLowSplit:
         assert [J for J, _, _ in out] == j_list
         for J, high, low in out:
             assert high.offset == low.offset == offset and len(high) == len(low) == n
-            if J >= N // 4:
-                af = average_squares(f, N)
-                assert np.array_equal(low.samples, af.samples) and low.offset == af.offset
-                assert not np.any(high.samples)
-                continue
             low_grid = sample_multiplier("b_N1", N, J, J, L)
             high_grid = MultiplierGrid(L, weyl.values - low_grid.values)
             for part, grid in ((high, high_grid), (low, low_grid)):
@@ -338,7 +334,7 @@ class TestHighLowSplit:
         assert np.array_equal(out[0][1].samples, out[3][1].samples)
         assert np.array_equal(out[0][2].samples, out[3][2].samples)
 
-    @pytest.mark.parametrize("N, j_list, n", [(16, [1, 2], 40), (64, [4, 16, 8, 4], 300), (256, [2, 64, 2], 1000)])
+    @pytest.mark.parametrize("N, j_list, n", [(16, [1, 2], 40), (64, [4, 2, 8, 4], 300), (256, [2, 32, 2], 1000)])
     def test_kernels_are_the_former_grids_bins(self, monkeypatch, N, j_list, n):
         # the (bins, values) the split keeps of each b_N1, summed from the
         # arc enumerator's pieces and scattered into zeros, bit for bit the
@@ -349,7 +345,7 @@ class TestHighLowSplit:
         for _ in high_low_split(Signal(0, np.ones(n)), N, j_list):
             pass
         L = _split_grid_len(N, n)
-        js = list(dict.fromkeys(J for J in j_list if J < N // 4))
+        js = list(dict.fromkeys(j_list))
         assert len(kept) == len(js)
         for J, (bins, values) in zip(js, kept):
             dense = np.zeros(L // 2 + 1, dtype=np.complex128)
@@ -359,43 +355,49 @@ class TestHighLowSplit:
             assert np.all(values != 0)
 
     @pytest.mark.parametrize(
-        "N, j_list, n", [(16, [1, 2, 1, 4], 40), (64, [4, 16, 8, 4, 32], 300), (256, [2, 64, 16, 2], 1000)]
+        "N, j_list, n", [(16, [1, 2, 1], 40), (64, [4, 8, 2, 4, 1], 300), (256, [2, 32, 16, 2], 1000)]
     )
     def test_same_parts_as_two_transform_route(self, N, j_list, n):
-        # repeated and non-splitting J included
+        # repeated J included
         rng = np.random.default_rng(N)
         _same_as_two_transform_route(Signal(-n // 3, (rng.random(n) < 0.2) * rng.standard_normal(n)), N, j_list)
 
     @given(
-        st.integers(min_value=1, max_value=256),
+        st.integers(min_value=8, max_value=256),
         offsets,
         st.integers(min_value=1, max_value=2000),
-        st.lists(st.sampled_from([1, 1, 2, 4, 8, 16, 32, 64, 128]), min_size=1, max_size=5),
+        st.lists(st.sampled_from([1, 1, 2, 4, 8, 16, 32]), min_size=1, max_size=5),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
-    @example(1, 0, 1, [1], 0)
-    @example(64, -5, 300, [1, 16, 1, 4], 1)  # J = 1, an unsplit J, repeats
+    @example(8, 0, 1, [1], 0)
+    @example(64, -5, 300, [1, 8, 1, 4], 1)  # J = 1, the largest J that splits, repeats
     @settings(max_examples=30, deadline=None)
     def test_parts_on_the_window_match_two_transform_route(self, N, offset, n, j_list, seed):
+        # the drawn J that split at N, at least one
+        j_list = [J for J in j_list if operators.splits(N, J)]
+        assume(j_list)
         rng = np.random.default_rng(seed)
         _same_as_two_transform_route(Signal(offset, (rng.random(n) < 0.3) * rng.standard_normal(n)), N, j_list)
 
     @given(
-        st.integers(min_value=1, max_value=128),
+        st.integers(min_value=8, max_value=128),
         st.integers(min_value=1, max_value=3000),
         offsets,
-        st.lists(st.sampled_from([1, 2, 4, 8, 16, 32]), min_size=1, max_size=3),
+        st.lists(st.sampled_from([1, 2, 4, 8, 16]), min_size=1, max_size=3),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
-    @example(64, 2 * 64 * 64, 0, [4, 16], 0)  # the runner's n = 2N^2: M = 3N^2
-    @example(128, 2 * 128 * 128, -3, [4, 32, 2], 1)
+    @example(64, 2 * 64 * 64, 0, [4, 8], 0)  # the runner's n = 2N^2: M = 3N^2
+    @example(128, 2 * 128 * 128, -3, [4, 16, 2], 1)
     @example(48, 2 * 48 * 48, 5, [2, 8], 2)
     @example(8, 17, 0, [1], 3)  # n + N^2 = 81 and 80 are 5-smooth: M one short wraps
     @settings(max_examples=25, deadline=None)
     def test_parts_sum_to_the_direct_average_at_the_tightest_length(self, N, extra, offset, j_list, seed):
         # n + N^2 itself 5-smooth, so W's length M is A_N f's window and
         # nothing is left to spare against a wrap: High + Low is the exact
-        # shifted sum of the squares within 1e-13 ||f||_1
+        # shifted sum of the squares within 1e-13 ||f||_1, for the drawn J
+        # that split at N
+        j_list = [J for J in j_list if operators.splits(N, J)]
+        assume(j_list)
         n = _smooth_len(N * N + extra) - N * N
         rng = np.random.default_rng(seed)
         f = Signal(offset, (rng.random(n) < 0.3) * rng.standard_normal(n))
@@ -427,9 +429,9 @@ class TestHighLowSplit:
         monkeypatch.setattr(circle.MultiplierGrid, "__post_init__", lambda g: grids.append(g.L) or check(g))
         return rffts, pieces, grids
 
-    @pytest.mark.parametrize("j_list", [[4], [4, 8], [2, 4, 8, 2], [16, 4, 32, 4, 8]])
+    @pytest.mark.parametrize("j_list", [[4], [4, 8], [2, 4, 8, 2], [8, 4, 1, 4, 8]])
     def test_one_spectrum_of_f_and_one_weyl_grid_per_call(self, monkeypatch, j_list):
-        # one b_N1 support per distinct splitting J, from the arc pieces
+        # one b_N1 support per distinct J, from the arc pieces
         # with no half spectrum; one rfft of f at L for their products, then
         # W on its own length M < L: one Weyl half and one rfft of f at M;
         # no full grid is sampled or checked
@@ -439,15 +441,14 @@ class TestHighLowSplit:
         for _ in high_low_split(f, 64, j_list):
             pass
         assert M < L and rffts == [L, M]
-        assert pieces == [("b_N1", J) for J in dict.fromkeys(J for J in j_list if J < 16)] + [("weyl", M)]
+        assert pieces == [("b_N1", J) for J in dict.fromkeys(j_list)] + [("weyl", M)]
         assert grids == []
 
-    @pytest.mark.parametrize("j_list", [[4], [4, 8], [2, 4, 8, 2], [16, 4, 32, 8]])
+    @pytest.mark.parametrize("j_list", [[4], [4, 8], [2, 4, 8, 2], [1, 4, 2, 8]])
     def test_k_plus_one_inverse_transforms(self, monkeypatch, j_list):
-        # one rfft of f at L and one at M, then W once at M and Low per J
-        # that splits: k + 1 irffts for k splitting J, W's at M and each
-        # Low's one batch of one residue at L = 2^14 <= _SHORT (A_N f, for
-        # J >= N/4, is direct at N = 64)
+        # one rfft of f at L and one at M, then W once at M and Low per J:
+        # k + 1 irffts for k J, W's at M and each Low's one batch of one
+        # residue at L = 2^14 <= _SHORT
         f = Signal(0, (np.random.default_rng(4).random(200) < 0.2).astype(float))
         L, M = _split_grid_len(64, len(f)), operators._smooth_len(len(f) + 64 * 64)
         rffts, irffts = [], []
@@ -457,7 +458,7 @@ class TestHighLowSplit:
         for _ in high_low_split(f, 64, j_list):
             pass
         assert L <= operators._SHORT and rffts == [L, M]
-        assert irffts == [((), M)] + [((1,), L)] * sum(J < 16 for J in j_list)
+        assert irffts == [((), M)] + [((1,), L)] * len(j_list)
 
     @pytest.mark.parametrize("j_list", [[4], [2, 4, 8, 2]])
     def test_no_inverse_transform_of_length_L_per_J(self, monkeypatch, j_list):
@@ -478,7 +479,7 @@ class TestHighLowSplit:
         assert lengths == [((), M)] + [((rows,), short)] * (len(j_list) * P // rows)
 
     @pytest.mark.parametrize(
-        "N, n, j_list", [(1024, 1000, [4]), (512, 1000, [4, 16]), (256, 1000, [4, 64, 16]), (64, 300, [16, 4])]
+        "N, n, j_list", [(1024, 1000, [4]), (512, 1000, [4, 16]), (256, 1000, [4, 32, 16]), (64, 300, [8, 4])]
     )
     def test_split_bytes_bound_the_traced_peak(self, N, n, j_list):
         # the split alone, each part dropped before the next: f's rfft at L
@@ -499,14 +500,17 @@ class TestHighLowSplit:
         assert peak <= count + (1 << 16) and count <= 1.25 * peak
 
     def test_no_grid_when_no_J_splits(self, monkeypatch):
-        f = Signal(0, np.ones(100))
-        rffts, pieces, grids = self._count_work(monkeypatch, f)
-        assert [J for J, _, _ in high_low_split(f, 64, [16, 32, 16])] == [16, 32, 16]
-        assert pieces == [] and grids == [] and rffts == []
+        # at N = 64 no J of [16, 32, 16] splits: the runner makes no split,
+        # no b_N1 support and no Weyl half, and keeps the J order in its rows
+        _, pieces, grids = self._count_work(monkeypatch, Signal(0, np.ones(1)))
+        monkeypatch.setattr(experiments, "high_low_split", lambda *args: pytest.fail("split called"))
+        report = experiments.run_high_low(64, [16, 32, 16], 1)
+        assert [row[0] for row in report.rows] == [16, 32, 16]
+        assert pieces == [] and grids == []
 
-    def test_one_average_per_trial_when_no_J_splits(self, monkeypatch):
-        # at N = 64 neither J = 16 nor J = 32 splits: per trial, the runner's
-        # audit takes A_N f once and the split once, for both J
+    @staticmethod
+    def _averages_of_two_trials(monkeypatch, j_list):
+        """The N of each average_squares call of run_high_low(64, j_list, 2)."""
         calls = []
 
         def counting(f, N, *args, **kwargs):
@@ -515,8 +519,49 @@ class TestHighLowSplit:
 
         monkeypatch.setattr(operators, "average_squares", counting)
         monkeypatch.setattr(experiments, "average_squares", counting)
-        experiments.run_high_low(64, [16, 32], 2)
-        assert calls == [64] * 4
+        experiments.run_high_low(64, j_list, 2)
+        return calls
+
+    def test_one_average_per_trial_when_no_J_splits(self, monkeypatch):
+        # at N = 64 neither J = 16 nor J = 32 splits: per trial, the runner
+        # takes A_N f once, for both J, and the split never
+        assert self._averages_of_two_trials(monkeypatch, [16, 32]) == [64] * 2
+
+    @pytest.mark.parametrize("j_list", [[4, 16], [32], [4, 2, 64], []], ids=["N/4", "over-N/4", "over-N/4-late", "none"])
+    def test_J_that_does_not_split_raises_at_first_next(self, monkeypatch, j_list):
+        # J >= N/4 is refused like any other bad J, before W or a support
+        # is made, as is an empty list
+        f = Signal(0, np.ones(10))
+        _, pieces, _ = self._count_work(monkeypatch, f)
+        parts = high_low_split(f, 64, j_list)
+        with pytest.raises(DomainError, match="high_low_split"):
+            next(parts)
+        assert pieces == []
+
+    @pytest.mark.parametrize("j_list", [[4, 2], [4, 16, 2, 4], [16, 4, 32]])
+    def test_one_average_per_trial_for_any_J_list(self, monkeypatch, j_list):
+        # A_N f has one owner, the runner: the split never takes it
+        assert self._averages_of_two_trials(monkeypatch, j_list) == [64] * 2
+
+    def test_runner_rows_keep_the_J_order_with_unsplit_J(self):
+        # an unsplit J (16 = N/4, and 32) between J that split, and a
+        # repeated J: rows J-major in j_list's order; a J that splits has
+        # the row it has without the others, bit for bit, and an unsplit J
+        # has High = 0 and Low = A_N f exactly: no split error, no High,
+        # and Low's sup read off A_N f of the trial's f
+        N, j_list, trials = 64, [4, 16, 2, 4, 32], 2
+        rows = experiments.run_high_low(N, j_list, trials).rows
+        assert [row[:2] for row in rows] == [[J, t] for J in j_list for t in range(trials)]
+        split_rows = experiments.run_high_low(N, [4, 2], trials).rows
+        by_J = {J: [row for row in rows if row[0] == J] for J in j_list}
+        assert by_J[4] == split_rows[:trials] * 2 and by_J[2] == split_rows[trials:]
+        I = IntervalZ(0, N * N - 1)
+        rng = experiments.make_rng(0)
+        for t in range(trials):
+            f = Signal(I.double().a, experiments._random_indicator(rng, 2 * N * N, 0.1))
+            low_ratio = operators.norm_p(average_squares(f, N), np.inf, I) / operators.norm_p(f, 1.0, I.double())
+            for J in (16, 32):
+                assert by_J[J][t][2:4] == [0.0, 0.0] and by_J[J][t][5] == low_ratio
 
     def test_bad_J_raises_at_first_next(self):
         parts = high_low_split(Signal(0, np.ones(10)), 64, [4, 3])
